@@ -12,7 +12,7 @@ from .coorbit import (CoorbitMap, ImageData, Point, TruncatedSubspace,
                       validate_point)
 from .hopf import (GlqElement, HopfContext, LaurentElement, SlqAlgebra,
                    SlqElement, TensorElement)
-from .mq import MatrixAlgebra, Monomial, MqElement, MultiDegree, multidegree
+from .mq import MatrixAlgebra, Monomial, MqElement, MultiDegree
 from .scalars import PoleError, Scalar
 
 __version__ = "0.1.0"
@@ -26,7 +26,7 @@ __all__ = [
     "validate_point",
     "GlqElement", "HopfContext", "LaurentElement", "SlqAlgebra", "SlqElement",
     "TensorElement",
-    "MatrixAlgebra", "Monomial", "MqElement", "MultiDegree", "multidegree",
+    "MatrixAlgebra", "Monomial", "MqElement", "MultiDegree",
     "PoleError", "Scalar",
     "__version__",
 ]

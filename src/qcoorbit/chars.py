@@ -20,11 +20,11 @@ from typing import NamedTuple
 
 from .coorbit import CoorbitMap, ImageData, Point, TruncatedSubspace
 from .hopf import HopfContext
-from .mq import MatrixAlgebra
-from .scalars import PoleError, Scalar
+from .mq import MatrixAlgebra, render
+from .scalars import Frozen, Scalar
 
 
-class Character:
+class Character(Frozen):
     """Integer-multiplicity weights, in the "z" or "t" picture."""
 
     __slots__ = ("picture", "mults")
@@ -44,9 +44,6 @@ class Character:
                 clean[w] = clean.get(w, 0) + int(m)
         object.__setattr__(self, "picture", picture)
         object.__setattr__(self, "mults", {w: m for w, m in clean.items() if m})
-
-    def __setattr__(self, *a):
-        raise AttributeError("Character is immutable")
 
     @classmethod
     def zero(cls, picture: str = "z") -> "Character":
@@ -92,33 +89,16 @@ class Character:
         return f"Character({self})"
 
     def __str__(self):
-        if not self.mults:
-            return "0"
         if self.picture == "z":
             items = sorted(self.mults.items(), key=lambda wm: -wm[0])
-            rendered = [(m, f"z^{w}" if w not in (0, 1) else ("z" if w else ""))
-                        for w, m in items]
-        else:
-            items = sorted(self.mults.items())
-            rendered = []
-            for w, m in items:
-                mono = "*".join(f"t{i+1}^{e}" if e != 1 else f"t{i+1}"
-                                for i, e in enumerate(w) if e)
-                rendered.append((m, mono))
-        text = ""
-        for m, mono in rendered:
-            mag = abs(m)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            if not text:
-                text = f"-{body}" if m < 0 else body
-            else:
-                text += f" - {body}" if m < 0 else f" + {body}"
-        return text
+            return render((m, f"z^{w}" if w not in (0, 1) else ("z" if w else "1"))
+                          for w, m in items)
+        rendered = []
+        for w, m in sorted(self.mults.items()):
+            mono = "*".join(f"t{i+1}^{e}" if e != 1 else f"t{i+1}"
+                            for i, e in enumerate(w) if e)
+            rendered.append((m, mono or "1"))
+        return render(rendered)
 
 
 def chi_irreducible(m: int) -> Character:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .chars import (character_of, compare_at_q1, decompose_sl2,
                     difference_identity)
-from .coorbit import CoorbitMap, Point, sphere_span, validate_point
+from .coorbit import CoorbitMap, Point, evaluate, sphere_span, validate_point
 from .hopf import HopfContext
 from .mq import MatrixAlgebra, MqElement
 from .scalars import PoleError, Scalar
@@ -64,13 +64,8 @@ def parse_q1(text: str) -> Fraction:
     return q0
 
 
-def load_point(spec: str, algebra) -> Point:
-    """Read a point from inline JSON or from a JSON file.
-
-    Format: {"n": 2, "entries": [["2", "0"], ["0", "q^2"]]} with entries
-    given as integers or expression strings in the scalar grammar.  When the
-    algebra runs specialized, symbolic entries are specialized too.
-    """
+def _point_data(spec: str) -> dict:
+    """The JSON object of a point given inline or as a file path."""
     text = spec.strip()
     if not text.startswith("{"):
         with open(spec, encoding="utf-8") as fh:
@@ -78,6 +73,21 @@ def load_point(spec: str, algebra) -> Point:
     data = json.loads(text)
     if not isinstance(data, dict) or "entries" not in data:
         raise ValueError('point JSON needs an "entries" matrix')
+    entries = data["entries"]
+    if not isinstance(entries, list) or not all(isinstance(r, list)
+                                                for r in entries):
+        raise ValueError("point entries must be a list of rows")
+    return data
+
+
+def load_point(spec: str, algebra) -> Point:
+    """Read a point from inline JSON or from a JSON file.
+
+    Format: {"n": 2, "entries": [["2", "0"], ["0", "q^2"]]} with entries
+    given as integers or expression strings in the scalar grammar.  When the
+    algebra runs specialized, symbolic entries are specialized too.
+    """
+    data = _point_data(spec)
     entries = data["entries"]
     n = data.get("n", len(entries))
     if len(entries) != n or any(len(r) != n for r in entries):
@@ -106,6 +116,18 @@ def load_point(spec: str, algebra) -> Point:
 def _context(n: int, q1: str | None) -> HopfContext:
     q = parse_q1(q1) if q1 else None
     return HopfContext(MatrixAlgebra(n, q))
+
+
+def _point_context(args):
+    """A context of the point's own size, and the point loaded into it.
+
+    An explicit ``--n`` has to agree with the point.
+    """
+    n = len(_point_data(args.point)["entries"])
+    if args.n is not None and args.n != n:
+        raise ValueError(f"--n {args.n} does not match the point size {n}")
+    hopf = _context(n, args.q1)
+    return hopf, load_point(args.point, hopf.alg)
 
 
 def _q_string(algebra) -> str:
@@ -144,11 +166,7 @@ def cmd_verify_coinvariants(args, config: RunConfig):
 
 
 def _point_setup(args, config: RunConfig):
-    hopf = _context(args.n, args.q1)
-    point = load_point(args.point, hopf.alg)
-    if point.n != hopf.alg.n:
-        hopf = _context(point.n, args.q1)
-        point = load_point(args.point, hopf.alg)
+    hopf, point = _point_context(args)
     d = args.degree if args.degree is not None \
         else config.ceiling_for(hopf.alg.n)
     d = config.check_degree(hopf.alg.n, d)
@@ -243,12 +261,7 @@ def cmd_character(args, config: RunConfig):
 
 
 def cmd_eval(args, config: RunConfig):
-    hopf = _context(args.n, args.q1)
-    point = load_point(args.point, hopf.alg)
-    if point.n != hopf.alg.n:
-        hopf = _context(point.n, args.q1)
-        point = load_point(args.point, hopf.alg)
-    from .coorbit import evaluate
+    hopf, point = _point_context(args)
     elem = hopf.alg.parse(args.expression)
     report = _base_report("eval", hopf.alg)
     report["point"] = _point_json(point)
@@ -342,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int, default=2,
                            help="matrix size (default 2)")
         else:
-            p.add_argument("--n", type=int, default=2, help=argparse.SUPPRESS)
+            # point commands take the size from the point
+            p.add_argument("--n", type=int, default=None, help=argparse.SUPPRESS)
         p.add_argument("--q1", default=None, metavar="RATIONAL",
                        help="run with q specialized to this rational")
         p.add_argument("--out", default=None,

@@ -10,9 +10,10 @@ co-orbit map of the point,
 
 a linear (not algebra) map into the localized algebra.  The implementation
 never materializes the full coaction: since evaluation is an algebra map,
-the evaluated middle leg folds letter by letter with only the nonzero point
-entries branching, which keeps sparse points (diagonal, single-entry) cheap.
-The definitional composite survives in the tests as an oracle.
+the two-fold coproduct folds letter by letter with its middle leg evaluated
+at the point (``HopfContext._fold``), so only the nonzero point entries
+branch, which keeps sparse points (diagonal, single-entry) cheap.  The
+definitional composite survives in the tests as an oracle.
 
 Truncations: kernels, ideal spans, and images of the co-orbit map restricted
 to monomials of bounded degree, as :class:`TruncatedSubspace` values over
@@ -21,16 +22,16 @@ explicit key lists, computed by exact echelon reduction.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import product
 from typing import NamedTuple
 
 from . import xla
-from .hopf import GlqElement, HopfContext, SlqElement
-from .mq import Monomial, MqElement
-from .scalars import Scalar
+from .hopf import GlqElement, HopfContext
+from .mq import Monomial, MqElement, _compositions, accumulate
+from .scalars import Frozen
 
 
-class Point:
+class Point(Frozen):
     """A classical point: an N x N matrix of coefficients.
 
     Entries may be ints, Fractions, or field elements; they are coerced by
@@ -48,9 +49,6 @@ class Point:
             raise ValueError("a point is a square matrix of entries")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Point is immutable")
 
     @classmethod
     def diagonal(cls, values) -> "Point":
@@ -137,29 +135,24 @@ def evaluate(a: MqElement, point: Point):
     return total
 
 
-class TruncatedSubspace:
+class TruncatedSubspace(Frozen):
     """A subspace of a finite coefficient space with labeled coordinates.
 
     Stores the unique reduced echelon basis over the given key list, so two
     subspaces over the same keys are equal iff their bases coincide.
     """
 
-    __slots__ = ("keys", "index", "rows", "pivots", "one")
+    __slots__ = ("keys", "rows", "pivots", "one")
 
     def __init__(self, keys, rows, one):
         keys = tuple(keys)
-        index = {k: i for i, k in enumerate(keys)}
-        if len(index) != len(keys):
+        if len(set(keys)) != len(keys):
             raise ValueError("duplicate keys")
         rref, pivots, _rank = xla.echelon([list(r) for r in rows])
         object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "index", index)
         object.__setattr__(self, "rows", tuple(tuple(r) for r in rref))
         object.__setattr__(self, "pivots", tuple(pivots))
         object.__setattr__(self, "one", one)
-
-    def __setattr__(self, *a):
-        raise AttributeError("TruncatedSubspace is immutable")
 
     @property
     def dim(self) -> int:
@@ -170,11 +163,7 @@ class TruncatedSubspace:
 
         Raises KeyError if the dict touches a key outside the space.
         """
-        zero = self.one - self.one
-        vec = [zero] * len(self.keys)
-        for k, c in terms.items():
-            vec[self.index[k]] = c
-        return vec
+        return _dense_rows(self.keys, [terms], self.one - self.one)[0]
 
     def contains(self, terms: dict) -> bool:
         try:
@@ -208,6 +197,18 @@ class TruncatedSubspace:
         return f"TruncatedSubspace(dim={self.dim}, ambient={len(self.keys)})"
 
 
+def _dense_rows(keys, vectors, zero):
+    """Coefficient rows of ``{key: coeff}`` dicts over the key list."""
+    index = {k: i for i, k in enumerate(keys)}
+    rows = []
+    for terms in vectors:
+        row = [zero] * len(keys)
+        for k, c in terms.items():
+            row[index[k]] = c
+        rows.append(row)
+    return rows
+
+
 class ImageData(NamedTuple):
     space: TruncatedSubspace   # over numerator monomial keys
     detpow: int                # shared determinant power of the image
@@ -236,61 +237,29 @@ class CoorbitMap:
         self.which = which
         self.xi = [[hopf.alg.coerce(point.entries[i][j]) for j in range(n)]
                    for i in range(n)]
+        self._middle = hopf._evaluating(self.xi)
         self._mono_cache = {}
 
     def of_monomial(self, m: Monomial):
         """Image of an ordered monomial: (numerator terms, det power = degree)."""
         out = self._mono_cache.get(m)
-        if out is not None:
-            return out
-        hopf = self.hopf
-        alg = hopf.alg
-        n = alg.n
-        unit = Monomial.one(n)
-        # fold the evaluated coproduct letter by letter
-        acc = {(unit, unit): alg.one}
-        for kidx in m.word():
-            i, j = divmod(kidx, n)
-            nxt = {}
-            for (u, w), c in acc.items():
-                for k in range(n):
-                    left = None
-                    for l in range(n):
-                        xv = self.xi[k][l]
-                        if not xv:
-                            continue
-                        if left is None:
-                            left = alg._mul_mono_letter(u, i * n + k)
-                        right = alg._mul_mono_letter(w, l * n + j)
-                        cx = c * xv
-                        for um, uc in left.items():
-                            cu = cx * uc
-                            for wm, wc in right.items():
-                                key = (um, wm)
-                                v = nxt.get(key)
-                                v = cu * wc if v is None else v + cu * wc
-                                if v:
-                                    nxt[key] = v
-                                elif key in nxt:
-                                    del nxt[key]
-            acc = nxt
-        # multiply through the antipode leg
-        out = {}
-        for (u, w), c in acc.items():
-            for sm, sc in hopf._antipode_mono(u).items():
-                csc = c * sc
-                pair = (alg._mul_monos(sm, w) if self.which == "beta"
-                        else alg._mul_monos(w, sm))
-                for pm, pc in pair.items():
-                    v = out.get(pm)
-                    v = csc * pc if v is None else v + csc * pc
-                    if v:
-                        out[pm] = v
-                    elif pm in out:
-                        del out[pm]
-        out = (out, m.deg)
-        self._mono_cache[m] = out
+        if out is None:
+            hopf = self.hopf
+            folded = hopf._fold(m, self._middle)
+            out = ({pm: c for (_v, pm), c
+                    in hopf._conjugate(folded, self.which).items()}, m.deg)
+            self._mono_cache[m] = out
         return out
+
+    def _lift(self, out: dict, num: dict, k: int, c=None) -> None:
+        """Accumulate c * num * det^k into ``out`` (c = 1 when None)."""
+        alg = self.hopf.alg
+        det_k = alg.det_power(k).terms
+        for nm, nc in num.items():
+            cnc = nc if c is None else c * nc
+            for lm, lc in det_k.items():
+                for mm, mc in alg._mul_monos(nm, lm).items():
+                    accumulate(out, mm, cnc * lc * mc)
 
     def __call__(self, a: MqElement) -> GlqElement:
         alg = self.hopf.alg
@@ -302,39 +271,20 @@ class CoorbitMap:
         total = {}
         for m, c in a.terms.items():
             num, p = self.of_monomial(m)
-            lift = alg.det_power(cap - p).terms
-            for nm, nc in num.items():
-                cnc = c * nc
-                for lm, lc in lift.items():
-                    for mm, mc in alg._mul_monos(nm, lm).items():
-                        v = total.get(mm)
-                        v = cnc * lc * mc if v is None else v + cnc * lc * mc
-                        if v:
-                            total[mm] = v
-                        elif mm in total:
-                            del total[mm]
+            self._lift(total, num, cap - p, c)
         return self.hopf.gl(MqElement(alg, total), cap)
 
     # -- truncations ----------------------------------------------------------
 
     def _lifted_images(self, d: int):
         """Images of all monomials of degree <= d at det power d."""
-        alg = self.hopf.alg
-        domain = alg.monomial_basis(d)
+        domain = self.hopf.alg.monomial_basis(d)
         lifted = []
         for m in domain:
             num, p = self.of_monomial(m)
             if p < d:
                 out = {}
-                for nm, nc in num.items():
-                    for lm, lc in alg.det_power(d - p).terms.items():
-                        for mm, mc in alg._mul_monos(nm, lm).items():
-                            v = out.get(mm)
-                            v = nc * lc * mc if v is None else v + nc * lc * mc
-                            if v:
-                                out[mm] = v
-                            elif mm in out:
-                                del out[mm]
+                self._lift(out, num, d - p)
                 num = out
             lifted.append(num)
         return domain, lifted
@@ -346,12 +296,8 @@ class CoorbitMap:
         domain, lifted = self._lifted_images(d)
         codomain = sorted({m for num in lifted for m in num},
                           key=Monomial.sort_key)
-        cindex = {m: r for r, m in enumerate(codomain)}
-        zero = alg.zero
-        rows = [[zero] * len(domain) for _ in codomain]
-        for c, num in enumerate(lifted):
-            for m, v in num.items():
-                rows[cindex[m]][c] = v
+        # one row per codomain monomial, one column per domain monomial
+        rows = [list(col) for col in zip(*_dense_rows(codomain, lifted, alg.zero))]
         kernel_vectors = xla.kernel(rows, len(domain), alg.one)
         return TruncatedSubspace(domain, kernel_vectors, alg.one)
 
@@ -363,23 +309,17 @@ class CoorbitMap:
         span of m (sigma_i - sigma_i(point)); the co-orbit map kills both.
         """
         alg = self.hopf.alg
-        domain = alg.monomial_basis(d)
-        dindex = {m: i for i, m in enumerate(domain)}
-        zero = alg.zero
-        rows = []
-        for i in range(1, alg.n + 1):
-            if i > d:
-                break
+        products = []
+        for i in range(1, min(alg.n, d) + 1):
             fam = alg.tau(i) if self.which == "beta" else alg.sigma(i)
             g = fam - alg.scalar_element(evaluate(fam, self.point))
             for m in alg.monomial_basis(d - i):
                 me = alg.monomial_element(m)
                 prod = g * me if self.which == "beta" else me * g
-                row = [zero] * len(domain)
-                for mm, c in prod.terms.items():
-                    row[dindex[mm]] = c
-                rows.append(row)
-        return TruncatedSubspace(domain, rows, alg.one)
+                products.append(prod.terms)
+        domain = alg.monomial_basis(d)
+        return TruncatedSubspace(domain, _dense_rows(domain, products, alg.zero),
+                                 alg.one)
 
     def image_data(self, d: int) -> ImageData:
         """Image of the degree <= d truncation, with torus weights per row."""
@@ -387,15 +327,8 @@ class CoorbitMap:
         _domain, lifted = self._lifted_images(d)
         codomain = sorted({m for num in lifted for m in num},
                           key=Monomial.sort_key)
-        cindex = {m: i for i, m in enumerate(codomain)}
-        zero = alg.zero
-        rows = []
-        for num in lifted:
-            row = [zero] * len(codomain)
-            for m, v in num.items():
-                row[cindex[m]] = v
-            rows.append(row)
-        space = TruncatedSubspace(codomain, rows, alg.one)
+        space = TruncatedSubspace(codomain, _dense_rows(codomain, lifted, alg.zero),
+                                  alg.one)
         weights = space.row_weights(
             lambda m: tuple(c - d for c in m.coldeg()))
         return ImageData(space, d, weights)
@@ -404,22 +337,11 @@ class CoorbitMap:
         """The image truncation pushed into the SL_2 quotient (size 2 only)."""
         hopf = self.hopf
         alg = hopf.alg
-        sl = hopf.sl_algebra
         elems = []
         for m in alg.monomial_basis(d):
             num, p = self.of_monomial(m)
             elems.append(hopf.project_sl(hopf.gl(MqElement(alg, num), p)))
-        keys = sorted({e for el in elems for e in el.terms},
-                      key=lambda e: (sum(e), e))
-        kindex = {e: i for i, e in enumerate(keys)}
-        zero = alg.zero
-        rows = []
-        for el in elems:
-            row = [zero] * len(keys)
-            for e, c in el.terms.items():
-                row[kindex[e]] = c
-            rows.append(row)
-        return TruncatedSubspace(keys, rows, alg.one)
+        return _sl_span(hopf.sl_algebra, elems)
 
     # -- closed-form checks ------------------------------------------------------
 
@@ -484,25 +406,10 @@ def psi_power_check(hopf: HopfContext, point: Point, power: int,
 def diag_coinv_keys(n: int, d: int):
     """Numerator monomials of the torus-coinvariant truncation at det^-d:
     exponent matrices with every row sum equal to d, sorted."""
-    def rows_of(total, slots):
-        if slots == 1:
-            yield (total,)
-            return
-        for first in range(total, -1, -1):
-            for rest in rows_of(total - first, slots - 1):
-                yield (first,) + rest
-
-    out = []
-
-    def rec(i, acc):
-        if i == n:
-            out.append(Monomial(n, tuple(acc)))
-            return
-        for row in rows_of(d, n):
-            rec(i + 1, acc + list(row))
-
-    rec(0, [])
-    return sorted(out, key=Monomial.sort_key)
+    rows = list(_compositions(d, n))
+    return sorted((Monomial(n, sum(choice, ()))
+                   for choice in product(rows, repeat=n)),
+                  key=Monomial.sort_key)
 
 
 def sphere_span(hopf: HopfContext, length: int) -> TruncatedSubspace:
@@ -517,14 +424,12 @@ def sphere_span(hopf: HopfContext, length: int) -> TruncatedSubspace:
     for _ in range(length):
         level = [e * g for e in level for g in gens]
         elems.extend(level)
+    return _sl_span(sl, elems)
+
+
+def _sl_span(sl, elems) -> TruncatedSubspace:
+    """Span of SL_2 elements over the basis words they touch."""
     keys = sorted({e for el in elems for e in el.terms},
                   key=lambda e: (sum(e), e))
-    kindex = {e: i for i, e in enumerate(keys)}
-    zero = sl.zero
-    rows = []
-    for el in elems:
-        row = [zero] * len(keys)
-        for e, cc in el.terms.items():
-            row[kindex[e]] = cc
-        rows.append(row)
-    return TruncatedSubspace(keys, rows, sl.one)
+    return TruncatedSubspace(keys, _dense_rows(keys, [el.terms for el in elems],
+                                               sl.zero), sl.one)

@@ -9,7 +9,10 @@ and the antipode sends x_ij to its signed quantum cofactor over det.
 The two adjoint coactions are
     beta(h) = h_2 (x) S(h_1) h_3      (one-sided "conjugation" from the right)
     alpha(h) = h_2 (x) h_3 S(h_1)
-computed per monomial from the two-fold coproduct.  A :class:`HopfContext`
+computed per monomial from the two-fold coproduct.  One fold computes that
+coproduct with the middle leg either kept (the coactions) or evaluated at a
+point: at the identity, where evaluation is the counit, it gives the
+coproduct, and at a classical point the co-orbit map.  A :class:`HopfContext`
 memoizes all the per-monomial tables, so repeated coaction and antipode
 computations stay cheap; build one context per algebra and reuse it.
 """
@@ -18,11 +21,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .mq import MatrixAlgebra, Monomial, MqElement, _coeff_str, _is_negative, _term_str
-from .scalars import Scalar
+from .mq import (MatrixAlgebra, Monomial, MqElement, SparseTerms, _times_letter,
+                 accumulate)
+from .scalars import Frozen, Scalar
 
 
-class GlqElement:
+class GlqElement(Frozen):
     """An element of the localization: numerator / det^detpow."""
 
     __slots__ = ("hopf", "num", "detpow")
@@ -35,9 +39,6 @@ class GlqElement:
         object.__setattr__(self, "hopf", hopf)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "detpow", detpow)
-
-    def __setattr__(self, *a):
-        raise AttributeError("GlqElement is immutable")
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -185,10 +186,9 @@ class SlqAlgebra:
             cl = self.q ** (j + k)
             ch = self.q ** (j + k + 1)
             for e, c in low.items():
-                out[e] = out.get(e, self.zero) + cl * c
+                accumulate(out, e, cl * c)
             for e, c in high.items():
-                out[e] = out.get(e, self.zero) + ch * c
-            out = {e: c for e, c in out.items() if c}
+                accumulate(out, e, ch * c)
         self._reduce_cache[exps] = out
         return out
 
@@ -197,13 +197,8 @@ class SlqAlgebra:
         out = self._letter_cache.get((exps, k))
         if out is not None:
             return out
-        deg = sum(exps)
-        last = -1
-        for t in range(3, -1, -1):
-            if exps[t]:
-                last = t
-                break
-        if deg == 0 or k >= last:
+        last = max((t for t in range(4) if exps[t]), default=-1)
+        if k >= last:
             e = list(exps)
             e[k] += 1
             e = tuple(e)
@@ -216,23 +211,9 @@ class SlqAlgebra:
             for coeff, letters in self._rules[(last, k)]:
                 acc = {rest: coeff}
                 for lt in letters:
-                    nxt = {}
-                    for e, c in acc.items():
-                        for ee, cc in self._mul_letter(e, lt).items():
-                            v = nxt.get(ee)
-                            v = c * cc if v is None else v + c * cc
-                            if v:
-                                nxt[ee] = v
-                            elif ee in nxt:
-                                del nxt[ee]
-                    acc = nxt
+                    acc = _times_letter(acc, lt, self._mul_letter)
                 for e, c in acc.items():
-                    v = out.get(e)
-                    v = c if v is None else v + c
-                    if v:
-                        out[e] = v
-                    elif e in out:
-                        del out[e]
+                    accumulate(out, e, c)
         self._letter_cache[(exps, k)] = out
         return out
 
@@ -243,16 +224,7 @@ class SlqAlgebra:
         acc = {e1: self.one}
         for k in range(4):
             for _ in range(e2[k]):
-                nxt = {}
-                for e, c in acc.items():
-                    for ee, cc in self._mul_letter(e, k).items():
-                        v = nxt.get(ee)
-                        v = c * cc if v is None else v + c * cc
-                        if v:
-                            nxt[ee] = v
-                        elif ee in nxt:
-                            del nxt[ee]
-                acc = nxt
+                acc = _times_letter(acc, k, self._mul_letter)
         self._word_cache[(e1, e2)] = acc
         return acc
 
@@ -267,7 +239,7 @@ def _sl_word_str(exps) -> str:
     return "*".join(parts)
 
 
-class SlqElement:
+class SlqElement(SparseTerms):
     """Linear combination of PBW basis words of the quantum SL_2 algebra."""
 
     __slots__ = ("sl", "terms")
@@ -276,71 +248,25 @@ class SlqElement:
         object.__setattr__(self, "sl", sl)
         object.__setattr__(self, "terms", {e: c for e, c in terms.items() if c})
 
-    def __setattr__(self, *a):
-        raise AttributeError("SlqElement is immutable")
+    def _like(self, terms) -> "SlqElement":
+        return SlqElement(self.sl, terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def _check(self, other):
+    def _coerce(self, other) -> "SlqElement":
+        if not isinstance(other, SlqElement):
+            return self.sl.scalar_element(other)
         if self.sl is not other.sl:
             raise ValueError("elements from different contexts")
+        return other
 
-    def __add__(self, other):
-        if not isinstance(other, SlqElement):
-            other = self.sl.scalar_element(other)
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e)
-            v = c if v is None else v + c
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-        return SlqElement(self.sl, out)
+    def _coeff(self, c):
+        return self.sl.parent.coerce(c)
 
-    __radd__ = __add__
+    def _mul_keys(self, e1, e2):
+        return self.sl._mul_words(e1, e2)
 
-    def __neg__(self):
-        return SlqElement(self.sl, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, SlqElement):
-            other = self.sl.scalar_element(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return self.sl.scalar_element(other) + (-self)
-
-    def __mul__(self, other):
-        if not isinstance(other, SlqElement):
-            return self.scale(other)
-        self._check(other)
-        out = {}
-        for e2, c2 in other.terms.items():
-            for e1, c1 in self.terms.items():
-                c12 = c1 * c2
-                for e, c in self.sl._mul_words(e1, e2).items():
-                    v = out.get(e)
-                    v = c12 * c if v is None else v + c12 * c
-                    if v:
-                        out[e] = v
-                    elif e in out:
-                        del out[e]
-        return SlqElement(self.sl, out)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c) -> "SlqElement":
-        c = self.sl.parent.coerce(c)
-        if not c:
-            return self.sl.zero_element()
-        return SlqElement(self.sl, {e: c * v for e, v in self.terms.items()})
+    def _rendered(self):
+        return [(self.terms[e], _sl_word_str(e))
+                for e in sorted(self.terms, key=lambda e: (sum(e), e))]
 
     def __pow__(self, k: int) -> "SlqElement":
         if k < 0:
@@ -357,33 +283,8 @@ class SlqElement:
             return NotImplemented
         return self.sl is other.sl and self.terms == other.terms
 
-    def __repr__(self):
-        return f"SlqElement({self})"
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        text = ""
-        for e in sorted(self.terms, key=lambda e: (sum(e), e)):
-            c = self.terms[e]
-            neg = _is_negative(c)
-            mag = -c if neg else c
-            s = str(mag)
-            word = _sl_word_str(e)
-            if word == "1":
-                body = _coeff_str(mag)
-            elif s == "1":
-                body = word
-            else:
-                body = f"{_coeff_str(mag)}*{word}"
-            if not text:
-                text = f"-{body}" if neg else body
-            else:
-                text += f" - {body}" if neg else f" + {body}"
-        return text
-
-
-class LaurentElement:
+class LaurentElement(SparseTerms):
     """A Laurent polynomial in commuting variables (t1..tn, or z when n=1)."""
 
     __slots__ = ("nvars", "terms", "_one")
@@ -396,87 +297,36 @@ class LaurentElement:
             break
         object.__setattr__(self, "_one", one)
 
-    def __setattr__(self, *a):
-        raise AttributeError("LaurentElement is immutable")
+    def _like(self, terms) -> "LaurentElement":
+        return LaurentElement(self.nvars, terms, self._one)
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _mul_keys(self, e1, e2):
+        return {tuple(a + b for a, b in zip(e1, e2)): self._one}
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e)
-            v = c if v is None else v + c
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-        return LaurentElement(self.nvars, out, self._one)
-
-    def __neg__(self):
-        return LaurentElement(self.nvars, {e: -c for e, c in self.terms.items()},
-                              self._one)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(e)
-                v = c1 * c2 if v is None else v + c1 * c2
-                if v:
-                    out[e] = v
-                elif e in out:
-                    del out[e]
-        return LaurentElement(self.nvars, out, self._one)
-
-    def __eq__(self, other):
-        return (isinstance(other, LaurentElement) and self.nvars == other.nvars
-                and self.terms == other.terms)
-
-    def __repr__(self):
-        return f"LaurentElement({self})"
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
+    def _rendered(self):
         names = ["z"] if self.nvars == 1 else [f"t{i+1}" for i in range(self.nvars)]
         parts = []
         for e in sorted(self.terms):
             mono = "*".join(f"{names[i]}^{e[i]}" if e[i] != 1 else names[i]
                             for i in range(self.nvars) if e[i])
             parts.append((self.terms[e], mono or "1"))
-        text = ""
-        for c, mono in parts:
-            neg = _is_negative(c)
-            mag = -c if neg else c
-            if mono == "1":
-                body = _coeff_str(mag)
-            elif str(mag) == "1":
-                body = mono
-            else:
-                body = f"{_coeff_str(mag)}*{mono}"
-            if not text:
-                text = f"-{body}" if neg else body
-            else:
-                text += f" - {body}" if neg else f" + {body}"
-        return text
+        return parts
+
+    def __eq__(self, other):
+        return (isinstance(other, LaurentElement) and self.nvars == other.nvars
+                and self.terms == other.terms)
 
 
-_LEG_TAGS = ("mq", "glq", "slq", "d", "k")
+_LEG_TAGS = ("mq", "glq")
 
 
-class TensorElement:
-    """An element of a tensor product of coefficient spaces.
+class TensorElement(SparseTerms):
+    """An element of a tensor product of copies of the matrix algebra.
 
-    ``tags`` names each leg: "mq" and "glq" legs hold monomial keys over the
-    matrix algebra ("glq" with a shared determinant power for the whole
-    element, kept in ``detpows``), "slq" legs hold SL_2 basis words, "d" legs
-    hold torus Laurent exponents, "k" legs hold circle weights.  Terms map a
-    key tuple (one key per leg) to a coefficient.
+    ``tags`` names each leg: "mq" legs hold monomial keys, "glq" legs hold
+    monomial numerators over a determinant power shared by the whole
+    element, kept in ``detpows``.  Terms map a key tuple (one monomial per
+    leg) to a coefficient.
     """
 
     __slots__ = ("hopf", "tags", "detpows", "terms")
@@ -494,18 +344,16 @@ class TensorElement:
         object.__setattr__(self, "detpows", detpows)
         object.__setattr__(self, "terms", {k: c for k, c in terms.items() if c})
 
-    def __setattr__(self, *a):
-        raise AttributeError("TensorElement is immutable")
+    def _like(self, terms) -> "TensorElement":
+        return TensorElement(self.hopf, self.tags, terms, self.detpows)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def _check(self, other: "TensorElement"):
+    def _coerce(self, other) -> "TensorElement":
         if self.hopf is not other.hopf or self.tags != other.tags:
             raise ValueError("tensor shapes do not match")
+        return other
+
+    def _coeff(self, c):
+        return self.hopf.alg.coerce(c)
 
     def _lift_terms(self, detpows):
         """Terms after raising each glq leg to the given determinant power."""
@@ -529,12 +377,7 @@ class TensorElement:
                             nxt.append((kk, cc * dc * mc))
                 partial = nxt
             for k, cc in partial:
-                v = out.get(k)
-                v = cc if v is None else v + cc
-                if v:
-                    out[k] = v
-                elif k in out:
-                    del out[k]
+                accumulate(out, k, cc)
         return out
 
     def _common_detpows(self, other):
@@ -542,65 +385,31 @@ class TensorElement:
                      for t, a, b in zip(self.tags, self.detpows, other.detpows))
 
     def __add__(self, other):
-        self._check(other)
+        other = self._coerce(other)
         dps = self._common_detpows(other)
         out = self._lift_terms(dps)
         for k, c in other._lift_terms(dps).items():
-            v = out.get(k)
-            v = c if v is None else v + c
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
+            accumulate(out, k, c)
         return TensorElement(self.hopf, self.tags, out, dps)
-
-    def __neg__(self):
-        return TensorElement(self.hopf, self.tags,
-                             {k: -c for k, c in self.terms.items()}, self.detpows)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "TensorElement":
-        c = self.hopf.alg.coerce(c)
-        if not c:
-            return TensorElement(self.hopf, self.tags, {}, self.detpows)
-        return TensorElement(self.hopf, self.tags,
-                             {k: c * v for k, v in self.terms.items()}, self.detpows)
 
     def __mul__(self, other):
         """Legwise product (the algebra structure of the tensor product)."""
-        self._check(other)
-        hopf = self.hopf
-        alg = hopf.alg
-        sl = hopf.sl_algebra if "slq" in self.tags else None
+        other = self._coerce(other)
+        alg = self.hopf.alg
         dps = tuple(a + b if t == "glq" else None
                     for t, a, b in zip(self.tags, self.detpows, other.detpows))
         out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 partial = [((), c1 * c2)]
-                for i, t in enumerate(self.tags):
-                    if t in ("mq", "glq"):
-                        factors = alg._mul_monos(k1[i], k2[i])
-                    elif t == "slq":
-                        factors = sl._mul_words(k1[i], k2[i])
-                    elif t == "d":
-                        factors = {tuple(a + b for a, b in zip(k1[i], k2[i])):
-                                   hopf._one}
-                    else:  # "k"
-                        factors = {k1[i] + k2[i]: hopf._one}
+                for i in range(len(self.tags)):
+                    factors = alg._mul_monos(k1[i], k2[i])
                     partial = [(key + (m,), c * cc)
                                for key, c in partial
                                for m, cc in factors.items()]
                 for key, c in partial:
-                    v = out.get(key)
-                    v = c if v is None else v + c
-                    if v:
-                        out[key] = v
-                    elif key in out:
-                        del out[key]
-        return TensorElement(hopf, self.tags, out, dps)
+                    accumulate(out, key, c)
+        return TensorElement(self.hopf, self.tags, out, dps)
 
     def __eq__(self, other):
         if not isinstance(other, TensorElement):
@@ -612,39 +421,13 @@ class TensorElement:
 
     def _key_str(self, key):
         parts = []
-        for i, t in enumerate(self.tags):
-            if t == "mq":
-                parts.append(str(key[i]))
-            elif t == "glq":
-                p = self.detpows[i]
-                parts.append(f"{key[i]}*det^-{p}" if p else str(key[i]))
-            elif t == "slq":
-                parts.append(_sl_word_str(key[i]))
-            elif t == "d":
-                parts.append(str(LaurentElement(len(key[i]),
-                                                {key[i]: self.hopf._one})))
-            else:
-                parts.append(str(LaurentElement(1, {(key[i],): self.hopf._one})))
+        for m, p in zip(key, self.detpows):
+            parts.append(f"{m}*det^-{p}" if p else str(m))
         return " (x) ".join(parts)
 
-    def __repr__(self):
-        return f"TensorElement({self})"
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        rendered = sorted((self._key_str(k), k) for k in self.terms)
-        text = ""
-        for ks, k in rendered:
-            c = self.terms[k]
-            neg = _is_negative(c)
-            mag = -c if neg else c
-            body = f"[{ks}]" if str(mag) == "1" else f"{_coeff_str(mag)}*[{ks}]"
-            if not text:
-                text = f"-{body}" if neg else body
-            else:
-                text += f" - {body}" if neg else f" + {body}"
-        return text
+    def _rendered(self):
+        return [(self.terms[k], f"[{ks}]")
+                for ks, k in sorted((self._key_str(k), k) for k in self.terms)]
 
 
 class HopfContext:
@@ -669,6 +452,10 @@ class HopfContext:
         self._beta_cache = {}
         self._alpha_cache = {}
         self._sl = None
+        n, zero = self.n, algebra.zero
+        self._counit_middle = self._evaluating(
+            [[self._one if i == j else zero for j in range(n)]
+             for i in range(n)])
 
     # -- constructors -------------------------------------------------------------
 
@@ -695,41 +482,16 @@ class HopfContext:
 
     # -- coproduct ------------------------------------------------------------------
 
-    def _delta_mono(self, m: Monomial):
-        """Coproduct of an ordered monomial: {(u, v): coeff}."""
-        out = self._delta_cache.get(m)
-        if out is not None:
-            return out
-        n = self.n
-        alg = self.alg
-        unit = Monomial.one(n)
-        acc = {(unit, unit): self._one}
-        for k in m.word():
-            i, j = divmod(k, n)
-            nxt = {}
-            for (u, v), c in acc.items():
-                for s in range(n):
-                    left = alg._mul_mono_letter(u, i * n + s)
-                    right = alg._mul_mono_letter(v, s * n + j)
-                    for um, uc in left.items():
-                        for vm, vc in right.items():
-                            key = (um, vm)
-                            cc = c * uc * vc
-                            w = nxt.get(key)
-                            w = cc if w is None else w + cc
-                            if w:
-                                nxt[key] = w
-                            elif key in nxt:
-                                del nxt[key]
-            acc = nxt
-        self._delta_cache[m] = acc
-        return acc
+    def _fold(self, m: Monomial, middle):
+        """The two-fold coproduct of an ordered monomial, letter by letter.
 
-    def _delta2_mono(self, m: Monomial):
-        """Two-fold coproduct: {(u, v, w): coeff}."""
-        out = self._delta2_cache.get(m)
-        if out is not None:
-            return out
+        Delta^2(x_ij) = sum_{s,t} x_is (x) x_st (x) x_tj.  The outer legs are
+        straightened; ``middle(v, k)`` gives the middle leg ``v`` times the
+        letter ``x_k`` as ``{key: coeff}``.  Straightening it keeps the leg
+        (the coactions); an entry table evaluates it (the co-orbit maps, and
+        the coproduct itself with the counit), and an empty result skips the
+        branch.  Returns ``{(u, v, w): coeff}``.
+        """
         n = self.n
         alg = self.alg
         unit = Monomial.one(n)
@@ -739,52 +501,55 @@ class HopfContext:
             nxt = {}
             for (u, v, w), c in acc.items():
                 for s in range(n):
-                    left = alg._mul_mono_letter(u, i * n + s)
+                    left = None
                     for t in range(n):
-                        mid = alg._mul_mono_letter(v, s * n + t)
+                        mid = middle(v, s * n + t)
+                        if not mid:
+                            continue
+                        if left is None:
+                            left = alg._mul_mono_letter(u, i * n + s)
                         right = alg._mul_mono_letter(w, t * n + j)
                         for um, uc in left.items():
                             cu = c * uc
                             for vm, vc in mid.items():
                                 cuv = cu * vc
                                 for wm, wc in right.items():
-                                    key = (um, vm, wm)
-                                    cc = cuv * wc
-                                    x = nxt.get(key)
-                                    x = cc if x is None else x + cc
-                                    if x:
-                                        nxt[key] = x
-                                    elif key in nxt:
-                                        del nxt[key]
+                                    accumulate(nxt, (um, vm, wm), cuv * wc)
             acc = nxt
-        self._delta2_cache[m] = acc
         return acc
+
+    def _evaluating(self, xi):
+        """The middle-leg rule of :meth:`_fold` that evaluates at the point
+        with entry table ``xi``; the middle key stays the empty monomial."""
+        unit = Monomial.one(self.n)
+        table = [{unit: x} if x else {} for row in xi for x in row]
+        return lambda v, k: table[k]
+
+    def _delta_mono(self, m: Monomial):
+        """Coproduct of an ordered monomial, {(u, v): coeff}: the two-fold
+        coproduct with the counit (evaluation at the identity) in the middle."""
+        out = self._delta_cache.get(m)
+        if out is None:
+            out = {(u, w): c for (u, _v, w), c
+                   in self._fold(m, self._counit_middle).items()}
+            self._delta_cache[m] = out
+        return out
+
+    def _delta2_mono(self, m: Monomial):
+        """Two-fold coproduct: {(u, v, w): coeff}."""
+        out = self._delta2_cache.get(m)
+        if out is None:
+            out = self._fold(m, self.alg._mul_mono_letter)
+            self._delta2_cache[m] = out
+        return out
 
     def comultiply(self, a: MqElement) -> TensorElement:
         """Delta(a) in (mq) (x) (mq)."""
         out = {}
         for m, c in a.terms.items():
             for key, cc in self._delta_mono(m).items():
-                v = out.get(key)
-                v = c * cc if v is None else v + c * cc
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
+                accumulate(out, key, c * cc)
         return TensorElement(self, ("mq", "mq"), out)
-
-    def comultiply_gl(self, a: GlqElement) -> TensorElement:
-        """Delta on the localization; det^-p splits as det^-p (x) det^-p."""
-        out = {}
-        for m, c in a.num.terms.items():
-            for key, cc in self._delta_mono(m).items():
-                v = out.get(key)
-                v = c * cc if v is None else v + c * cc
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
-        return TensorElement(self, ("glq", "glq"), out, (a.detpow, a.detpow))
 
     # -- counit ---------------------------------------------------------------------
 
@@ -841,12 +606,7 @@ class HopfContext:
                 for rm, rc in rest.items():
                     c = hc * rc
                     for mm, mc in alg._mul_monos(hm, rm).items():
-                        v = out.get(mm)
-                        v = c * mc if v is None else v + c * mc
-                        if v:
-                            out[mm] = v
-                        elif mm in out:
-                            del out[mm]
+                        accumulate(out, mm, c * mc)
         self._anti_cache[m] = out
         return out
 
@@ -874,29 +634,27 @@ class HopfContext:
 
     # -- adjoint coactions -----------------------------------------------------------
 
-    def _coaction_mono(self, m: Monomial, which: str):
-        cache = self._beta_cache if which == "beta" else self._alpha_cache
-        out = cache.get(m)
-        if out is not None:
-            return out
+    def _conjugate(self, folded, which: str):
+        """Send the first leg of ``{(u, v, w): coeff}`` through the antipode
+        and multiply it into the last: S(u) w for beta, w S(u) for alpha.
+        Returns ``{(v, numerator monomial): coeff}`` over det^deg(u)."""
         alg = self.alg
         out = {}
-        for (u, v, w), c in self._delta2_mono(m).items():
-            s_num = self._antipode_mono(u)
-            for sm, sc in s_num.items():
+        for (u, v, w), c in folded.items():
+            for sm, sc in self._antipode_mono(u).items():
                 csc = c * sc
                 pair = alg._mul_monos(sm, w) if which == "beta" \
                     else alg._mul_monos(w, sm)
                 for pm, pc in pair.items():
-                    key = (v, pm)
-                    cc = csc * pc
-                    x = out.get(key)
-                    x = cc if x is None else x + cc
-                    if x:
-                        out[key] = x
-                    elif key in out:
-                        del out[key]
-        cache[m] = out
+                    accumulate(out, (v, pm), csc * pc)
+        return out
+
+    def _coaction_mono(self, m: Monomial, which: str):
+        cache = self._beta_cache if which == "beta" else self._alpha_cache
+        out = cache.get(m)
+        if out is None:
+            out = self._conjugate(self._delta2_mono(m), which)
+            cache[m] = out
         return out
 
     def coaction(self, a: MqElement, which: str) -> TensorElement:
@@ -931,21 +689,7 @@ class HopfContext:
                                  (None, 0))
         return self.coaction(a, which) == expected
 
-    # -- torus coaction and projections ------------------------------------------------
-
-    def lambda_diag(self, a: GlqElement) -> TensorElement:
-        """Left coaction of the diagonal torus: legs (d) (x) (glq).
-
-        On a basis term m det^-p the torus leg is t^rowdeg(m) (t1..tn)^-p;
-        only the diagonal path of the coproduct survives the projection.
-        """
-        p = a.detpow
-        out = {}
-        for m, c in a.num.terms.items():
-            key = (tuple(r - p for r in m.rowdeg()), m)
-            out[key] = out.get(key, self.alg.zero) + c
-        return TensorElement(self, ("d", "glq"),
-                             {k: c for k, c in out.items() if c}, (None, p))
+    # -- projections -------------------------------------------------------------------
 
     def is_diag_coinvariant(self, a: GlqElement) -> bool:
         """True when every numerator monomial has row degree (p, ..., p)."""
@@ -960,7 +704,7 @@ class HopfContext:
         for m, c in a.num.terms.items():
             if self._counit_mono(m):
                 e = tuple(m.exps[i * self.n + i] - p for i in range(self.n))
-                out[e] = out.get(e, self.alg.zero) + c
+                accumulate(out, e, c)
         return LaurentElement(self.n, out, self._one)
 
     def project_sl(self, a) -> SlqElement:
@@ -981,6 +725,5 @@ class HopfContext:
         out = {}
         for (ea, eb, ec, ed), c in a.terms.items():
             if eb == 0 and ec == 0:
-                key = (ea - ed,)
-                out[key] = out.get(key, self.alg.zero) + c
+                accumulate(out, (ea - ed,), c)
         return LaurentElement(1, out, self._one)

@@ -15,18 +15,18 @@ straightening tables so repeated products are cheap.
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import NamedTuple
 
-from .scalars import Scalar
+from .scalars import Frozen, Scalar, check_power, check_scalar_op
 
-# straightening recursion on long words can nest deeply
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
+# MatrixAlgebra.parse refuses products and powers of higher total degree;
+# its scalar subexpressions obey the bounds of Scalar.parse
+MAX_ELEMENT_DEGREE = 100
 
 
-class Monomial:
+class Monomial(Frozen):
     """An ordered monomial: exponent vector over the row-major generators."""
 
     __slots__ = ("n", "exps", "deg", "_hash")
@@ -39,9 +39,6 @@ class Monomial:
         object.__setattr__(self, "exps", exps)
         object.__setattr__(self, "deg", sum(exps))
         object.__setattr__(self, "_hash", hash((n, exps)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Monomial is immutable")
 
     @classmethod
     def one(cls, n: int) -> "Monomial":
@@ -127,142 +124,25 @@ class MultiDegree(NamedTuple):
     coldeg: tuple
 
 
-class MqElement:
-    """A finite linear combination of ordered monomials (normal form)."""
+def accumulate(out: dict, key, c) -> None:
+    """``out[key] += c``, dropping the key when the sum is zero."""
+    v = out.get(key)
+    if v is not None:
+        c = v + c
+    if c:
+        out[key] = c
+    elif v is not None:
+        del out[key]
 
-    __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra: "MatrixAlgebra", terms):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "terms", {m: c for m, c in terms.items() if c})
-
-    def __setattr__(self, *a):
-        raise AttributeError("MqElement is immutable")
-
-    # -- queries --------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def degree(self) -> int:
-        """Total degree (-1 for the zero element)."""
-        return max((m.deg for m in self.terms), default=-1)
-
-    def multidegree(self) -> MultiDegree:
-        degs = {(m.rowdeg(), m.coldeg()) for m in self.terms}
-        if len(degs) != 1:
-            raise ValueError("not multihomogeneous")
-        rd, cd = degs.pop()
-        return MultiDegree(rd, cd)
-
-    def coefficient(self, mono: Monomial):
-        return self.terms.get(mono, self.algebra.zero)
-
-    def constant_term(self):
-        return self.terms.get(Monomial.one(self.algebra.n), self.algebra.zero)
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def _check(self, other: "MqElement"):
-        if self.algebra is not other.algebra:
-            raise ValueError("elements from different algebras")
-
-    def __add__(self, other):
-        if not isinstance(other, MqElement):
-            other = self.algebra.scalar_element(other)
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m)
-            v = c if v is None else v + c
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-        return MqElement(self.algebra, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MqElement(self.algebra, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, MqElement):
-            other = self.algebra.scalar_element(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return self.algebra.scalar_element(other) + (-self)
-
-    def __mul__(self, other):
-        if not isinstance(other, MqElement):
-            return self.scale(other)
-        self._check(other)
-        alg = self.algebra
-        out = {}
-        for m2, c2 in other.terms.items():
-            for m1, c1 in self.terms.items():
-                c12 = c1 * c2
-                for m, c in alg._mul_monos(m1, m2).items():
-                    v = out.get(m)
-                    v = c12 * c if v is None else v + c12 * c
-                    if v:
-                        out[m] = v
-                    elif m in out:
-                        del out[m]
-        return MqElement(alg, out)
-
-    def __rmul__(self, other):
-        # coefficients commute with everything, so scaling from the left
-        # is the same as from the right
-        return self.scale(other)
-
-    def scale(self, c) -> "MqElement":
-        c = self.algebra.coerce(c)
-        if not c:
-            return self.algebra.zero_element()
-        return MqElement(self.algebra, {m: c * v for m, v in self.terms.items()})
-
-    def __pow__(self, k: int) -> "MqElement":
-        if k < 0:
-            raise ValueError("negative power in the quantum matrix algebra")
-        result = self.algebra.one_element()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
-    # -- plumbing -------------------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, MqElement):
-            return self.algebra is other.algebra and self.terms == other.terms
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self == self.algebra.scalar_element(other)
-        return NotImplemented
-
-    def __repr__(self):
-        return f"MqElement({self})"
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        text = ""
-        for m in sorted(self.terms, key=Monomial.sort_key):
-            c = self.terms[m]
-            neg = _is_negative(c)
-            body = _term_str(-c if neg else c, m)
-            if not text:
-                text = f"-{body}" if neg else body
-            else:
-                text += f" - {body}" if neg else f" + {body}"
-        return text
+def _times_letter(terms: dict, k: int, mul_letter) -> dict:
+    """``terms`` times the letter ``k``; ``mul_letter(key, k)`` straightens
+    one basis word times the letter."""
+    out = {}
+    for m, c in terms.items():
+        for mm, cc in mul_letter(m, k).items():
+            accumulate(out, mm, c * cc)
+    return out
 
 
 def _is_negative(c) -> bool:
@@ -280,15 +160,171 @@ def _coeff_str(c) -> str:
     return s
 
 
-def _term_str(c, mono) -> str:
-    if mono.deg == 0:
-        return _coeff_str(c)
-    s = str(c)
-    if s == "1":
-        return str(mono)
-    if s == "-1":
-        return f"-{mono}"
-    return f"{_coeff_str(c)}*{mono}"
+def render(terms) -> str:
+    """Sign-aware sum of ``(coefficient, word)`` pairs, in the given order.
+
+    The word "1" marks the constant term; an empty sum renders as "0".
+    """
+    text = ""
+    for c, word in terms:
+        neg = _is_negative(c)
+        mag = -c if neg else c
+        if word == "1":
+            body = _coeff_str(mag)
+        elif str(mag) == "1":
+            body = word
+        else:
+            body = f"{_coeff_str(mag)}*{word}"
+        if not text:
+            text = f"-{body}" if neg else body
+        else:
+            text += f" - {body}" if neg else f" + {body}"
+    return text or "0"
+
+
+class SparseTerms(Frozen):
+    """Arithmetic shared by the elements stored as ``{key: coefficient}``.
+
+    ``terms`` never holds a zero coefficient.  A subclass supplies
+    ``_like(terms)``, a new element with the same parent (and the same
+    shape); ``_coerce(other)``, which turns ``other`` into an element with
+    the same parent or raises ValueError; ``_coeff(c)``, the coefficient
+    coercion used by :meth:`scale`; ``_mul_keys(k1, k2)``, the product of
+    two basis keys as ``{key: coefficient}``; and ``_rendered()``, the
+    ``(coefficient, word)`` pairs in display order.
+    """
+
+    __slots__ = ()
+
+    def _coerce(self, other):
+        return other
+
+    def _coeff(self, c):
+        return c
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            accumulate(out, k, c)
+        return self._like(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) + (-self)
+
+    def __mul__(self, other):
+        if not isinstance(other, type(self)):
+            return self.scale(other)
+        other = self._coerce(other)
+        out = {}
+        for k2, c2 in other.terms.items():
+            for k1, c1 in self.terms.items():
+                c12 = c1 * c2
+                for k, c in self._mul_keys(k1, k2).items():
+                    accumulate(out, k, c12 * c)
+        return self._like(out)
+
+    def __rmul__(self, other):
+        # coefficients commute with everything, so scaling from the left
+        # is the same as from the right
+        return self.scale(other)
+
+    def scale(self, c):
+        c = self._coeff(c)
+        return self._like({k: c * v for k, v in self.terms.items()} if c else {})
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+    def __str__(self):
+        return render(self._rendered())
+
+
+class MqElement(SparseTerms):
+    """A finite linear combination of ordered monomials (normal form)."""
+
+    __slots__ = ("algebra", "terms")
+
+    def __init__(self, algebra: "MatrixAlgebra", terms):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "terms", {m: c for m, c in terms.items() if c})
+
+    # -- queries --------------------------------------------------------------
+
+    def degree(self) -> int:
+        """Total degree (-1 for the zero element)."""
+        return max((m.deg for m in self.terms), default=-1)
+
+    def multidegree(self) -> MultiDegree:
+        """Common (rowdeg, coldeg) of all terms; raises if mixed."""
+        degs = {(m.rowdeg(), m.coldeg()) for m in self.terms}
+        if len(degs) != 1:
+            raise ValueError("not multihomogeneous")
+        rd, cd = degs.pop()
+        return MultiDegree(rd, cd)
+
+    def coefficient(self, mono: Monomial):
+        return self.terms.get(mono, self.algebra.zero)
+
+    def constant_term(self):
+        return self.terms.get(Monomial.one(self.algebra.n), self.algebra.zero)
+
+    # -- the sparse-term hooks --------------------------------------------------
+
+    def _like(self, terms) -> "MqElement":
+        return MqElement(self.algebra, terms)
+
+    def _coerce(self, other) -> "MqElement":
+        if not isinstance(other, MqElement):
+            return self.algebra.scalar_element(other)
+        if self.algebra is not other.algebra:
+            raise ValueError("elements from different algebras")
+        return other
+
+    def _coeff(self, c):
+        return self.algebra.coerce(c)
+
+    def _mul_keys(self, m1, m2):
+        return self.algebra._mul_monos(m1, m2)
+
+    def _rendered(self):
+        return [(self.terms[m], str(m))
+                for m in sorted(self.terms, key=Monomial.sort_key)]
+
+    # -- arithmetic -----------------------------------------------------------
+
+    def __pow__(self, k: int) -> "MqElement":
+        if k < 0:
+            raise ValueError("negative power in the quantum matrix algebra")
+        result = self.algebra.one_element()
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base if k > 1 else base
+            k >>= 1
+        return result
+
+    def __eq__(self, other):
+        if isinstance(other, MqElement):
+            return self.algebra is other.algebra and self.terms == other.terms
+        if isinstance(other, (int, Fraction, Scalar)):
+            return self == self.algebra.scalar_element(other)
+        return NotImplemented
 
 
 class MatrixAlgebra:
@@ -399,12 +435,7 @@ class MatrixAlgebra:
                     for m1, c1 in self._mul_mono_letter(rest, a).items():
                         ca = coeff * c1
                         for m2, c2 in self._mul_mono_letter(m1, b).items():
-                            v = out.get(m2)
-                            v = ca * c2 if v is None else v + ca * c2
-                            if v:
-                                out[m2] = v
-                            elif m2 in out:
-                                del out[m2]
+                            accumulate(out, m2, ca * c2)
         self._ml_cache[(m, k)] = out
         return out
 
@@ -419,16 +450,7 @@ class MatrixAlgebra:
             return out
         acc = {m1: self.one}
         for k in m2.word():
-            nxt = {}
-            for m, c in acc.items():
-                for mm, cc in self._mul_mono_letter(m, k).items():
-                    v = nxt.get(mm)
-                    v = c * cc if v is None else v + c * cc
-                    if v:
-                        nxt[mm] = v
-                    elif mm in nxt:
-                        del nxt[mm]
-            acc = nxt
+            acc = _times_letter(acc, k, self._mul_mono_letter)
         self._mm_cache[(m1, m2)] = acc
         return acc
 
@@ -444,16 +466,8 @@ class MatrixAlgebra:
             if not (1 <= i <= self.n and 1 <= j <= self.n):
                 raise ValueError(f"generator x{i}{j} out of range")
             k = (i - 1) * self.n + (j - 1)
-            out = {}
-            for m, cm in elem.terms.items():
-                for mm, cc in self._mul_mono_letter(m, k).items():
-                    v = out.get(mm)
-                    v = cm * cc if v is None else v + cm * cc
-                    if v:
-                        out[mm] = v
-                    elif mm in out:
-                        del out[mm]
-            elem = MqElement(self, out)
+            elem = MqElement(self, _times_letter(elem.terms, k,
+                                                 self._mul_mono_letter))
         return elem
 
     # -- quantum minors and coinvariant families -----------------------------------
@@ -547,11 +561,6 @@ def _compositions(total, slots):
             yield (first,) + rest
 
 
-def multidegree(a: MqElement) -> MultiDegree:
-    """Common (rowdeg, coldeg) of all terms; raises if mixed."""
-    return a.multidegree()
-
-
 _ELEM_TOKEN_RE = re.compile(r"\s*(x\d\d|\d+|q|\*|/|\+|-|\^|\(|\))")
 
 
@@ -584,25 +593,44 @@ class _ElementParser:
             raise ValueError(f"trailing expression input at {self.peek()!r}")
         return v
 
+    def _scalar(self, v: MqElement):
+        """The value of v when v is a scalar of the symbolic field, else None."""
+        if set(v.terms) - {Monomial.one(self.algebra.n)}:
+            return None
+        c = v.constant_term()
+        return c if isinstance(c, Scalar) else None
+
+    def _check(self, v: MqElement, op: str, w: MqElement) -> None:
+        """Refuse ``v op w`` when a product would exceed MAX_ELEMENT_DEGREE,
+        or when both sides are scalars and the scalar parser's bound would
+        refuse it."""
+        if op == "*" and v.degree() + w.degree() > MAX_ELEMENT_DEGREE:
+            raise ValueError(f"expression of degree over {MAX_ELEMENT_DEGREE}")
+        a, b = self._scalar(v), self._scalar(w)
+        if a is not None and b is not None:
+            check_scalar_op(a, op, b)
+
     def expr(self):
         v = self.term()
         while self.peek() in ("+", "-"):
-            if self.next() == "+":
-                v = v + self.term()
-            else:
-                v = v - self.term()
+            op = self.next()
+            w = self.term()
+            self._check(v, op, w)
+            v = v + w if op == "+" else v - w
         return v
 
     def term(self):
         v = self.unary()
         while self.peek() in ("*", "/"):
-            if self.next() == "*":
-                v = v * self.unary()
+            op = self.next()
+            w = self.unary()
+            self._check(v, op, w)
+            if op == "*":
+                v = v * w
             else:
-                d = self.unary()
-                if set(d.terms) - {Monomial.one(self.algebra.n)}:
+                if set(w.terms) - {Monomial.one(self.algebra.n)}:
                     raise ValueError("division only by scalar expressions")
-                c = d.constant_term()
+                c = w.constant_term()
                 if not c:
                     raise ZeroDivisionError("division by zero expression")
                 v = v.scale(self.algebra.one / c)
@@ -626,6 +654,9 @@ class _ElementParser:
             if t is None or not t.isdigit():
                 raise ValueError("expected integer exponent after ^")
             k = sign * int(t)
+            check_power(v.degree(), k, MAX_ELEMENT_DEGREE)
+            c = self._scalar(v)
+            check_power(0 if c is None else max(c.num.degree, c.den.degree), k)
             if k < 0:
                 if set(v.terms) - {Monomial.one(self.algebra.n)}:
                     raise ValueError("negative powers only of scalar expressions")

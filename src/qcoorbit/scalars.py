@@ -9,7 +9,7 @@ Two layers:
 
 Scalars are immutable and hashable.  The whole engine is generic over the
 coefficient type: run it with Scalars for symbolic q, or with plain Fractions
-after specializing q to a rational number (see :func:`Scalar.specialize`).
+after specializing q to a rational number (see :meth:`Scalar.specialize`).
 """
 
 from __future__ import annotations
@@ -23,6 +23,16 @@ Rational = Fraction
 
 class PoleError(ArithmeticError):
     """Raised when a Scalar is specialized at a zero of its denominator."""
+
+
+class Frozen:
+    """Base of the immutable value types: ``__init__`` sets every slot with
+    ``object.__setattr__``, and later assignment raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +88,7 @@ def _int_gcd_poly(a, b):
     return a
 
 
-class Poly:
+class Poly(Frozen):
     """Polynomial in q with rational coefficients.
 
     Stored as an integer coefficient tuple (ascending powers) over a shared
@@ -102,9 +112,6 @@ class Poly:
                 den //= g
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Poly is immutable")
 
     @classmethod
     def from_rational(cls, x) -> "Poly":
@@ -154,17 +161,14 @@ class Poly:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        d1, d2 = self.den, other.den
-        if d1 == d2:
-            n = max(len(self.coeffs), len(other.coeffs))
-            c1 = self.coeffs + (0,) * (n - len(self.coeffs))
-            c2 = other.coeffs + (0,) * (n - len(other.coeffs))
-            return Poly([a + b for a, b in zip(c1, c2)], d1)
-        L = d1 * d2 // math.gcd(d1, d2)
-        m1, m2 = L // d1, L // d2
         n = max(len(self.coeffs), len(other.coeffs))
         c1 = self.coeffs + (0,) * (n - len(self.coeffs))
         c2 = other.coeffs + (0,) * (n - len(other.coeffs))
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return Poly([a + b for a, b in zip(c1, c2)], d1)
+        L = d1 * d2 // math.gcd(d1, d2)
+        m1, m2 = L // d1, L // d2
         return Poly([a * m1 + b * m2 for a, b in zip(c1, c2)], L)
 
     def __neg__(self) -> "Poly":
@@ -304,7 +308,7 @@ def _poly_str(p: Poly) -> str:
     return text
 
 
-class Scalar:
+class Scalar(Frozen):
     """An element of the field Q(q), kept in reduced canonical form.
 
     ``num/den`` with monic ``den`` and gcd(num, den) = 1, so ``==`` is plain
@@ -329,9 +333,6 @@ class Scalar:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", hash((num, den)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Scalar is immutable")
 
     @staticmethod
     def _reduce(num: Poly, den: Poly):
@@ -518,6 +519,38 @@ _S_Q = Scalar(_P_Q, _P_ONE, _reduced=True)
 
 _TOKEN_RE = re.compile(r"\s*(\d+|q|\*|/|\+|-|\^|\(|\))")
 
+# Parsed input builds no scalar with a numerator or denominator degree over
+# this bound, and no power with a larger exponent: exact gcds over Q[q]
+# slow down sharply as the degree grows.
+MAX_PARSE_DEGREE = 1000
+
+
+def check_power(degree: int, k: int, bound: int = MAX_PARSE_DEGREE) -> None:
+    """Refuse parsing base^k for a base of the given degree when the
+    exponent is over MAX_PARSE_DEGREE or the power's degree over ``bound``."""
+    if abs(k) > MAX_PARSE_DEGREE:
+        raise ValueError(f"exponent {k} is over the parser's bound "
+                         f"{MAX_PARSE_DEGREE}")
+    if degree * abs(k) > bound:
+        raise ValueError(f"power of degree {degree * abs(k)} is over the "
+                         f"parser's bound {bound}")
+
+
+def check_scalar_op(a: Scalar, op: str, b: Scalar) -> None:
+    """Refuse parsing ``a op b`` (op in + - * /) when its unreduced result
+    has a numerator or denominator degree over MAX_PARSE_DEGREE."""
+    an, ad, bn, bd = a.num.degree, a.den.degree, b.num.degree, b.den.degree
+    if op == "*":
+        degrees = (an + bn, ad + bd)
+    elif op == "/":
+        degrees = (an + bd, ad + bn)
+    elif a.den == b.den:
+        degrees = (max(an, bn), ad)
+    else:
+        degrees = (max(an + bd, bn + ad), ad + bd)
+    if max(degrees) > MAX_PARSE_DEGREE:
+        raise ValueError(f"scalar input of degree over {MAX_PARSE_DEGREE}")
+
 
 class _ScalarParser:
     def __init__(self, text: str):
@@ -550,19 +583,19 @@ class _ScalarParser:
     def expr(self) -> Scalar:
         v = self.term()
         while self.peek() in ("+", "-"):
-            if self.next() == "+":
-                v = v + self.term()
-            else:
-                v = v - self.term()
+            op = self.next()
+            w = self.term()
+            check_scalar_op(v, op, w)
+            v = v + w if op == "+" else v - w
         return v
 
     def term(self) -> Scalar:
         v = self.unary()
         while self.peek() in ("*", "/"):
-            if self.next() == "*":
-                v = v * self.unary()
-            else:
-                v = v / self.unary()
+            op = self.next()
+            w = self.unary()
+            check_scalar_op(v, op, w)
+            v = v * w if op == "*" else v / w
         return v
 
     def unary(self) -> Scalar:
@@ -582,7 +615,9 @@ class _ScalarParser:
             t = self.next()
             if t is None or not t.isdigit():
                 raise ValueError("expected integer exponent after ^")
-            v = v ** (sign * int(t))
+            k = sign * int(t)
+            check_power(max(v.num.degree, v.den.degree), k)
+            v = v ** k
         return v
 
     def atom(self) -> Scalar:
@@ -599,21 +634,3 @@ class _ScalarParser:
         if t.isdigit():
             return Scalar.of(int(t))
         raise ValueError(f"unexpected token {t!r} in scalar input")
-
-
-def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Field arithmetic by name: op in {add, sub, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def specialize(a: Scalar, q0) -> Fraction:
-    """Module-level alias for :meth:`Scalar.specialize`."""
-    return a.specialize(q0)

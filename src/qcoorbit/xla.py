@@ -108,10 +108,6 @@ def echelon(rows):
     return work, pivots, r
 
 
-def rank(rows) -> int:
-    return echelon(rows)[2]
-
-
 def kernel(rows, ncols: int, one):
     """Basis of the right null space of the matrix given by ``rows``.
 
@@ -143,57 +139,3 @@ def member(vector, rref_rows, pivots) -> bool:
         if c:
             v = [a - c * b for a, b in zip(v, rref_rows[rr])]
     return not any(v)
-
-
-def subspace_equal(rows_a, rows_b) -> bool:
-    """Do two row sets span the same subspace (same ambient width)?"""
-    ra, pa, ka = echelon(rows_a)
-    rb, pb, kb = echelon(rows_b)
-    return ka == kb and pa == pb and ra == rb
-
-
-class ScalarMatrix:
-    """A rectangular matrix of exact field entries with JSON debug dumps."""
-
-    def __init__(self, entries):
-        entries = [list(r) for r in entries]
-        if entries:
-            w = len(entries[0])
-            if any(len(r) != w for r in entries):
-                raise ValueError("ragged matrix")
-        self.entries = entries
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def echelon(self):
-        rref, pivots, rk = echelon(self.entries)
-        return ScalarMatrix(rref), pivots, rk
-
-    def rank(self) -> int:
-        return rank(self.entries)
-
-    def kernel(self, one):
-        return kernel(self.entries, self.cols, one)
-
-    def transpose(self) -> "ScalarMatrix":
-        return ScalarMatrix(list(map(list, zip(*self.entries))))
-
-    def specialize(self, q0) -> "ScalarMatrix":
-        return ScalarMatrix([[e.specialize(q0) for e in row]
-                             for row in self.entries])
-
-    def to_json(self):
-        return {"rows": self.rows, "cols": self.cols,
-                "entries": [[str(e) for e in row] for row in self.entries]}
-
-    def __eq__(self, other):
-        return isinstance(other, ScalarMatrix) and self.entries == other.entries
-
-    def __repr__(self):
-        return f"ScalarMatrix({self.rows}x{self.cols})"

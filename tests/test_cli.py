@@ -1,6 +1,8 @@
 """Tests for the command-line interface: reports, determinism, exit codes."""
 
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -10,6 +12,7 @@ from qcoorbit.scalars import Scalar
 
 GENERIC = '{"n": 2, "entries": [["2", "0"], ["0", "3"]]}'
 RESONANT = '{"n": 2, "entries": [["q^2", "0"], ["0", "1"]]}'
+GENERIC3 = '{"n": 3, "entries": [["2", "0", "0"], ["0", "3", "0"], ["0", "0", "5"]]}'
 
 
 def run(capsys, *argv):
@@ -131,6 +134,9 @@ def test_malformed_point_exits_2(capsys):
     assert code == 2
     code, _, err = run(capsys, "kernel", "--point", "not json at all {")
     assert code == 2
+    for spec in ('{"entries": 5}', '{"entries": [1, 2]}'):
+        code, _, err = run(capsys, "kernel", "--point", spec)
+        assert code == 2 and "list of rows" in err
 
 
 def test_bad_q1_exits_2(capsys):
@@ -161,3 +167,86 @@ def test_load_point_coerces(tmp_path):
     assert pt.entry(2, 2) == Scalar.q()
     with pytest.raises(ValueError):
         load_point('{"n": 2, "entries": [[2.5, 0], [0, 1]]}', alg)
+
+
+# Length and sha256 of the stdout of ``main(argv)`` for each command, taken
+# at commit f3a8968, before the sparse-term core and the single coproduct
+# fold, by running the same argv through ``qcoorbit.cli.main`` and hashing
+# the captured bytes.  That commit rejected size-3 points without the hidden
+# ``--n 3``, so the two size-3 rows were produced with ``--n 3`` appended;
+# here they run without it.  The README commands appear with
+# ``verify-coinvariants --n 2`` in place of ``--n 3`` to keep the suite fast.
+GOLDEN = [
+    ("verify-coinvariants", ("verify-coinvariants", "--n", "2"), 780,
+     "ee1a4d517f1babdb67032e4f4b9b27a90a23c5b0beb3e731b3174b76e409c6d8"),
+    ("kernel-d2", ("kernel", "--point", GENERIC, "--degree", "2"), 1496,
+     "cd76c9174f77ea2ef0259445fb51ec489b741a72005f1af879e0d17b221e0a69"),
+    ("image-resonant", ("image", "--point", RESONANT, "--degree", "2"), 1112,
+     "2cce95fdc3970ac84b2209fba67ac53e92a342aa5b049b9c987428e30f8e34c6"),
+    ("character-resonant", ("character", "--point", RESONANT, "--degree", "2"),
+     864, "04f2b61a8d6b5250fbcd2dc3eabe13390acc1e023aa481d31e1789dc5bb2c732"),
+    ("eval", ("eval", "x11*x22 - q*x12*x21", "--point", GENERIC), 581,
+     "55b599568a8cc7eaedbcfa3d6291919caaf54e5ff9ad204237d66d0e43db96fb"),
+    ("eval-q1", ("eval", "q^2*x11", "--point", GENERIC, "--q1", "5/2"), 577,
+     "0fbd4b80f4018216c29fae12701cf487135dd49343be4aabe2180445a96c1688"),
+    ("identities", ("identities", "--max-n", "3"), 2840,
+     "df323c479fef5643232b8c24347fa95fd3e15854f6ee41dcfb87604bf96f397d"),
+    ("kernel-d3", ("kernel", "--point", GENERIC, "--degree", "3"), 3938,
+     "118a97371ddc1779e46b5b4d0fddb0917b9d730c741e935ca6152ebf1e304ed4"),
+    ("kernel-d4", ("kernel", "--point", GENERIC, "--degree", "4"), 11370,
+     "78869e4a8108effa85b82af1470fcb05a5dedc1f2e74e5a88c6582589d9247c7"),
+    ("kernel-d4-alpha", ("kernel", "--point", GENERIC, "--degree", "4",
+                         "--coaction", "alpha"), 9567,
+     "305413e6ad0001cbc16d0269feb6ada2e3c0a423022db84b52fa7748cc9a92b3"),
+    ("kernel-d4-q1", ("kernel", "--point", GENERIC, "--degree", "4",
+                      "--q1=5/2"), 7791,
+     "38ec1f2c88b99e986c498715a1fe7f3b73c3e95b7bc003a711f725b75ba5d1f3"),
+    ("kernel-size3", ("kernel", "--point", GENERIC3, "--degree", "1"), 937,
+     "3574bed0581425b2b273f68529c3c601dbce68617eb244be12038fa9ab02ebd3"),
+    ("image-size3", ("image", "--point", GENERIC3, "--degree", "1"), 981,
+     "9a756ef33d706c45d778829fb911aa08e555b667e536fee7a3a91bb84b19bf9b"),
+]
+
+
+@pytest.mark.parametrize("argv,length,digest", [g[1:] for g in GOLDEN],
+                         ids=[g[0] for g in GOLDEN])
+def test_golden_report_bytes(capsys, argv, length, digest):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and not err
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (length, digest)
+
+
+def test_size3_point_needs_no_n(capsys):
+    code, out, err = run(capsys, "kernel", "--point", GENERIC3, "--degree", "1")
+    assert code == 0 and not err
+    report = json.loads(out)
+    assert report["n"] == 3
+    assert report["degrees"][0]["kernel_dim"] == 1
+    code, out, err = run(capsys, "eval", "x11*x22*x33", "--point", GENERIC3)
+    assert code == 0 and not err
+    assert json.loads(out)["value"] == "30"
+
+
+def test_explicit_n_must_match_point(capsys):
+    _, plain, _ = run(capsys, "kernel", "--point", GENERIC3, "--degree", "1")
+    code, out, _ = run(capsys, "kernel", "--point", GENERIC3, "--degree", "1",
+                       "--n", "3")
+    assert code == 0 and out == plain
+    for argv in (("kernel", "--point", GENERIC3, "--n", "2"),
+                 ("eval", "x11", "--point", GENERIC, "--n", "3")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert "does not match the point size" in err
+
+
+def test_oversized_input_exits_2_quickly(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "eval", "(q^100000+1)/(q+1)", "--point", GENERIC)
+    assert code == 2 and "bound" in err
+    code, _, err = run(capsys, "eval", "x11^200", "--point", GENERIC)
+    assert code == 2 and "bound" in err
+    point = '{"n": 2, "entries": [["(q^100000+1)/(q+1)", "0"], ["0", "1"]]}'
+    code, _, err = run(capsys, "kernel", "--point", point, "--degree", "1")
+    assert code == 2 and "bound" in err
+    assert time.perf_counter() - start < 5

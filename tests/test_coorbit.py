@@ -18,6 +18,11 @@ def H2():
 
 
 @pytest.fixture(scope="module")
+def H3():
+    return HopfContext(MatrixAlgebra(3))
+
+
+@pytest.fixture(scope="module")
 def generic(H2):
     return CoorbitMap(H2, Point.diagonal([2, 3]))
 
@@ -90,17 +95,26 @@ def slow_coorbit(H, point, a, which):
 
 
 @pytest.mark.parametrize("which", ["beta", "alpha"])
-def test_fast_path_matches_definition(H2, which):
-    A = H2.alg
-    x = A.generator
-    points = [Point.diagonal([2, 3]), Point([[0, 1], [0, 0]]),
-              Point.diagonal([A.q ** 2, 1])]
-    samples = [x(1, 1), x(2, 1), x(1, 2) * x(2, 1), x(2, 1) ** 2,
-               A.tau(2), x(1, 1) + x(2, 1) ** 2]
-    for pt in points:
-        cm = CoorbitMap(H2, pt, which)
-        for a in samples:
-            assert cm(a) == slow_coorbit(H2, pt, a, which)
+def test_fast_path_matches_definition(H2, H3, which):
+    """The fold with the middle leg evaluated at the point agrees with the
+    coaction followed by evaluation, on every monomial of degree <= 3 at
+    size 2 and of degree <= 1 at size 3."""
+    q = H2.alg.q
+    x = H2.alg.generator
+    cases = [
+        (H2, 3, [Point.diagonal([2, 3]), Point([[0, 1], [0, 0]]),
+                 Point.diagonal([q ** 2, 1])],
+         [H2.alg.tau(2), x(1, 1) + x(2, 1) ** 2]),
+        (H3, 1, [Point.diagonal([2, 3, 5]),
+                 Point([[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
+                 Point.diagonal([q ** 2, 1, q ** -2])], []),
+    ]
+    for H, d, points, extra in cases:
+        samples = [H.alg.monomial_element(m) for m in H.alg.monomial_basis(d)]
+        for pt in points:
+            cm = CoorbitMap(H, pt, which)
+            for a in samples + extra:
+                assert cm(a) == slow_coorbit(H, pt, a, which)
 
 
 def test_coinvariants_map_to_their_values(H2, generic):

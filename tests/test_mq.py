@@ -1,11 +1,16 @@
 """Tests for the quantum matrix algebra: straightening, minors, gradings."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcoorbit.mq import MatrixAlgebra, Monomial, MultiDegree, multidegree
+import qcoorbit
+from qcoorbit.mq import MatrixAlgebra, Monomial, MultiDegree
 from qcoorbit.scalars import Scalar
 
 
@@ -104,11 +109,11 @@ def test_monomial_basis_counts(A2, A3):
 def test_multidegree(A2):
     x = A2.generator
     a = x(1, 1) * x(2, 2)
-    assert multidegree(a) == MultiDegree((1, 1), (1, 1))
+    assert a.multidegree() == MultiDegree((1, 1), (1, 1))
     # straightening preserves the bigrading, so this mixed product is fine
-    assert multidegree(x(2, 2) * x(1, 1)) == MultiDegree((1, 1), (1, 1))
+    assert (x(2, 2) * x(1, 1)).multidegree() == MultiDegree((1, 1), (1, 1))
     with pytest.raises(ValueError):
-        multidegree(x(1, 1) + x(1, 2))
+        (x(1, 1) + x(1, 2)).multidegree()
 
 
 def test_det_power_cache(A2):
@@ -127,6 +132,37 @@ def test_parse_and_render_roundtrip(A2):
         A2.parse("x11 & x22")
     with pytest.raises(ValueError):
         A2.parse("x11 / x12")
+
+
+def test_parse_degree_bound(A2):
+    for text in ["x11^101", "x11^60 * x22^41", "(x11 * x22 + x12)^51",
+                 "q^100000 * x11", "(q^600 * q^600) * x11", "x11 / q^1001"]:
+        with pytest.raises(ValueError):
+            A2.parse(text)
+    assert A2.parse("x11^100").degree() == 100
+    assert A2.parse("x11^60 * x22^40").degree() == 100
+    # straightening may give coefficients of any degree
+    assert A2.parse("x12^50 * x11^50") == \
+        A2.parse("x11^50 * x12^50").scale(A2.q ** -2500)
+
+
+def test_import_keeps_recursion_limit():
+    """Importing the package leaves the interpreter's recursion limit alone,
+    and straightening long words fits under the default limit."""
+    script = (
+        "import sys\n"
+        "before = sys.getrecursionlimit()\n"
+        "import qcoorbit\n"
+        "assert sys.getrecursionlimit() == before, sys.getrecursionlimit()\n"
+        "from qcoorbit.mq import MatrixAlgebra\n"
+        "for n in (2, 3):\n"
+        "    A = MatrixAlgebra(n)\n"
+        "    assert (A.generator(n, n) ** 300 * A.generator(1, 1)).degree() == 301\n"
+    )
+    src = Path(qcoorbit.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                   timeout=120)
 
 
 def test_specialized_algebra_matches_symbolic(A2):
