@@ -64,8 +64,15 @@ def parse_q1(text: str) -> Fraction:
     return q0
 
 
-def _point_data(spec: str) -> dict:
-    """The JSON object of a point given inline or as a file path."""
+def load_point(spec: str, q=None) -> Point:
+    """Read a point from inline JSON or from a JSON file.
+
+    Format: {"n": 2, "entries": [["2", "0"], ["0", "q^2"]]} with entries
+    given as integers or expression strings in the scalar grammar.  When a
+    rational q is given (the engine runs specialized), the entries are
+    specialized at it.  The caller validates the point once, through
+    :func:`validate_point` or the co-orbit map.
+    """
     text = spec.strip()
     if not text.startswith("{"):
         with open(spec, encoding="utf-8") as fh:
@@ -77,18 +84,6 @@ def _point_data(spec: str) -> dict:
     if not isinstance(entries, list) or not all(isinstance(r, list)
                                                 for r in entries):
         raise ValueError("point entries must be a list of rows")
-    return data
-
-
-def load_point(spec: str, algebra) -> Point:
-    """Read a point from inline JSON or from a JSON file.
-
-    Format: {"n": 2, "entries": [["2", "0"], ["0", "q^2"]]} with entries
-    given as integers or expression strings in the scalar grammar.  When the
-    algebra runs specialized, symbolic entries are specialized too.
-    """
-    data = _point_data(spec)
-    entries = data["entries"]
     n = data.get("n", len(entries))
     if len(entries) != n or any(len(r) != n for r in entries):
         raise ValueError("point entries must form an n x n matrix")
@@ -103,14 +98,9 @@ def load_point(spec: str, algebra) -> Point:
             else:
                 raise ValueError(f"point entries are ints or strings, not "
                                  f"{type(e).__name__}")
-            if isinstance(algebra.q, Fraction):
-                out.append(v.specialize(algebra.q))
-            else:
-                out.append(v)
+            out.append(v if q is None else v.specialize(q))
         rows.append(out)
-    point = Point(rows)
-    validate_point(point, algebra)
-    return point
+    return Point(rows)
 
 
 def _context(n: int, q1: str | None) -> HopfContext:
@@ -119,15 +109,15 @@ def _context(n: int, q1: str | None) -> HopfContext:
 
 
 def _point_context(args):
-    """A context of the point's own size, and the point loaded into it.
-
-    An explicit ``--n`` has to agree with the point.
+    """A context of the point's own size, and the point (read once, not
+    yet validated).  An explicit ``--n`` has to agree with the point.
     """
-    n = len(_point_data(args.point)["entries"])
-    if args.n is not None and args.n != n:
-        raise ValueError(f"--n {args.n} does not match the point size {n}")
-    hopf = _context(n, args.q1)
-    return hopf, load_point(args.point, hopf.alg)
+    q = parse_q1(args.q1) if args.q1 else None
+    point = load_point(args.point, q)
+    if args.n is not None and args.n != point.n:
+        raise ValueError(
+            f"--n {args.n} does not match the point size {point.n}")
+    return HopfContext(MatrixAlgebra(point.n, q)), point
 
 
 def _q_string(algebra) -> str:
@@ -262,6 +252,7 @@ def cmd_character(args, config: RunConfig):
 
 def cmd_eval(args, config: RunConfig):
     hopf, point = _point_context(args)
+    validate_point(point, hopf.alg)
     elem = hopf.alg.parse(args.expression)
     report = _base_report("eval", hopf.alg)
     report["point"] = _point_json(point)

@@ -35,9 +35,9 @@ class Point(Frozen):
     """A classical point: an N x N matrix of coefficients.
 
     Entries may be ints, Fractions, or field elements; they are coerced by
-    the consuming algebra.  Use :func:`validate_point` (or any co-orbit
-    constructor, which validates by default) to check the point actually
-    satisfies the required vanishing conditions.
+    the consuming algebra.  Use :func:`validate_point` (or a co-orbit
+    constructor, which calls it) to check the point actually satisfies the
+    required vanishing conditions.
     """
 
     __slots__ = ("n", "entries")
@@ -76,43 +76,36 @@ class Point(Frozen):
         return f"Point({[list(r) for r in self.entries]})"
 
 
-def validate_point(point: Point, algebra) -> None:
-    """Check that evaluation at the point is an algebra map.
+def validate_point(point: Point, algebra):
+    """Check that evaluation at the point is an algebra map, and return the
+    entry table coerced into the algebra's coefficients.
 
-    The quantum matrix relations degenerate, on commuting scalars, to the
-    vanishing of certain products of entries (scaled by q - 1 or q - 1/q, so
-    at q = 1 every matrix qualifies).  Raises ValueError naming the first
-    violated pair of positions.
+    Evaluation is an algebra map exactly when it respects every
+    straightening rule x_big x_small = sum c x_a x_b of the algebra.  On
+    commuting scalars the rules say that two entries in one row or one
+    column have zero product unless q = 1, and so do a top-right and a
+    bottom-left entry unless q = 1/q; at q = 1 every matrix qualifies.
+    Raises ValueError naming the entries of the first violated rule's last
+    term (the two entries whose product has to vanish).
     """
     if point.n != algebra.n:
         raise ValueError("point size does not match the algebra")
     n = point.n
     xi = [[algebra.coerce(point.entries[i][j]) for j in range(n)]
           for i in range(n)]
-    qm1 = algebra.q - algebra.one
-    qmq = algebra.q - algebra.qinv
-    for i in range(n):
-        for j in range(n):
-            for l in range(j + 1, n):
-                if qm1 * xi[i][j] * xi[i][l]:
-                    raise ValueError(
-                        f"entries ({i+1},{j+1}) and ({i+1},{l+1}) violate "
-                        "the same-row vanishing condition")
-    for j in range(n):
-        for i in range(n):
-            for k in range(i + 1, n):
-                if qm1 * xi[i][j] * xi[k][j]:
-                    raise ValueError(
-                        f"entries ({i+1},{j+1}) and ({k+1},{j+1}) violate "
-                        "the same-column vanishing condition")
-    for i in range(n):
-        for k in range(i + 1, n):
-            for j in range(n):
-                for l in range(j + 1, n):
-                    if qmq * xi[i][l] * xi[k][j]:
-                        raise ValueError(
-                            f"entries ({i+1},{l+1}) and ({k+1},{j+1}) violate "
-                            "the antidiagonal vanishing condition")
+    ev = [x for row in xi for x in row]
+    for big in range(n * n):
+        for small in range(big):
+            rule = algebra._letter_rule(big, small)
+            rhs = sum((c * ev[a] * ev[b] for c, (a, b) in rule), algebra.zero)
+            if ev[big] * ev[small] != rhs:
+                (i1, j1), (i2, j2) = divmod(big, n), divmod(small, n)
+                kind = "same-row" if i1 == i2 else \
+                    "same-column" if j1 == j2 else "antidiagonal"
+                (i, j), (k, l) = (divmod(x, n) for x in rule[-1][1])
+                raise ValueError(f"entries ({i+1},{j+1}) and ({k+1},{l+1}) "
+                                 f"violate the {kind} vanishing condition")
+    return xi
 
 
 def evaluate(a: MqElement, point: Point):
@@ -225,18 +218,13 @@ class CoorbitMap:
     True
     """
 
-    def __init__(self, hopf: HopfContext, point: Point, which: str = "beta",
-                 validate: bool = True):
+    def __init__(self, hopf: HopfContext, point: Point, which: str = "beta"):
         if which not in ("beta", "alpha"):
             raise ValueError("co-orbit side must be 'beta' or 'alpha'")
-        if validate:
-            validate_point(point, hopf.alg)
-        n = hopf.alg.n
         self.hopf = hopf
         self.point = point
         self.which = which
-        self.xi = [[hopf.alg.coerce(point.entries[i][j]) for j in range(n)]
-                   for i in range(n)]
+        self.xi = validate_point(point, hopf.alg)
         self._middle = hopf._evaluating(self.xi)
         self._mono_cache = {}
 

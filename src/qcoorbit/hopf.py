@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .mq import (MatrixAlgebra, Monomial, MqElement, SparseTerms, _times_letter,
-                 accumulate)
+from .mq import MatrixAlgebra, Monomial, MqElement, SparseTerms, accumulate
 from .scalars import Frozen, Scalar
 
 
@@ -117,11 +116,13 @@ class GlqElement(Frozen):
 
 
 class SlqAlgebra:
-    """Quantum SL_2 with generators a < b < c < d and quantum det = 1.
+    """Quantum SL_2 = O(M_q(2)) / (det - 1), with a, b, c, d the images of
+    x11 < x12 < x21 < x22.
 
     The PBW basis is {a^i b^j c^k, b^j c^k d^l}: any product of a and d
-    reduces through ad = 1 + q bc.  Coefficients are shared with the parent
-    matrix algebra (symbolic or specialized).
+    reduces through ad = 1 + q bc.  Products are taken in the parent
+    algebra, so its straightening rules are the only relations stated.
+    Coefficients are shared with the parent (symbolic or specialized).
     """
 
     _NAMES = "abcd"
@@ -133,19 +134,8 @@ class SlqAlgebra:
         self.q = parent.q
         self.one = parent.one
         self.zero = parent.zero
-        self.qinv = parent.qinv
         self._reduce_cache = {}
-        self._letter_cache = {}
         self._word_cache = {}
-        # x_big * x_small -> list of (coeff, replacement letters)
-        self._rules = {
-            (1, 0): ((self.qinv, (0, 1)),),
-            (2, 0): ((self.qinv, (0, 2)),),
-            (2, 1): ((self.one, (1, 2)),),
-            (3, 0): ((self.one, ()), (self.qinv, (1, 2))),
-            (3, 1): ((self.qinv, (1, 3)),),
-            (3, 2): ((self.qinv, (2, 3)),),
-        }
 
     # -- elements --------------------------------------------------------------
 
@@ -192,41 +182,19 @@ class SlqAlgebra:
         self._reduce_cache[exps] = out
         return out
 
-    def _mul_letter(self, exps, k):
-        """(basis word exps) * letter k, as {exps: coeff}."""
-        out = self._letter_cache.get((exps, k))
-        if out is not None:
-            return out
-        last = max((t for t in range(4) if exps[t]), default=-1)
-        if k >= last:
-            e = list(exps)
-            e[k] += 1
-            e = tuple(e)
-            out = self._reduce(e) if (e[0] and e[3]) else {e: self.one}
-        else:
-            rest = list(exps)
-            rest[last] -= 1
-            rest = tuple(rest)
-            out = {}
-            for coeff, letters in self._rules[(last, k)]:
-                acc = {rest: coeff}
-                for lt in letters:
-                    acc = _times_letter(acc, lt, self._mul_letter)
-                for e, c in acc.items():
-                    accumulate(out, e, c)
-        self._letter_cache[(exps, k)] = out
-        return out
-
     def _mul_words(self, e1, e2):
+        """Product of two basis words: their product in the parent algebra,
+        pushed through the quotient map (an algebra map) monomial by
+        monomial."""
         out = self._word_cache.get((e1, e2))
-        if out is not None:
-            return out
-        acc = {e1: self.one}
-        for k in range(4):
-            for _ in range(e2[k]):
-                acc = _times_letter(acc, k, self._mul_letter)
-        self._word_cache[(e1, e2)] = acc
-        return acc
+        if out is None:
+            out = {}
+            prod = self.parent._mul_monos(Monomial(2, e1), Monomial(2, e2))
+            for m, c in prod.items():
+                for e, cc in self._reduce(m.exps).items():
+                    accumulate(out, e, c * cc)
+            self._word_cache[(e1, e2)] = out
+        return out
 
 
 def _sl_word_str(exps) -> str:
@@ -677,9 +645,6 @@ class HopfContext:
 
     def coaction_beta(self, a: MqElement) -> TensorElement:
         return self.coaction(a, "beta")
-
-    def coaction_alpha(self, a: MqElement) -> TensorElement:
-        return self.coaction(a, "alpha")
 
     def is_coinvariant(self, a: MqElement, which: str) -> bool:
         """True when the adjoint coaction fixes a, i.e. equals a (x) 1."""

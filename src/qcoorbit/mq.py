@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import NamedTuple
 
-from .scalars import Frozen, Scalar, check_power, check_scalar_op
+from .scalars import (Frozen, Scalar, ScalarParser, check_power,
+                      check_scalar_op, check_scalar_power, parse_int)
 
 # MatrixAlgebra.parse refuses products and powers of higher total degree;
-# its scalar subexpressions obey the bounds of Scalar.parse
+# the coefficients it combines obey the bounds of Scalar.parse
 MAX_ELEMENT_DEGREE = 100
 
 
@@ -277,9 +278,6 @@ class MqElement(SparseTerms):
         rd, cd = degs.pop()
         return MultiDegree(rd, cd)
 
-    def coefficient(self, mono: Monomial):
-        return self.terms.get(mono, self.algebra.zero)
-
     def constant_term(self):
         return self.terms.get(Monomial.one(self.algebra.n), self.algebra.zero)
 
@@ -336,7 +334,7 @@ class MatrixAlgebra:
     >>> A = MatrixAlgebra(2)
     >>> x = A.generator
     >>> print(x(2, 2) * x(1, 1))
-    x11*x22 - (q - 1/q)*x12*x21
+    x11*x22 - ((q^2 - 1)/q)*x12*x21
     >>> print(A.quantum_determinant() * x(1, 2) - x(1, 2) * A.quantum_determinant())
     0
     """
@@ -564,119 +562,53 @@ def _compositions(total, slots):
 _ELEM_TOKEN_RE = re.compile(r"\s*(x\d\d|\d+|q|\*|/|\+|-|\^|\(|\))")
 
 
-class _ElementParser:
+class _ElementParser(ScalarParser):
+    """The scalar grammar over the algebra's coefficients, plus the
+    generators x{i}{j}."""
+
+    TOKEN_RE = _ELEM_TOKEN_RE
+    WHAT = "expression"
+
     def __init__(self, algebra: MatrixAlgebra, text: str):
+        super().__init__(text)
         self.algebra = algebra
-        self.tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _ELEM_TOKEN_RE.match(text, pos)
-            if not m:
-                if text[pos:].strip():
-                    raise ValueError(f"bad expression syntax at {text[pos:]!r}")
-                break
-            self.tokens.append(m.group(1))
-            pos = m.end()
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self):
-        t = self.peek()
-        self.i += 1
-        return t
-
-    def parse(self) -> MqElement:
-        v = self.expr()
-        if self.peek() is not None:
-            raise ValueError(f"trailing expression input at {self.peek()!r}")
-        return v
-
-    def _scalar(self, v: MqElement):
-        """The value of v when v is a scalar of the symbolic field, else None."""
-        if set(v.terms) - {Monomial.one(self.algebra.n)}:
-            return None
-        c = v.constant_term()
-        return c if isinstance(c, Scalar) else None
 
     def _check(self, v: MqElement, op: str, w: MqElement) -> None:
         """Refuse ``v op w`` when a product would exceed MAX_ELEMENT_DEGREE,
-        or when both sides are scalars and the scalar parser's bound would
-        refuse it."""
+        or when the scalar parser's bounds would refuse the same operation
+        on two coefficients it combines (on a shared monomial for + and -)."""
         if op == "*" and v.degree() + w.degree() > MAX_ELEMENT_DEGREE:
             raise ValueError(f"expression of degree over {MAX_ELEMENT_DEGREE}")
-        a, b = self._scalar(v), self._scalar(w)
-        if a is not None and b is not None:
+        if op in "+-":
+            pairs = ((v.terms[m], w.terms[m]) for m in v.terms.keys() & w.terms)
+        else:
+            pairs = product(v.terms.values(), w.terms.values())
+        for a, b in pairs:
             check_scalar_op(a, op, b)
 
-    def expr(self):
-        v = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.next()
-            w = self.term()
-            self._check(v, op, w)
-            v = v + w if op == "+" else v - w
-        return v
+    def _divide(self, v: MqElement, w: MqElement) -> MqElement:
+        if set(w.terms) - {Monomial.one(self.algebra.n)}:
+            raise ValueError("division only by scalar expressions")
+        c = w.constant_term()
+        if not c:
+            raise ZeroDivisionError("division by zero expression")
+        return v.scale(self.algebra.one / c)
 
-    def term(self):
-        v = self.unary()
-        while self.peek() in ("*", "/"):
-            op = self.next()
-            w = self.unary()
-            self._check(v, op, w)
-            if op == "*":
-                v = v * w
-            else:
-                if set(w.terms) - {Monomial.one(self.algebra.n)}:
-                    raise ValueError("division only by scalar expressions")
-                c = w.constant_term()
-                if not c:
-                    raise ZeroDivisionError("division by zero expression")
-                v = v.scale(self.algebra.one / c)
-        return v
+    def _power(self, v: MqElement, k: int) -> MqElement:
+        check_power(v.degree(), k, MAX_ELEMENT_DEGREE)
+        for c in v.terms.values():
+            check_scalar_power(c, k)
+        if k < 0:
+            if set(v.terms) - {Monomial.one(self.algebra.n)}:
+                raise ValueError("negative powers only of scalar expressions")
+            return self.algebra.scalar_element(v.constant_term() ** k)
+        return v ** k
 
-    def unary(self):
-        if self.peek() == "-":
-            self.next()
-            return -self.unary()
-        return self.power()
-
-    def power(self):
-        v = self.atom()
-        if self.peek() == "^":
-            self.next()
-            sign = 1
-            if self.peek() == "-":
-                self.next()
-                sign = -1
-            t = self.next()
-            if t is None or not t.isdigit():
-                raise ValueError("expected integer exponent after ^")
-            k = sign * int(t)
-            check_power(v.degree(), k, MAX_ELEMENT_DEGREE)
-            c = self._scalar(v)
-            check_power(0 if c is None else max(c.num.degree, c.den.degree), k)
-            if k < 0:
-                if set(v.terms) - {Monomial.one(self.algebra.n)}:
-                    raise ValueError("negative powers only of scalar expressions")
-                return self.algebra.scalar_element(v.constant_term() ** k)
-            return v ** k
-        return v
-
-    def atom(self):
-        t = self.next()
-        if t is None:
-            raise ValueError("unexpected end of expression")
-        if t == "(":
-            v = self.expr()
-            if self.next() != ")":
-                raise ValueError("unbalanced parenthesis in expression")
-            return v
+    def _leaf(self, t: str) -> MqElement:
         if t == "q":
             return self.algebra.scalar_element(self.algebra.q)
         if t.isdigit():
-            return self.algebra.scalar_element(int(t))
+            return self.algebra.scalar_element(parse_int(t))
         if t.startswith("x"):
             return self.algebra.generator(int(t[1]), int(t[2]))
         raise ValueError(f"unexpected token {t!r} in expression")

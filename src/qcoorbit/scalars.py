@@ -1,11 +1,8 @@
 """Exact arithmetic in the rational function field Q(q).
 
-Two layers:
-
-* ``Rational`` is :class:`fractions.Fraction` — arbitrary-precision reduced
-  rationals with positive denominator, straight from the stdlib.
-* :class:`Scalar` is an element of Q(q): a reduced fraction ``num/den`` of
-  polynomials in q, with ``den`` monic, so equality is syntactic equality.
+:class:`Scalar` is an element of Q(q): a reduced fraction ``num/den`` of
+polynomials in q, with ``den`` monic, so equality is syntactic equality.
+Rational numbers are the stdlib's :class:`fractions.Fraction`.
 
 Scalars are immutable and hashable.  The whole engine is generic over the
 coefficient type: run it with Scalars for symbolic q, or with plain Fractions
@@ -17,8 +14,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-
-Rational = Fraction
 
 
 class PoleError(ArithmeticError):
@@ -503,7 +498,7 @@ class Scalar(Frozen):
         >>> Scalar.parse("(q^2-1)/(q+1)") == Scalar.q() - 1
         True
         """
-        return _ScalarParser(text).parse()
+        return ScalarParser(text).parse()
 
 
 def _needs_parens(p: Poly) -> bool:
@@ -523,6 +518,13 @@ _TOKEN_RE = re.compile(r"\s*(\d+|q|\*|/|\+|-|\^|\(|\))")
 # this bound, and no power with a larger exponent: exact gcds over Q[q]
 # slow down sharply as the degree grows.
 MAX_PARSE_DEGREE = 1000
+# Nor does it reduce by a gcd of two polynomials, neither of them c*q^k, of
+# degree over MAX_PARSE_GCD_DEGREE or of degree times integer bits over
+# MAX_PARSE_GCD_SIZE (the remainder sequences of Poly.gcd grow with both),
+# and it builds no integer of more than MAX_PARSE_BITS bits.
+MAX_PARSE_GCD_DEGREE = 100
+MAX_PARSE_GCD_SIZE = 40_000
+MAX_PARSE_BITS = 10_000
 
 
 def check_power(degree: int, k: int, bound: int = MAX_PARSE_DEGREE) -> None:
@@ -536,31 +538,93 @@ def check_power(degree: int, k: int, bound: int = MAX_PARSE_DEGREE) -> None:
                          f"parser's bound {bound}")
 
 
-def check_scalar_op(a: Scalar, op: str, b: Scalar) -> None:
-    """Refuse parsing ``a op b`` (op in + - * /) when its unreduced result
-    has a numerator or denominator degree over MAX_PARSE_DEGREE."""
-    an, ad, bn, bd = a.num.degree, a.den.degree, b.num.degree, b.den.degree
-    if op == "*":
-        degrees = (an + bn, ad + bd)
-    elif op == "/":
-        degrees = (an + bd, ad + bn)
-    elif a.den == b.den:
-        degrees = (max(an, bn), ad)
+def _plain(p: Poly) -> bool:
+    """True for zero and for c*q^k: reducing by such a side needs no gcd."""
+    return not any(p.coeffs[:-1])
+
+
+def _bits(s: Scalar) -> int:
+    """Bit length of the largest integer stored in a Scalar."""
+    return max(abs(c).bit_length()
+               for p in (s.num, s.den) for c in p.coeffs + (p.den,))
+
+
+def _check_result(degree: int, needs_gcd: bool, bits: int) -> None:
+    """Refuse a parsed result of the given degree and integer bits."""
+    if needs_gcd and (degree > MAX_PARSE_GCD_DEGREE
+                      or degree * bits > MAX_PARSE_GCD_SIZE):
+        raise ValueError(f"scalar input needing a gcd of degree {degree} "
+                         f"over {bits}-bit integers is over the parser's "
+                         f"bounds")
+    if bits > MAX_PARSE_BITS:
+        raise ValueError(f"integers of about {bits} bits are over the "
+                         f"parser's bound {MAX_PARSE_BITS}")
+
+
+def parse_int(token: str) -> int:
+    """An integer literal, refused over MAX_PARSE_BITS bits."""
+    v = int(token)
+    _check_result(0, False, v.bit_length())
+    return v
+
+
+def check_scalar_power(v, k: int) -> None:
+    """Refuse parsing v^k (v a Scalar or Fraction) over the degree, gcd or
+    height bounds."""
+    v = Scalar.of(v)
+    degree = max(v.num.degree, v.den.degree)
+    check_power(degree, k)
+    terms = max(len(v.num.coeffs), len(v.den.coeffs))
+    _check_result(degree * abs(k), not (_plain(v.num) or _plain(v.den)),
+                  abs(k) * (_bits(v) + terms.bit_length()))
+
+
+def check_scalar_op(a, op: str, b) -> None:
+    """Refuse parsing ``a op b`` (op in + - * /, a and b Scalars or
+    Fractions) when its unreduced result has a numerator or denominator
+    degree over MAX_PARSE_DEGREE, when reducing it needs a gcd over the
+    gcd bounds (the numerator of a sum counts as no c*q^k), or when a and b
+    hold more than MAX_PARSE_BITS bits together."""
+    a, b = Scalar.of(a), Scalar.of(b)
+    an, ad, bn, bd = a.num, a.den, b.num, b.den
+    if op == "/":
+        bn, bd = bd, bn
+    if op in "*/":
+        degrees = (an.degree + bn.degree, ad.degree + bd.degree)
+        plain = _plain(an) and _plain(bn) or _plain(ad) and _plain(bd)
+    elif ad == bd:
+        degrees = (max(an.degree, bn.degree), ad.degree)
+        plain = _plain(ad)
     else:
-        degrees = (max(an + bd, bn + ad), ad + bd)
+        degrees = (max(an.degree + bd.degree, bn.degree + ad.degree),
+                   ad.degree + bd.degree)
+        plain = _plain(ad) and _plain(bd)
     if max(degrees) > MAX_PARSE_DEGREE:
         raise ValueError(f"scalar input of degree over {MAX_PARSE_DEGREE}")
+    _check_result(max(degrees), not plain, _bits(a) + _bits(b))
 
 
-class _ScalarParser:
+class ScalarParser:
+    """Recursive descent over the scalar grammar: sums of products of signed
+    powers of atoms, with parentheses.
+
+    Subclasses extend the grammar by overriding ``TOKEN_RE`` and ``WHAT``
+    (the input's name in error messages) and the hooks ``_check(v, op, w)``,
+    run before each binary operation, ``_divide``, ``_power`` and ``_leaf``,
+    which reads an atom other than a parenthesis.
+    """
+
+    TOKEN_RE = _TOKEN_RE
+    WHAT = "scalar"
+
     def __init__(self, text: str):
         self.tokens = []
         pos = 0
         while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
+            m = self.TOKEN_RE.match(text, pos)
             if not m:
                 if text[pos:].strip():
-                    raise ValueError(f"bad scalar syntax at {text[pos:]!r}")
+                    raise ValueError(f"bad {self.WHAT} syntax at {text[pos:]!r}")
                 break
             self.tokens.append(m.group(1))
             pos = m.end()
@@ -574,37 +638,37 @@ class _ScalarParser:
         self.i += 1
         return t
 
-    def parse(self) -> Scalar:
+    def parse(self):
         v = self.expr()
         if self.peek() is not None:
-            raise ValueError(f"trailing scalar input at {self.peek()!r}")
+            raise ValueError(f"trailing {self.WHAT} input at {self.peek()!r}")
         return v
 
-    def expr(self) -> Scalar:
+    def expr(self):
         v = self.term()
         while self.peek() in ("+", "-"):
             op = self.next()
             w = self.term()
-            check_scalar_op(v, op, w)
+            self._check(v, op, w)
             v = v + w if op == "+" else v - w
         return v
 
-    def term(self) -> Scalar:
+    def term(self):
         v = self.unary()
         while self.peek() in ("*", "/"):
             op = self.next()
             w = self.unary()
-            check_scalar_op(v, op, w)
-            v = v * w if op == "*" else v / w
+            self._check(v, op, w)
+            v = v * w if op == "*" else self._divide(v, w)
         return v
 
-    def unary(self) -> Scalar:
+    def unary(self):
         if self.peek() == "-":
             self.next()
             return -self.unary()
         return self.power()
 
-    def power(self) -> Scalar:
+    def power(self):
         v = self.atom()
         if self.peek() == "^":
             self.next()
@@ -615,22 +679,34 @@ class _ScalarParser:
             t = self.next()
             if t is None or not t.isdigit():
                 raise ValueError("expected integer exponent after ^")
-            k = sign * int(t)
-            check_power(max(v.num.degree, v.den.degree), k)
-            v = v ** k
+            return self._power(v, sign * int(t))
         return v
 
-    def atom(self) -> Scalar:
+    def atom(self):
         t = self.next()
         if t is None:
-            raise ValueError("unexpected end of scalar input")
+            raise ValueError(f"unexpected end of {self.WHAT} input")
         if t == "(":
             v = self.expr()
             if self.next() != ")":
-                raise ValueError("unbalanced parenthesis in scalar input")
+                raise ValueError(f"unbalanced parenthesis in {self.WHAT} input")
             return v
+        return self._leaf(t)
+
+    # -- the scalar grammar's hooks ---------------------------------------------
+
+    _check = staticmethod(check_scalar_op)
+
+    def _divide(self, v: Scalar, w: Scalar) -> Scalar:
+        return v / w
+
+    def _power(self, v: Scalar, k: int) -> Scalar:
+        check_scalar_power(v, k)
+        return v ** k
+
+    def _leaf(self, t: str):
         if t == "q":
             return _S_Q
         if t.isdigit():
-            return Scalar.of(int(t))
-        raise ValueError(f"unexpected token {t!r} in scalar input")
+            return Scalar.of(parse_int(t))
+        raise ValueError(f"unexpected token {t!r} in {self.WHAT} input")

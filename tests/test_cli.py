@@ -6,8 +6,8 @@ import time
 
 import pytest
 
+from qcoorbit import cli, coorbit
 from qcoorbit.cli import RunConfig, load_point, main, parse_q1
-from qcoorbit.mq import MatrixAlgebra
 from qcoorbit.scalars import Scalar
 
 GENERIC = '{"n": 2, "entries": [["2", "0"], ["0", "3"]]}'
@@ -121,6 +121,29 @@ def test_bad_point_exits_2(capsys):
     assert "same-row" in err
 
 
+def test_point_validated_once_per_command(capsys, monkeypatch):
+    real = coorbit.validate_point
+    calls = []
+
+    def counted(point, algebra):
+        calls.append(point)
+        return real(point, algebra)
+
+    for mod in (cli, coorbit):
+        monkeypatch.setattr(mod, "validate_point", counted)
+    for argv in (("kernel", "--point", GENERIC, "--degree", "1"),
+                 ("eval", "x11", "--point", GENERIC)):
+        calls.clear()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0 and len(calls) == 1
+    bad = '{"n": 2, "entries": [["1", "1"], ["0", "0"]]}'
+    calls.clear()
+    code, out, err = run(capsys, "eval", "x11", "--point", bad)
+    assert code == 2 and not out and len(calls) == 1
+    assert err == "error: entries (1,1) and (1,2) violate the same-row " \
+        "vanishing condition\n"
+
+
 def test_degree_over_ceiling_exits_2(capsys):
     code, _, err = run(capsys, "kernel", "--point", GENERIC, "--degree", "9")
     assert code == 2
@@ -161,12 +184,11 @@ def test_parse_q1_and_runconfig():
 
 
 def test_load_point_coerces(tmp_path):
-    alg = MatrixAlgebra(2)
-    pt = load_point('{"n": 2, "entries": [[2, 0], [0, "q"]]}', alg)
+    pt = load_point('{"n": 2, "entries": [[2, 0], [0, "q"]]}')
     assert pt.entry(1, 1) == Scalar.of(2)
     assert pt.entry(2, 2) == Scalar.q()
     with pytest.raises(ValueError):
-        load_point('{"n": 2, "entries": [[2.5, 0], [0, 1]]}', alg)
+        load_point('{"n": 2, "entries": [[2.5, 0], [0, 1]]}')
 
 
 # Length and sha256 of the stdout of ``main(argv)`` for each command, taken

@@ -1,6 +1,7 @@
 """Tests for co-orbit maps: points, truncated kernels/ideals/images."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,6 +54,21 @@ def test_point_validation(H2):
         validate_point(Point([[0, 1], [1, 0]]), A)
     with pytest.raises(ValueError, match="size"):
         validate_point(Point.diagonal([1, 2, 3]), A)
+    # every point with two entries 1: the verdict follows from the positions
+    for n in (2, 3):
+        A, A1 = MatrixAlgebra(n), MatrixAlgebra(n, Fraction(1))
+        cells = [(i, j) for i in range(n) for j in range(n)]
+        for (i, j), (k, l) in combinations(cells, 2):
+            pt = Point([[int((r, c) in ((i, j), (k, l))) for c in range(n)]
+                        for r in range(n)])
+            kind = "same-row" if i == k else "same-column" if j == l \
+                else "antidiagonal" if j > l else None
+            if kind is None:
+                assert validate_point(pt, A)[k][l] == 1
+            else:
+                with pytest.raises(ValueError, match=kind):
+                    validate_point(pt, A)
+            validate_point(pt, A1)
 
 
 def test_any_matrix_is_a_point_at_q_one():

@@ -1,6 +1,8 @@
 """Tests for the Hopf layer: coproduct, antipode, coactions, projections."""
 
+import hashlib
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -324,6 +326,41 @@ def test_sl_specialized_coefficients():
     a, d = sl.generator("a"), sl.generator("d")
     assert a * d == sl.one_element() + Fraction(3, 2) * (sl.generator("b") * sl.generator("c"))
     assert H.is_coinvariant(H.alg.tau(1), "beta")
+
+
+def sl_basis_words(d):
+    """Exponents (i, j, k, l) of the SL_2 basis words a^i b^j c^k d^l of
+    degree <= d (i and l never both positive), by degree then exponents."""
+    return sorted((e for e in product(range(d + 1), repeat=4)
+                   if sum(e) <= d and not (e[0] and e[3])),
+                  key=lambda e: (sum(e), e))
+
+
+# sha256 of the str of every product word_element(e1) * word_element(e2)
+# over the 14 basis words of degree <= 2, at symbolic q and then at q = 3/2,
+# joined by newlines (392 lines).  Taken at 9168894, while SL_2 still kept
+# its own six-rule table, by running this same loop.
+SL_PRODUCTS_SHA256 = \
+    "d2c6a424594ee6844fedc2a31d462f96019a8d0b0b9f210dee6da2315d6238dd"
+
+
+def test_sl_products_pinned():
+    lines = []
+    for q in (None, Fraction(3, 2)):
+        sl = HopfContext(MatrixAlgebra(2, q)).sl_algebra
+        words = sl_basis_words(2)
+        for e1, e2 in product(words, repeat=2):
+            lines.append(str(sl.word_element(e1) * sl.word_element(e2)))
+    assert len(lines) == 392
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == SL_PRODUCTS_SHA256
+
+
+def test_sl_product_associative(H2):
+    sl = H2.sl_algebra
+    elems = [sl.word_element(e) for e in sl_basis_words(1)]
+    for u, v, w in product(elems, repeat=3):
+        assert (u * v) * w == u * (v * w)
 
 
 words2 = st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2)),

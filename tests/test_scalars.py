@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qcoorbit
+from qcoorbit.mq import MatrixAlgebra
 from qcoorbit.scalars import PoleError, Poly, Scalar
 
 q = Scalar.q()
@@ -78,6 +84,60 @@ def test_parse_degree_bound():
     assert Scalar.parse("q^1000").num.degree == 1000
     assert Scalar.parse("q^600 + q^600") == 2 * q**600   # no cross-multiplying
     assert Scalar.parse("(q^2 + 1)^500 / q^500").den.degree == 500
+
+
+def test_parse_gcd_bound():
+    """A parse step whose reduction needs a gcd of two polynomials, neither a
+    power of q, is refused over degree 100 or over degree x bits 40,000."""
+    start = time.perf_counter()
+    A = MatrixAlgebra(2)
+    for parse, text in [
+            (Scalar.parse, "((q+2)^200 + 1)/((q+3)^200 + 7)"),    # degree 200
+            (Scalar.parse, "((q+2)/(q+3))^150"),                  # degree 150
+            (Scalar.parse, "1/(q+2)^60 - 1/(q+3)^60"),            # degree 120
+            (Scalar.parse, "((q+2^10)^100 + 1)/((q+3^6)^100 + 7)"),  # 1952 bits
+            (A.parse, "x11*((q+2)^200 + 1)/((q+3)^200 + 7)"),
+            (A.parse, "(x11*(q+2)^2/(q+3)^2)^60")]:
+        with pytest.raises(ValueError, match="gcd"):
+            parse(text)
+    assert time.perf_counter() - start < 5
+    assert Scalar.parse("((q+2)^100 + 1)/((q+3)^100 + 7)").den.degree == 100
+    assert Scalar.parse("((q+2)/(q+3))^100").den == ((q + 3) ** 100).num
+    # a power of q on one side needs no gcd
+    assert Scalar.parse("(q+2)^300 / q^299").den.degree == 299
+    assert Scalar.parse("(q+2)^-300").num.degree == 0
+
+
+def test_parse_height_bound():
+    """Integers over 10,000 bits are refused at once, by both parsers and by
+    the CLI (exit 2).  Runs in a subprocess, so that a regression fails on
+    the timeout instead of hanging."""
+    big = "((2^1000)^1000)^1000"
+    script = (
+        "from fractions import Fraction\n"
+        "from qcoorbit.mq import MatrixAlgebra\n"
+        "from qcoorbit.scalars import Scalar\n"
+        "for parse in (Scalar.parse, MatrixAlgebra(2).parse,\n"
+        "              MatrixAlgebra(2, Fraction(5, 2)).parse):\n"
+        f"    for text in ({big!r}, '9' * 4000):\n"
+        "        try:\n"
+        "            parse(text)\n"
+        "        except ValueError as e:\n"
+        "            assert 'bits' in str(e), e\n"
+        "        else:\n"
+        "            raise AssertionError(text)\n"
+    )
+    src = Path(qcoorbit.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                   timeout=60)
+    point = '{"entries": [["%s", "0"], ["0", "1"]]}' % big
+    for argv in (["eval", big, "--point", point.replace(big, "2")],
+                 ["kernel", "--point", point, "--degree", "1"]):
+        done = subprocess.run([sys.executable, "-m", "qcoorbit", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 2 and "bits" in done.stderr
 
 
 def test_negative_powers():
