@@ -14,25 +14,29 @@ number before any linear algebra happens.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
 from .coorbit import CoorbitMap, ImageData, Point, TruncatedSubspace
-from .hopf import HopfContext
-from .mq import MatrixAlgebra, render
-from .scalars import Frozen, Scalar
+from .hopf import HopfContext, laurent_word
+from .mq import MatrixAlgebra, SparseTerms
+from .scalars import Scalar
 
 
-class Character(Frozen):
-    """Integer-multiplicity weights, in the "z" or "t" picture."""
+class Character(SparseTerms):
+    """Integer-multiplicity weights, in the "z" or "t" picture.
 
-    __slots__ = ("picture", "mults")
+    ``terms`` (also readable as ``mults``) maps a weight (an int in the z
+    picture, a tuple in the t picture) to its multiplicity.
+    """
+
+    __slots__ = ("picture", "terms")
 
     def __init__(self, picture: str, mults):
         if picture not in ("z", "t"):
             raise ValueError("picture must be 'z' or 't'")
-        clean = {}
         for w, m in mults.items():
             if picture == "z" and not isinstance(w, int):
                 raise ValueError("z-picture weights are integers")
@@ -40,10 +44,12 @@ class Character(Frozen):
                 raise ValueError("t-picture weights are tuples")
             if int(m) != m:
                 raise ValueError("multiplicities are integers")
-            if m:
-                clean[w] = clean.get(w, 0) + int(m)
         object.__setattr__(self, "picture", picture)
-        object.__setattr__(self, "mults", {w: m for w, m in clean.items() if m})
+        object.__setattr__(self, "terms", {w: int(m) for w, m in mults.items() if m})
+
+    @property
+    def mults(self) -> dict:
+        return self.terms
 
     @classmethod
     def zero(cls, picture: str = "z") -> "Character":
@@ -51,54 +57,30 @@ class Character(Frozen):
 
     @classmethod
     def from_weights(cls, picture: str, weights) -> "Character":
-        mults = {}
-        for w in weights:
-            mults[w] = mults.get(w, 0) + 1
-        return cls(picture, mults)
-
-    def is_zero(self) -> bool:
-        return not self.mults
+        return cls(picture, Counter(weights))
 
     def dimension(self) -> int:
         """Total multiplicity (the character evaluated at the identity)."""
-        return sum(self.mults.values())
+        return sum(self.terms.values())
 
-    def _check(self, other: "Character"):
+    def _like(self, terms) -> "Character":
+        return Character(self.picture, terms)
+
+    def _coerce(self, other) -> "Character":
         if self.picture != other.picture:
             raise ValueError("characters in different pictures")
+        return other
 
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.mults)
-        for w, m in other.mults.items():
-            out[w] = out.get(w, 0) + m
-        return Character(self.picture, out)
-
-    def __sub__(self, other):
-        self._check(other)
-        out = dict(self.mults)
-        for w, m in other.mults.items():
-            out[w] = out.get(w, 0) - m
-        return Character(self.picture, out)
+    def _rendered(self):
+        if self.picture == "z":
+            return [(self.terms[w], laurent_word("z", (w,)))
+                    for w in sorted(self.terms, reverse=True)]
+        return [(self.terms[w], laurent_word([f"t{i+1}" for i in range(len(w))], w))
+                for w in sorted(self.terms)]
 
     def __eq__(self, other):
         return (isinstance(other, Character) and self.picture == other.picture
-                and self.mults == other.mults)
-
-    def __repr__(self):
-        return f"Character({self})"
-
-    def __str__(self):
-        if self.picture == "z":
-            items = sorted(self.mults.items(), key=lambda wm: -wm[0])
-            return render((m, f"z^{w}" if w not in (0, 1) else ("z" if w else "1"))
-                          for w, m in items)
-        rendered = []
-        for w, m in sorted(self.mults.items()):
-            mono = "*".join(f"t{i+1}^{e}" if e != 1 else f"t{i+1}"
-                            for i, e in enumerate(w) if e)
-            rendered.append((m, mono or "1"))
-        return render(rendered)
+                and self.terms == other.terms)
 
 
 def chi_irreducible(m: int) -> Character:
@@ -134,17 +116,14 @@ def decompose_sl2(char: Character) -> dict:
         raise ValueError("decomposition works in the z picture")
     rest = char
     out = {}
-    while not rest.is_zero():
+    while rest:
         top = max(rest.mults)
         mult = rest.mults[top]
         if top < 0 or mult < 0:
             raise ValueError("not a nonnegative sum of irreducible characters")
-        piece = chi_irreducible(top)
-        stripped = rest
-        for _ in range(mult):
-            stripped = stripped - piece
-        rest = stripped
-        out[top] = out.get(top, 0) + mult
+        # the top weight drops with each step, so each appears once
+        rest = rest - chi_irreducible(top).scale(mult)
+        out[top] = mult
     return dict(sorted(out.items()))
 
 
@@ -153,17 +132,15 @@ def coordinate_truncation_character(r: int) -> Character:
     monomial families indexed by i+j+k <= r-1 and one by l+m+n <= r."""
     if r < 0:
         raise ValueError("negative truncation degree")
-    mults = {}
+    mults = Counter()
     for i in range(r):
         for j in range(r - i):
             for k in range(r - i - j):
-                w = 2 * (k - j)
-                mults[w] = mults.get(w, 0) + 1
+                mults[2 * (k - j)] += 1
     for l in range(r + 1):
         for m in range(r + 1 - l):
             for n in range(r + 1 - l - m):
-                w = 2 * (m - l)
-                mults[w] = mults.get(w, 0) + 1
+                mults[2 * (m - l)] += 1
     return Character("z", mults)
 
 
@@ -177,9 +154,7 @@ def difference_identity(r: int) -> bool:
     if r < 1:
         raise ValueError("needs r >= 1")
     lhs = coordinate_truncation_character(r) - coordinate_truncation_character(r - 1)
-    rhs = Character.zero()
-    for s in range(r + 1):
-        rhs = rhs + chi_irreducible(2 * s)
+    rhs = sum((chi_irreducible(2 * s) for s in range(r + 1)), Character.zero())
     return lhs == rhs
 
 

@@ -32,26 +32,19 @@ CONVENTIONS = {
 }
 
 
-class RunConfig:
-    """Cost ceilings for truncation degrees, keyed by matrix size."""
+# Cost ceilings for truncation degrees, keyed by matrix size; other sizes
+# get 1.
+DEGREE_CEILING = {2: 4, 3: 2}
 
-    DEFAULT_DEGREE_CEILING = {2: 4, 3: 2}
 
-    def __init__(self, degree_ceiling=None):
-        self.degree_ceiling = dict(degree_ceiling
-                                   or self.DEFAULT_DEGREE_CEILING)
-
-    def ceiling_for(self, n: int) -> int:
-        return self.degree_ceiling.get(n, 1)
-
-    def check_degree(self, n: int, d: int) -> int:
-        cap = self.ceiling_for(n)
-        if d > cap:
-            raise ValueError(
-                f"degree {d} is over the cost ceiling {cap} for size {n}")
-        if d < 1:
-            raise ValueError("degree must be at least 1")
-        return d
+def check_degree(n: int, d: int) -> int:
+    cap = DEGREE_CEILING.get(n, 1)
+    if d > cap:
+        raise ValueError(
+            f"degree {d} is over the cost ceiling {cap} for size {n}")
+    if d < 1:
+        raise ValueError("degree must be at least 1")
+    return d
 
 
 def parse_q1(text: str) -> Fraction:
@@ -136,7 +129,7 @@ def _base_report(command: str, algebra) -> dict:
 # -- commands --------------------------------------------------------------------
 
 
-def cmd_verify_coinvariants(args, config: RunConfig):
+def cmd_verify_coinvariants(args):
     hopf = _context(args.n, args.q1)
     alg = hopf.alg
     checks = []
@@ -155,11 +148,11 @@ def cmd_verify_coinvariants(args, config: RunConfig):
     return report, all(c["pass"] for c in checks)
 
 
-def _point_setup(args, config: RunConfig):
+def _point_setup(args):
     hopf, point = _point_context(args)
-    d = args.degree if args.degree is not None \
-        else config.ceiling_for(hopf.alg.n)
-    d = config.check_degree(hopf.alg.n, d)
+    n = hopf.alg.n
+    d = check_degree(n, args.degree if args.degree is not None
+                     else DEGREE_CEILING.get(n, 1))
     cm = CoorbitMap(hopf, point, args.coaction)
     return hopf, cm, d
 
@@ -168,8 +161,8 @@ def _point_json(point: Point):
     return [[str(e) for e in row] for row in point.entries]
 
 
-def cmd_kernel(args, config: RunConfig):
-    hopf, cm, dmax = _point_setup(args, config)
+def cmd_kernel(args):
+    hopf, cm, dmax = _point_setup(args)
     alg = hopf.alg
     degrees = []
     ok = True
@@ -198,8 +191,8 @@ def cmd_kernel(args, config: RunConfig):
     return report, ok
 
 
-def cmd_image(args, config: RunConfig):
-    hopf, cm, dmax = _point_setup(args, config)
+def cmd_image(args):
+    hopf, cm, dmax = _point_setup(args)
     degrees = []
     ok = True
     for d in range(1, dmax + 1):
@@ -228,8 +221,8 @@ def cmd_image(args, config: RunConfig):
     return report, ok
 
 
-def cmd_character(args, config: RunConfig):
-    hopf, cm, dmax = _point_setup(args, config)
+def cmd_character(args):
+    hopf, cm, dmax = _point_setup(args)
     degrees = []
     zchars = []
     for d in range(1, dmax + 1):
@@ -250,7 +243,7 @@ def cmd_character(args, config: RunConfig):
     return report, True
 
 
-def cmd_eval(args, config: RunConfig):
+def cmd_eval(args):
     hopf, point = _point_context(args)
     validate_point(point, hopf.alg)
     elem = hopf.alg.parse(args.expression)
@@ -261,13 +254,12 @@ def cmd_eval(args, config: RunConfig):
     return report, True
 
 
-def cmd_identities(args, config: RunConfig):
+def cmd_identities(args):
     hopf = _context(args.n, args.q1)
     alg = hopf.alg
     nmax = args.max_n
-    dmax = config.check_degree(alg.n, args.max_degree
-                               if args.max_degree is not None
-                               else min(3, config.ceiling_for(alg.n)))
+    dmax = check_degree(alg.n, args.max_degree if args.max_degree is not None
+                        else min(3, DEGREE_CEILING.get(alg.n, 1)))
     checks = []
 
     def add(name, value):
@@ -389,9 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig()
     try:
-        report, ok = args.func(args, config)
+        report, ok = args.func(args)
     except (ValueError, PoleError, ZeroDivisionError, OSError,
             json.JSONDecodeError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from . import xla
 from .hopf import GlqElement, HopfContext
-from .mq import Monomial, MqElement, _compositions, accumulate
+from .mq import Monomial, MqElement, _compositions
 from .scalars import Frozen
 
 
@@ -239,28 +239,16 @@ class CoorbitMap:
             self._mono_cache[m] = out
         return out
 
-    def _lift(self, out: dict, num: dict, k: int, c=None) -> None:
-        """Accumulate c * num * det^k into ``out`` (c = 1 when None)."""
-        alg = self.hopf.alg
-        det_k = alg.det_power(k).terms
-        for nm, nc in num.items():
-            cnc = nc if c is None else c * nc
-            for lm, lc in det_k.items():
-                for mm, mc in alg._mul_monos(nm, lm).items():
-                    accumulate(out, mm, cnc * lc * mc)
-
     def __call__(self, a: MqElement) -> GlqElement:
         alg = self.hopf.alg
         if not isinstance(a, MqElement) or a.algebra is not alg:
             raise ValueError("expected an element of the same matrix algebra")
-        if a.is_zero():
-            return self.hopf.gl(alg.zero_element(), 0)
-        cap = max(m.deg for m in a.terms)
+        cap = max((m.deg for m in a.terms), default=0)
         total = {}
         for m, c in a.terms.items():
             num, p = self.of_monomial(m)
-            self._lift(total, num, cap - p, c)
-        return self.hopf.gl(MqElement(alg, total), cap)
+            self.hopf._lift(total, num, cap - p, c)
+        return GlqElement(self.hopf, total, cap)
 
     # -- truncations ----------------------------------------------------------
 
@@ -272,7 +260,7 @@ class CoorbitMap:
             num, p = self.of_monomial(m)
             if p < d:
                 out = {}
-                self._lift(out, num, d - p)
+                self.hopf._lift(out, num, d - p)
                 num = out
             lifted.append(num)
         return domain, lifted
@@ -328,7 +316,7 @@ class CoorbitMap:
         elems = []
         for m in alg.monomial_basis(d):
             num, p = self.of_monomial(m)
-            elems.append(hopf.project_sl(hopf.gl(MqElement(alg, num), p)))
+            elems.append(hopf.project_sl(GlqElement(hopf, num, p)))
         return _sl_span(hopf.sl_algebra, elems)
 
     # -- closed-form checks ------------------------------------------------------
@@ -380,7 +368,7 @@ class CoorbitMap:
             raise ValueError(f"unknown power-check variant {variant!r}")
         m = Monomial(2, (0, 0, power, 0))
         num, p = self.of_monomial(m)
-        lhs = hopf.project_sl(hopf.gl(MqElement(alg, num), p))
+        lhs = hopf.project_sl(GlqElement(hopf, num, p))
         return lhs == rhs
 
 

@@ -2,8 +2,9 @@
 
 Everything here lives over a fixed :class:`~qcoorbit.mq.MatrixAlgebra`.  The
 localized algebra inverts the (central) quantum determinant; an element is a
-pair (numerator, determinant power), compared by cross-multiplication.  The
-coproduct is the matrix-coefficient one, Delta(x_ij) = sum_k x_ik (x) x_kj,
+pair (numerator, determinant power), and sums and comparisons lift both
+numerators to the larger power through :meth:`HopfContext._lift`, the one
+product by a power of det.  The coproduct is the matrix-coefficient one, Delta(x_ij) = sum_k x_ik (x) x_kj,
 and the antipode sends x_ij to its signed quantum cofactor over det.
 
 The two adjoint coactions are
@@ -22,78 +23,71 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .mq import MatrixAlgebra, Monomial, MqElement, SparseTerms, accumulate
-from .scalars import Frozen, Scalar
+from .scalars import Scalar
 
 
-class GlqElement(Frozen):
-    """An element of the localization: numerator / det^detpow."""
+class GlqElement(SparseTerms):
+    """An element of the localization: numerator / det^detpow.
 
-    __slots__ = ("hopf", "num", "detpow")
+    ``terms`` is the numerator, ``{Monomial: coefficient}``.  Sums and
+    comparisons lift both sides to the larger determinant power.
+    """
 
-    def __init__(self, hopf: "HopfContext", num: MqElement, detpow: int = 0):
+    __slots__ = ("hopf", "terms", "detpow")
+
+    def __init__(self, hopf: "HopfContext", terms, detpow: int = 0):
         if detpow < 0:
             raise ValueError("determinant power must be >= 0")
-        if num.is_zero():
-            detpow = 0
+        terms = {m: c for m, c in terms.items() if c}
         object.__setattr__(self, "hopf", hopf)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "detpow", detpow)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "detpow", detpow if terms else 0)
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
+    @property
+    def num(self) -> MqElement:
+        return MqElement(self.hopf.alg, self.terms)
 
     def numerator_at(self, p: int) -> MqElement:
         """The numerator after raising the denominator to det^p."""
         if p < self.detpow:
             raise ValueError("cannot lower the determinant power")
-        if p == self.detpow:
-            return self.num
-        return self.num * self.hopf.alg.det_power(p - self.detpow)
+        out = {}
+        self.hopf._lift(out, self.terms, p - self.detpow)
+        return MqElement(self.hopf.alg, out)
 
-    def _check(self, other: "GlqElement"):
+    # -- the sparse-term hooks ----------------------------------------------------
+
+    def _like(self, terms) -> "GlqElement":
+        return GlqElement(self.hopf, terms, self.detpow)
+
+    def _coerce(self, other) -> "GlqElement":
+        if not isinstance(other, GlqElement):
+            return self.hopf.scalar_gl(other)
         if self.hopf is not other.hopf:
             raise ValueError("elements from different contexts")
+        return other
+
+    def _coeff(self, c):
+        return self.hopf.alg.coerce(c)
+
+    # -- arithmetic ---------------------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, GlqElement):
-            other = self.hopf.scalar_gl(other)
-        self._check(other)
+        other = self._coerce(other)
         p = max(self.detpow, other.detpow)
-        return GlqElement(self.hopf, self.numerator_at(p) + other.numerator_at(p), p)
+        out = {}
+        for a in (self, other):
+            self.hopf._lift(out, a.terms, p - a.detpow)
+        return GlqElement(self.hopf, out, p)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return GlqElement(self.hopf, -self.num, self.detpow)
-
-    def __sub__(self, other):
-        if not isinstance(other, GlqElement):
-            other = self.hopf.scalar_gl(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return self.hopf.scalar_gl(other) + (-self)
-
     def __mul__(self, other):
+        """Numerators multiply and det powers add (det is central)."""
         if not isinstance(other, GlqElement):
             return self.scale(other)
-        self._check(other)
-        return GlqElement(self.hopf, self.num * other.num,
-                          self.detpow + other.detpow)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c) -> "GlqElement":
-        return GlqElement(self.hopf, self.num.scale(c), self.detpow)
-
-    def __pow__(self, k: int) -> "GlqElement":
-        if k < 0:
-            raise ValueError("negative powers: use det_inverse for 1/det")
-        return GlqElement(self.hopf, self.num ** k, self.detpow * k)
+        num = self.num * self._coerce(other).num
+        return GlqElement(self.hopf, num.terms, self.detpow + other.detpow)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -102,12 +96,8 @@ class GlqElement(Frozen):
             return NotImplemented
         if self.hopf is not other.hopf:
             return False
-        alg = self.hopf.alg
-        return (self.num * alg.det_power(other.detpow)
-                == other.num * alg.det_power(self.detpow))
-
-    def __repr__(self):
-        return f"GlqElement({self})"
+        p = max(self.detpow, other.detpow)
+        return self.numerator_at(p) == other.numerator_at(p)
 
     def __str__(self):
         if self.detpow == 0:
@@ -236,20 +226,19 @@ class SlqElement(SparseTerms):
         return [(self.terms[e], _sl_word_str(e))
                 for e in sorted(self.terms, key=lambda e: (sum(e), e))]
 
-    def __pow__(self, k: int) -> "SlqElement":
-        if k < 0:
-            raise ValueError("negative power")
-        out = self.sl.one_element()
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
             other = self.sl.scalar_element(other)
         if not isinstance(other, SlqElement):
             return NotImplemented
         return self.sl is other.sl and self.terms == other.terms
+
+
+def laurent_word(names, exps) -> str:
+    """The word ``t1^2*t2^-1`` of an exponent vector over the variable
+    names; "1" when every exponent is 0."""
+    return "*".join(name if e == 1 else f"{name}^{e}"
+                    for name, e in zip(names, exps) if e) or "1"
 
 
 class LaurentElement(SparseTerms):
@@ -273,12 +262,7 @@ class LaurentElement(SparseTerms):
 
     def _rendered(self):
         names = ["z"] if self.nvars == 1 else [f"t{i+1}" for i in range(self.nvars)]
-        parts = []
-        for e in sorted(self.terms):
-            mono = "*".join(f"{names[i]}^{e[i]}" if e[i] != 1 else names[i]
-                            for i in range(self.nvars) if e[i])
-            parts.append((self.terms[e], mono or "1"))
-        return parts
+        return [(self.terms[e], laurent_word(names, e)) for e in sorted(self.terms)]
 
     def __eq__(self, other):
         return (isinstance(other, LaurentElement) and self.nvars == other.nvars
@@ -324,29 +308,20 @@ class TensorElement(SparseTerms):
         return self.hopf.alg.coerce(c)
 
     def _lift_terms(self, detpows):
-        """Terms after raising each glq leg to the given determinant power."""
-        alg = self.hopf.alg
-        det_terms = {}
-        for i, t in enumerate(self.tags):
-            if t == "glq" and detpows[i] != self.detpows[i]:
-                det_terms[i] = alg.det_power(detpows[i] - self.detpows[i]).terms
-        if not det_terms:
-            return dict(self.terms)
-        out = {}
-        for key, c in self.terms.items():
-            partial = [(key, c)]
-            for i, dt in det_terms.items():
-                nxt = []
-                for k, cc in partial:
-                    for dm, dc in dt.items():
-                        prod = alg._mul_monos(k[i], dm)
-                        for mm, mc in prod.items():
-                            kk = k[:i] + (mm,) + k[i + 1:]
-                            nxt.append((kk, cc * dc * mc))
-                partial = nxt
-            for k, cc in partial:
-                accumulate(out, k, cc)
-        return out
+        """Terms after raising each glq leg to the given determinant power,
+        one leg at a time."""
+        terms = self.terms
+        for i, (p, p0) in enumerate(zip(detpows, self.detpows)):
+            if p == p0:
+                continue
+            lifted = {}
+            for key, c in terms.items():
+                leg = {}
+                self.hopf._lift(leg, {key[i]: c}, p - p0)
+                for m, cm in leg.items():
+                    accumulate(lifted, key[:i] + (m,) + key[i + 1:], cm)
+            terms = lifted
+        return dict(terms)
 
     def _common_detpows(self, other):
         return tuple(max(a, b) if t == "glq" else None
@@ -428,25 +403,41 @@ class HopfContext:
     # -- constructors -------------------------------------------------------------
 
     def embed(self, a: MqElement) -> GlqElement:
-        return GlqElement(self, a, 0)
+        return GlqElement(self, a.terms, 0)
 
     def gl(self, num: MqElement, detpow: int) -> GlqElement:
-        return GlqElement(self, num, detpow)
+        return GlqElement(self, num.terms, detpow)
 
     def scalar_gl(self, c) -> GlqElement:
-        return GlqElement(self, self.alg.scalar_element(c), 0)
+        return self.embed(self.alg.scalar_element(c))
 
     def one_gl(self) -> GlqElement:
-        return GlqElement(self, self.alg.one_element(), 0)
+        return self.embed(self.alg.one_element())
 
     def det_inverse(self, k: int = 1) -> GlqElement:
-        return GlqElement(self, self.alg.one_element(), k)
+        return self.gl(self.alg.one_element(), k)
 
     @property
     def sl_algebra(self) -> SlqAlgebra:
         if self._sl is None:
             self._sl = SlqAlgebra(self.alg)
         return self._sl
+
+    # -- localization ---------------------------------------------------------------
+
+    def _lift(self, out: dict, num: dict, k: int, c=None) -> None:
+        """Accumulate c * num * det^k into ``out`` (c = 1 when None): the
+        one product by a determinant power."""
+        alg = self.alg
+        det_k = alg.det_power(k).terms
+        for nm, nc in num.items():
+            cnc = nc if c is None else c * nc
+            if not k:
+                accumulate(out, nm, cnc)
+                continue
+            for lm, lc in det_k.items():
+                for mm, mc in alg._mul_monos(nm, lm).items():
+                    accumulate(out, mm, cnc * lc * mc)
 
     # -- coproduct ------------------------------------------------------------------
 
@@ -532,8 +523,6 @@ class HopfContext:
 
     def counit(self, a):
         """The counit; sends x_ij to delta_ij and det^-1 to 1."""
-        if isinstance(a, GlqElement):
-            a = a.num
         total = self.alg.zero
         for m, c in a.terms.items():
             if self._counit_mono(m):
@@ -588,16 +577,13 @@ class HopfContext:
             a = self.embed(a)
         if not isinstance(a, GlqElement):
             raise TypeError("antipode expects an algebra element")
-        if a.is_zero():
-            return self.gl(self.alg.zero_element(), 0)
-        # term m det^-p maps to S(m) det^p with S(m) = s_num(m) det^-deg(m)
-        powers = {m: m.deg - a.detpow for m in a.num.terms}
-        cap = max(0, max(powers.values()))
-        total = self.alg.zero_element()
-        for m, c in a.num.terms.items():
-            s_num = MqElement(self.alg, self._antipode_mono(m))
-            lift = self.alg.det_power(cap - powers[m])
-            total = total + (s_num * lift).scale(c)
+        # term m det^-p maps to S(m) det^p with S(m) = s_num(m) det^-deg(m),
+        # each accumulated at the common power
+        p = a.detpow
+        cap = max([m.deg - p for m in a.terms] + [0])
+        total = {}
+        for m, c in a.terms.items():
+            self._lift(total, self._antipode_mono(m), cap - m.deg + p, c)
         return GlqElement(self, total, cap)
 
     # -- adjoint coactions -----------------------------------------------------------
@@ -659,14 +645,14 @@ class HopfContext:
     def is_diag_coinvariant(self, a: GlqElement) -> bool:
         """True when every numerator monomial has row degree (p, ..., p)."""
         p = a.detpow
-        return all(set(m.rowdeg()) <= {p} for m in a.num.terms)
+        return all(set(m.rowdeg()) <= {p} for m in a.terms)
 
     def project_diag(self, a: GlqElement) -> LaurentElement:
         """Restriction to the diagonal torus: x_ii -> t_i, x_ij -> 0 (i != j),
         det^-1 -> (t1..tn)^-1."""
         p = a.detpow
         out = {}
-        for m, c in a.num.terms.items():
+        for m, c in a.terms.items():
             if self._counit_mono(m):
                 e = tuple(m.exps[i * self.n + i] - p for i in range(self.n))
                 accumulate(out, e, c)
@@ -675,13 +661,12 @@ class HopfContext:
     def project_sl(self, a) -> SlqElement:
         """Quotient to quantum SL_2 (size 2 only): x11, x12, x21, x22 map to
         a, b, c, d and det maps to 1."""
-        if isinstance(a, MqElement):
-            a = self.embed(a)
         sl = self.sl_algebra
-        total = sl.zero_element()
-        for m, c in a.num.terms.items():
-            total = total + sl.word_element(m.exps).scale(c)
-        return total
+        out = {}
+        for m, c in a.terms.items():
+            for e, ce in sl._reduce(m.exps).items():
+                accumulate(out, e, c * ce)
+        return SlqElement(sl, out)
 
     def project_k(self, a) -> LaurentElement:
         """Further quotient to the circle: a -> z, d -> z^-1, b, c -> 0."""

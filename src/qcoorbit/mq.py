@@ -192,7 +192,8 @@ class SparseTerms(Frozen):
     the same parent or raises ValueError; ``_coeff(c)``, the coefficient
     coercion used by :meth:`scale`; ``_mul_keys(k1, k2)``, the product of
     two basis keys as ``{key: coefficient}``; and ``_rendered()``, the
-    ``(coefficient, word)`` pairs in display order.
+    ``(coefficient, word)`` pairs in display order.  Powers need
+    ``_coerce(1)`` to be the unit.
     """
 
     __slots__ = ()
@@ -248,6 +249,19 @@ class SparseTerms(Frozen):
         c = self._coeff(c)
         return self._like({k: c * v for k, v in self.terms.items()} if c else {})
 
+    def __pow__(self, k: int):
+        """The k-th power by repeated squaring; the 0-th is the unit."""
+        if k < 0:
+            raise ValueError("negative power")
+        result = self._coerce(1)
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base if k > 1 else base
+            k >>= 1
+        return result
+
     def __repr__(self):
         return f"{type(self).__name__}({self})"
 
@@ -302,20 +316,6 @@ class MqElement(SparseTerms):
     def _rendered(self):
         return [(self.terms[m], str(m))
                 for m in sorted(self.terms, key=Monomial.sort_key)]
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def __pow__(self, k: int) -> "MqElement":
-        if k < 0:
-            raise ValueError("negative power in the quantum matrix algebra")
-        result = self.algebra.one_element()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
 
     def __eq__(self, other):
         if isinstance(other, MqElement):
@@ -573,18 +573,18 @@ class _ElementParser(ScalarParser):
         super().__init__(text)
         self.algebra = algebra
 
-    def _check(self, v: MqElement, op: str, w: MqElement) -> None:
+    def _check(self, v: MqElement, op: str, w: MqElement) -> int:
         """Refuse ``v op w`` when a product would exceed MAX_ELEMENT_DEGREE,
         or when the scalar parser's bounds would refuse the same operation
-        on two coefficients it combines (on a shared monomial for + and -)."""
+        on two coefficients it combines (on a shared monomial for + and -).
+        Returns the summed gcd sizes of those operations."""
         if op == "*" and v.degree() + w.degree() > MAX_ELEMENT_DEGREE:
             raise ValueError(f"expression of degree over {MAX_ELEMENT_DEGREE}")
         if op in "+-":
             pairs = ((v.terms[m], w.terms[m]) for m in v.terms.keys() & w.terms)
         else:
             pairs = product(v.terms.values(), w.terms.values())
-        for a, b in pairs:
-            check_scalar_op(a, op, b)
+        return sum(check_scalar_op(a, op, b) for a, b in pairs)
 
     def _divide(self, v: MqElement, w: MqElement) -> MqElement:
         if set(w.terms) - {Monomial.one(self.algebra.n)}:
@@ -596,8 +596,7 @@ class _ElementParser(ScalarParser):
 
     def _power(self, v: MqElement, k: int) -> MqElement:
         check_power(v.degree(), k, MAX_ELEMENT_DEGREE)
-        for c in v.terms.values():
-            check_scalar_power(c, k)
+        self._spend(sum(check_scalar_power(c, k) for c in v.terms.values()))
         if k < 0:
             if set(v.terms) - {Monomial.one(self.algebra.n)}:
                 raise ValueError("negative powers only of scalar expressions")

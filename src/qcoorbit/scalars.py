@@ -525,6 +525,10 @@ MAX_PARSE_DEGREE = 1000
 MAX_PARSE_GCD_DEGREE = 100
 MAX_PARSE_GCD_SIZE = 40_000
 MAX_PARSE_BITS = 10_000
+# Those bounds hold per step; the sizes (degree times bits) of the gcds that
+# one parse needs may not add up to more than MAX_PARSE_GCD_TOTAL either, so
+# that an input cannot repeat an admitted step many times.
+MAX_PARSE_GCD_TOTAL = 50_000
 
 
 def check_power(degree: int, k: int, bound: int = MAX_PARSE_DEGREE) -> None:
@@ -549,8 +553,9 @@ def _bits(s: Scalar) -> int:
                for p in (s.num, s.den) for c in p.coeffs + (p.den,))
 
 
-def _check_result(degree: int, needs_gcd: bool, bits: int) -> None:
-    """Refuse a parsed result of the given degree and integer bits."""
+def _check_result(degree: int, needs_gcd: bool, bits: int) -> int:
+    """Refuse a parsed result of the given degree and integer bits; return
+    the size of the gcd its reduction needs (0 for none)."""
     if needs_gcd and (degree > MAX_PARSE_GCD_DEGREE
                       or degree * bits > MAX_PARSE_GCD_SIZE):
         raise ValueError(f"scalar input needing a gcd of degree {degree} "
@@ -559,6 +564,7 @@ def _check_result(degree: int, needs_gcd: bool, bits: int) -> None:
     if bits > MAX_PARSE_BITS:
         raise ValueError(f"integers of about {bits} bits are over the "
                          f"parser's bound {MAX_PARSE_BITS}")
+    return degree * bits if needs_gcd else 0
 
 
 def parse_int(token: str) -> int:
@@ -568,23 +574,24 @@ def parse_int(token: str) -> int:
     return v
 
 
-def check_scalar_power(v, k: int) -> None:
+def check_scalar_power(v, k: int) -> int:
     """Refuse parsing v^k (v a Scalar or Fraction) over the degree, gcd or
-    height bounds."""
+    height bounds; return the size of the gcd it needs."""
     v = Scalar.of(v)
     degree = max(v.num.degree, v.den.degree)
     check_power(degree, k)
     terms = max(len(v.num.coeffs), len(v.den.coeffs))
-    _check_result(degree * abs(k), not (_plain(v.num) or _plain(v.den)),
-                  abs(k) * (_bits(v) + terms.bit_length()))
+    return _check_result(degree * abs(k), not (_plain(v.num) or _plain(v.den)),
+                         abs(k) * (_bits(v) + terms.bit_length()))
 
 
-def check_scalar_op(a, op: str, b) -> None:
+def check_scalar_op(a, op: str, b) -> int:
     """Refuse parsing ``a op b`` (op in + - * /, a and b Scalars or
     Fractions) when its unreduced result has a numerator or denominator
     degree over MAX_PARSE_DEGREE, when reducing it needs a gcd over the
     gcd bounds (the numerator of a sum counts as no c*q^k), or when a and b
-    hold more than MAX_PARSE_BITS bits together."""
+    hold more than MAX_PARSE_BITS bits together.  Returns the size of the
+    gcd it needs."""
     a, b = Scalar.of(a), Scalar.of(b)
     an, ad, bn, bd = a.num, a.den, b.num, b.den
     if op == "/":
@@ -601,7 +608,7 @@ def check_scalar_op(a, op: str, b) -> None:
         plain = _plain(ad) and _plain(bd)
     if max(degrees) > MAX_PARSE_DEGREE:
         raise ValueError(f"scalar input of degree over {MAX_PARSE_DEGREE}")
-    _check_result(max(degrees), not plain, _bits(a) + _bits(b))
+    return _check_result(max(degrees), not plain, _bits(a) + _bits(b))
 
 
 class ScalarParser:
@@ -611,7 +618,8 @@ class ScalarParser:
     Subclasses extend the grammar by overriding ``TOKEN_RE`` and ``WHAT``
     (the input's name in error messages) and the hooks ``_check(v, op, w)``,
     run before each binary operation, ``_divide``, ``_power`` and ``_leaf``,
-    which reads an atom other than a parenthesis.
+    which reads an atom other than a parenthesis.  ``_check`` and
+    ``_power`` pass the gcd size of their step to :meth:`_spend`.
     """
 
     TOKEN_RE = _TOKEN_RE
@@ -629,6 +637,16 @@ class ScalarParser:
             self.tokens.append(m.group(1))
             pos = m.end()
         self.i = 0
+        self.gcd_total = 0
+
+    def _spend(self, size: int) -> None:
+        """Add a step's gcd size to the parse's total; refuse the input when
+        the total is over MAX_PARSE_GCD_TOTAL."""
+        self.gcd_total += size
+        if self.gcd_total > MAX_PARSE_GCD_TOTAL:
+            raise ValueError(f"{self.WHAT} input needing gcds of total size "
+                             f"{self.gcd_total} is over the parser's bound "
+                             f"{MAX_PARSE_GCD_TOTAL}")
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -649,7 +667,7 @@ class ScalarParser:
         while self.peek() in ("+", "-"):
             op = self.next()
             w = self.term()
-            self._check(v, op, w)
+            self._spend(self._check(v, op, w))
             v = v + w if op == "+" else v - w
         return v
 
@@ -658,7 +676,7 @@ class ScalarParser:
         while self.peek() in ("*", "/"):
             op = self.next()
             w = self.unary()
-            self._check(v, op, w)
+            self._spend(self._check(v, op, w))
             v = v * w if op == "*" else self._divide(v, w)
         return v
 
@@ -701,7 +719,7 @@ class ScalarParser:
         return v / w
 
     def _power(self, v: Scalar, k: int) -> Scalar:
-        check_scalar_power(v, k)
+        self._spend(check_scalar_power(v, k))
         return v ** k
 
     def _leaf(self, t: str):

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from qcoorbit import cli, coorbit
-from qcoorbit.cli import RunConfig, load_point, main, parse_q1
+from qcoorbit.cli import check_degree, load_point, main, parse_q1
 from qcoorbit.scalars import Scalar
 
 GENERIC = '{"n": 2, "entries": [["2", "0"], ["0", "3"]]}'
@@ -173,14 +173,14 @@ def test_parse_q1_and_runconfig():
     assert parse_q1("5/2") == parse_q1("5/2")
     with pytest.raises(ValueError):
         parse_q1("q")
-    config = RunConfig()
-    assert config.ceiling_for(2) == 4
-    assert config.ceiling_for(3) == 2
-    assert config.ceiling_for(7) == 1
+    assert check_degree(2, 4) == 4
+    assert check_degree(3, 2) == 2
+    assert check_degree(7, 1) == 1
+    for n, d in ((2, 5), (3, 3), (7, 2)):
+        with pytest.raises(ValueError, match="ceiling"):
+            check_degree(n, d)
     with pytest.raises(ValueError):
-        config.check_degree(2, 0)
-    custom = RunConfig({2: 9})
-    assert custom.check_degree(2, 9) == 9
+        check_degree(2, 0)
 
 
 def test_load_point_coerces(tmp_path):

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcoorbit.coorbit import CoorbitMap, Point
 from qcoorbit.hopf import HopfContext, LaurentElement, TensorElement
 from qcoorbit.mq import MatrixAlgebra, Monomial
 
@@ -265,6 +266,53 @@ def test_project_diag(H2):
     assert H2.project_diag(H2.embed(x(1, 2))).is_zero()
 
 
+# -- localization ------------------------------------------------------------------
+
+
+def test_mixed_det_powers(H2, H3):
+    """num / det^p equals num det^k / det^(p+k); sums and differences lift
+    both sides to the larger power."""
+    for H in (H2, H3):
+        A = H.alg
+        x = A.generator
+        det = A.quantum_determinant()
+        for a in (x(1, 2), x(2, 1) * x(1, 1) - 3, A.one_element()):
+            for p, k in ((0, 1), (1, 2), (2, 1)):
+                assert H.gl(a, p) == H.gl(a * det ** k, p + k)
+                assert H.gl(a * det ** k, p + k) == H.gl(a, p)
+            assert H.gl(a, 1) != H.gl(a, 2)
+        a, b = x(1, 1), x(1, 2) * x(2, 1)
+        s = H.gl(a, 1) + H.gl(b, 3)
+        assert s.detpow == 3 and s.num == a * det ** 2 + b
+        assert s == H.gl(b, 3) + H.gl(a, 1)
+        assert s - H.gl(b, 3) == H.gl(a, 1)
+        assert (H.gl(a, 1) - H.gl(a * det, 2)).is_zero()
+        assert H.gl(a, 1) + 2 == H.gl(a + 2 * det, 1)
+        assert H.gl(a, 1).numerator_at(1) == a
+        assert H.gl(a, 1).numerator_at(3) == a * det ** 2
+        with pytest.raises(ValueError):
+            H.gl(a, 2).numerator_at(1)
+    A, det = H2.alg, H2.alg.quantum_determinant()
+    a = A.generator(1, 2) * A.generator(2, 1)
+    assert H2.antipode(H2.gl(a, 1)) == H2.antipode(H2.gl(a * det, 2))
+    assert H2.antipode(H2.gl(a, 3) + H2.embed(a)) == \
+        H2.antipode(H2.gl(a, 3)) + H2.antipode(a)
+
+
+def test_powers_from_the_unit(H2):
+    A, sl = H2.alg, H2.sl_algebra
+    for e, one in ((A.generator(1, 2) + A.generator(2, 1), A.one_element()),
+                   (sl.generator("a") + sl.generator("b"), sl.one_element()),
+                   (H2.gl(A.generator(1, 1), 1) + H2.embed(A.generator(2, 2)),
+                    H2.one_gl())):
+        assert e ** 0 == one and (e - e) ** 0 == one
+        assert e ** 1 == e
+        assert e ** 3 == e * e * e
+        assert e ** 4 == (e * e) * (e * e)
+        with pytest.raises(ValueError):
+            e ** -1
+    assert (H2.det_inverse() ** 3).detpow == 3
+
 # -- SL and circle quotients ----------------------------------------------------------------
 
 
@@ -362,6 +410,46 @@ def test_sl_product_associative(H2):
     for u, v, w in product(elems, repeat=3):
         assert (u * v) * w == u * (v * w)
 
+
+
+def localization_lines():
+    """str of antipodes, co-orbit images, coactions and powers, in the
+    localization and in SL_2, at symbolic q and then at q = 3/2."""
+    lines = []
+    for q in (None, Fraction(3, 2)):
+        H = HopfContext(MatrixAlgebra(2, q))
+        A = H.alg
+        monos = [A.monomial_element(m) for m in A.monomial_basis(2)]
+        lines += [str(H.antipode(m)) for m in monos]
+        H3 = HopfContext(MatrixAlgebra(3, q))
+        lines += [str(H3.antipode(H3.alg.monomial_element(m)))
+                  for m in H3.alg.monomial_basis(1)]
+        lines += [str(H.antipode(H.gl(m, 1))) for m in monos]
+        x = A.generator
+        elems = (A.tau(1) + A.tau(2), x(1, 1) + x(2, 1) ** 2,
+                 x(1, 2) * x(2, 1) - 1)
+        for w in ("beta", "alpha"):
+            cm = CoorbitMap(H, Point.diagonal([2, 3]), w)
+            lines += [str(cm(a)) for a in elems]
+            lines.append(str(H.coaction(A.tau(1) + A.tau(2), w)))
+        lines.append(str((H.gl(x(1, 1), 1) + H.embed(x(2, 2))) ** 3))
+        a, b, c, d = (H.sl_algebra.generator(t) for t in "abcd")
+        lines += [str((a + b) ** 4), str((c * d) ** 3)]
+    return lines
+
+
+# sha256 of the newline-joined localization_lines() (102 lines), taken at
+# 00a06fd, while the localization still multiplied by det powers in four
+# places, by running this same function.
+LOCALIZATION_SHA256 = \
+    "4f39b2573bcc3ad65fa68f94e46c2dc408db04b6f769c79a1f5bf75b6dbde0b4"
+
+
+def test_localization_pinned():
+    lines = localization_lines()
+    assert len(lines) == 102
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == LOCALIZATION_SHA256
 
 words2 = st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2)),
                   min_size=1, max_size=3)

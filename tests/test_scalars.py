@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import qcoorbit
 from qcoorbit.mq import MatrixAlgebra
-from qcoorbit.scalars import PoleError, Poly, Scalar
+from qcoorbit.scalars import PoleError, Poly, Scalar, ScalarParser
 
 q = Scalar.q()
 
@@ -139,6 +139,35 @@ def test_parse_height_bound():
                               timeout=60)
         assert done.returncode == 2 and "bits" in done.stderr
 
+
+def test_parse_gcd_total_bound():
+    """The gcd sizes of one parse add up to at most MAX_PARSE_GCD_TOTAL, so an
+    input that repeats an admitted step is refused.  Five copies of a step
+    that takes about a second exit 2 in under 2 s, through eval and through a
+    point entry; the CLI runs in a subprocess, so that a regression fails on
+    the timeout instead of hanging."""
+    assert ScalarParser("((q+2)/(q+3))^100").parse() is not None
+    twice = "((q+2)/(q+3))^100 + ((q+2)/(q+3))^100"
+    for parse in (Scalar.parse, MatrixAlgebra(2).parse):
+        with pytest.raises(ValueError, match="total"):
+            parse(twice)
+    five = "+".join(["((2*q+3)^90+1)/((3*q+2)^90+5)*0"] * 5)
+    assert len(five) == 159
+    point = '{"entries": [["%s", "0"], ["0", "1"]]}'
+    script = ("import sys, time\n"
+              "from qcoorbit.cli import main\n"
+              "start = time.perf_counter()\n"
+              "code = main(sys.argv[1:])\n"
+              "print(time.perf_counter() - start)\n"
+              "raise SystemExit(code)\n")
+    src = Path(qcoorbit.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for argv in (["eval", five, "--point", point % 2],
+                 ["kernel", "--point", point % five, "--degree", "1"]):
+        done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2 and "total" in done.stderr
+        assert float(done.stdout) < 2
 
 def test_negative_powers():
     assert q**-2 == 1 / q**2
