@@ -10,9 +10,9 @@ from .chars import (Character, chi_irreducible, character_of, compare_at_q1,
 from .coorbit import (CoorbitMap, ImageData, Point, TruncatedSubspace,
                       diag_coinv_keys, evaluate, psi_power_check, sphere_span,
                       validate_point)
-from .hopf import (GlqElement, HopfContext, LaurentElement, SlqAlgebra,
-                   SlqElement, TensorElement)
-from .mq import MatrixAlgebra, Monomial, MqElement, MultiDegree
+from .hopf import (GlqElement, HopfContext, SlqAlgebra, SlqElement,
+                   TensorElement)
+from .mq import MatrixAlgebra, Monomial, MqElement
 from .scalars import PoleError, Scalar
 
 __version__ = "0.1.0"
@@ -24,9 +24,8 @@ __all__ = [
     "CoorbitMap", "ImageData", "Point", "TruncatedSubspace",
     "diag_coinv_keys", "evaluate", "psi_power_check", "sphere_span",
     "validate_point",
-    "GlqElement", "HopfContext", "LaurentElement", "SlqAlgebra", "SlqElement",
-    "TensorElement",
-    "MatrixAlgebra", "Monomial", "MqElement", "MultiDegree",
+    "GlqElement", "HopfContext", "SlqAlgebra", "SlqElement", "TensorElement",
+    "MatrixAlgebra", "Monomial", "MqElement",
     "PoleError", "Scalar",
     "__version__",
 ]

@@ -20,9 +20,16 @@ from math import comb
 from typing import NamedTuple
 
 from .coorbit import CoorbitMap, ImageData, Point, TruncatedSubspace
-from .hopf import HopfContext, laurent_word
+from .hopf import HopfContext
 from .mq import MatrixAlgebra, SparseTerms
 from .scalars import Scalar
+
+
+def laurent_word(names, exps) -> str:
+    """The word ``t1^2*t2^-1`` of an exponent vector over the variable
+    names; "1" when every exponent is 0."""
+    return "*".join(name if e == 1 else f"{name}^{e}"
+                    for name, e in zip(names, exps) if e) or "1"
 
 
 class Character(SparseTerms):
@@ -58,10 +65,6 @@ class Character(SparseTerms):
     @classmethod
     def from_weights(cls, picture: str, weights) -> "Character":
         return cls(picture, Counter(weights))
-
-    def dimension(self) -> int:
-        """Total multiplicity (the character evaluated at the identity)."""
-        return sum(self.terms.values())
 
     def _like(self, terms) -> "Character":
         return Character(self.picture, terms)

@@ -35,6 +35,11 @@ CONVENTIONS = {
 # Cost ceilings for truncation degrees, keyed by matrix size; other sizes
 # get 1.
 DEGREE_CEILING = {2: 4, 3: 2}
+# The largest --n of verify-coinvariants and identities (both ran for more
+# than 30 s at size 4), and the largest --max-n of identities (about 1 s at
+# 14, 33 s at 30).
+SIZE_CEILING = 3
+POWER_CEILING = 14
 
 
 def check_degree(n: int, d: int) -> int:
@@ -97,6 +102,8 @@ def load_point(spec: str, q=None) -> Point:
 
 
 def _context(n: int, q1: str | None) -> HopfContext:
+    if n > SIZE_CEILING:
+        raise ValueError(f"--n {n} is over the cost ceiling {SIZE_CEILING}")
     q = parse_q1(q1) if q1 else None
     return HopfContext(MatrixAlgebra(n, q))
 
@@ -255,9 +262,11 @@ def cmd_eval(args):
 
 
 def cmd_identities(args):
+    nmax = args.max_n
+    if not 0 <= nmax <= POWER_CEILING:
+        raise ValueError(f"--max-n {nmax} is outside 0..{POWER_CEILING}")
     hopf = _context(args.n, args.q1)
     alg = hopf.alg
-    nmax = args.max_n
     dmax = check_degree(alg.n, args.max_degree if args.max_degree is not None
                         else min(3, DEGREE_CEILING.get(alg.n, 1)))
     checks = []

@@ -57,10 +57,6 @@ class Point(Frozen):
         return cls(tuple(tuple(values[i] if i == j else 0 for j in range(n))
                          for i in range(n)))
 
-    def entry(self, i: int, j: int):
-        """1-based entry access."""
-        return self.entries[i - 1][j - 1]
-
     def is_diagonal(self) -> bool:
         return all(not self.entries[i][j]
                    for i in range(self.n) for j in range(self.n) if i != j)
@@ -135,9 +131,9 @@ class TruncatedSubspace(Frozen):
     subspaces over the same keys are equal iff their bases coincide.
     """
 
-    __slots__ = ("keys", "rows", "pivots", "one")
+    __slots__ = ("keys", "rows", "pivots")
 
-    def __init__(self, keys, rows, one):
+    def __init__(self, keys, rows):
         keys = tuple(keys)
         if len(set(keys)) != len(keys):
             raise ValueError("duplicate keys")
@@ -145,25 +141,10 @@ class TruncatedSubspace(Frozen):
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "rows", tuple(tuple(r) for r in rref))
         object.__setattr__(self, "pivots", tuple(pivots))
-        object.__setattr__(self, "one", one)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def vector_of(self, terms: dict):
-        """Coefficient vector of a {key: coeff} dict over this key list.
-
-        Raises KeyError if the dict touches a key outside the space.
-        """
-        return _dense_rows(self.keys, [terms], self.one - self.one)[0]
-
-    def contains(self, terms: dict) -> bool:
-        try:
-            vec = self.vector_of(terms)
-        except KeyError:
-            return False
-        return xla.member(vec, [list(r) for r in self.rows], list(self.pivots))
 
     def is_subspace_of(self, other: "TruncatedSubspace") -> bool:
         if self.keys != other.keys:
@@ -275,7 +256,7 @@ class CoorbitMap:
         # one row per codomain monomial, one column per domain monomial
         rows = [list(col) for col in zip(*_dense_rows(codomain, lifted, alg.zero))]
         kernel_vectors = xla.kernel(rows, len(domain), alg.one)
-        return TruncatedSubspace(domain, kernel_vectors, alg.one)
+        return TruncatedSubspace(domain, kernel_vectors)
 
     def ideal_truncation(self, d: int) -> TruncatedSubspace:
         """Truncated span of the coinvariant-generated ideal, over the
@@ -294,8 +275,7 @@ class CoorbitMap:
                 prod = g * me if self.which == "beta" else me * g
                 products.append(prod.terms)
         domain = alg.monomial_basis(d)
-        return TruncatedSubspace(domain, _dense_rows(domain, products, alg.zero),
-                                 alg.one)
+        return TruncatedSubspace(domain, _dense_rows(domain, products, alg.zero))
 
     def image_data(self, d: int) -> ImageData:
         """Image of the degree <= d truncation, with torus weights per row."""
@@ -303,21 +283,10 @@ class CoorbitMap:
         _domain, lifted = self._lifted_images(d)
         codomain = sorted({m for num in lifted for m in num},
                           key=Monomial.sort_key)
-        space = TruncatedSubspace(codomain, _dense_rows(codomain, lifted, alg.zero),
-                                  alg.one)
+        space = TruncatedSubspace(codomain, _dense_rows(codomain, lifted, alg.zero))
         weights = space.row_weights(
             lambda m: tuple(c - d for c in m.coldeg()))
         return ImageData(space, d, weights)
-
-    def image_sl_span(self, d: int) -> TruncatedSubspace:
-        """The image truncation pushed into the SL_2 quotient (size 2 only)."""
-        hopf = self.hopf
-        alg = hopf.alg
-        elems = []
-        for m in alg.monomial_basis(d):
-            num, p = self.of_monomial(m)
-            elems.append(hopf.project_sl(GlqElement(hopf, num, p)))
-        return _sl_span(hopf.sl_algebra, elems)
 
     # -- closed-form checks ------------------------------------------------------
 
@@ -408,4 +377,4 @@ def _sl_span(sl, elems) -> TruncatedSubspace:
     keys = sorted({e for el in elems for e in el.terms},
                   key=lambda e: (sum(e), e))
     return TruncatedSubspace(keys, _dense_rows(keys, [el.terms for el in elems],
-                                               sl.zero), sl.one)
+                                               sl.zero))

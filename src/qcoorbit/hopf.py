@@ -129,9 +129,6 @@ class SlqAlgebra:
 
     # -- elements --------------------------------------------------------------
 
-    def zero_element(self) -> "SlqElement":
-        return SlqElement(self, {})
-
     def one_element(self) -> "SlqElement":
         return SlqElement(self, {(0, 0, 0, 0): self.one})
 
@@ -144,10 +141,6 @@ class SlqAlgebra:
         e = [0, 0, 0, 0]
         e[k] = 1
         return SlqElement(self, {tuple(e): self.one})
-
-    def word_element(self, exps) -> "SlqElement":
-        """a^i b^j c^k d^l as an element, reduced into the basis."""
-        return SlqElement(self, self._reduce(tuple(exps)))
 
     # -- straightening -----------------------------------------------------------
 
@@ -234,41 +227,6 @@ class SlqElement(SparseTerms):
         return self.sl is other.sl and self.terms == other.terms
 
 
-def laurent_word(names, exps) -> str:
-    """The word ``t1^2*t2^-1`` of an exponent vector over the variable
-    names; "1" when every exponent is 0."""
-    return "*".join(name if e == 1 else f"{name}^{e}"
-                    for name, e in zip(names, exps) if e) or "1"
-
-
-class LaurentElement(SparseTerms):
-    """A Laurent polynomial in commuting variables (t1..tn, or z when n=1)."""
-
-    __slots__ = ("nvars", "terms", "_one")
-
-    def __init__(self, nvars: int, terms, one=None):
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", {tuple(e): c for e, c in terms.items() if c})
-        for c in self.terms.values():
-            one = c ** 0
-            break
-        object.__setattr__(self, "_one", one)
-
-    def _like(self, terms) -> "LaurentElement":
-        return LaurentElement(self.nvars, terms, self._one)
-
-    def _mul_keys(self, e1, e2):
-        return {tuple(a + b for a, b in zip(e1, e2)): self._one}
-
-    def _rendered(self):
-        names = ["z"] if self.nvars == 1 else [f"t{i+1}" for i in range(self.nvars)]
-        return [(self.terms[e], laurent_word(names, e)) for e in sorted(self.terms)]
-
-    def __eq__(self, other):
-        return (isinstance(other, LaurentElement) and self.nvars == other.nvars
-                and self.terms == other.terms)
-
-
 _LEG_TAGS = ("mq", "glq")
 
 
@@ -300,6 +258,9 @@ class TensorElement(SparseTerms):
         return TensorElement(self.hopf, self.tags, terms, self.detpows)
 
     def _coerce(self, other) -> "TensorElement":
+        if not isinstance(other, TensorElement):
+            raise TypeError("a tensor combines only with tensors and "
+                            "multiplies by scalars")
         if self.hopf is not other.hopf or self.tags != other.tags:
             raise ValueError("tensor shapes do not match")
         return other
@@ -336,7 +297,10 @@ class TensorElement(SparseTerms):
         return TensorElement(self.hopf, self.tags, out, dps)
 
     def __mul__(self, other):
-        """Legwise product (the algebra structure of the tensor product)."""
+        """Legwise product (the algebra structure of the tensor product);
+        a scalar scales."""
+        if not isinstance(other, TensorElement):
+            return self.scale(other)
         other = self._coerce(other)
         alg = self.hopf.alg
         dps = tuple(a + b if t == "glq" else None
@@ -402,20 +366,12 @@ class HopfContext:
 
     # -- constructors -------------------------------------------------------------
 
-    def embed(self, a: MqElement) -> GlqElement:
-        return GlqElement(self, a.terms, 0)
-
-    def gl(self, num: MqElement, detpow: int) -> GlqElement:
-        return GlqElement(self, num.terms, detpow)
+    def embed(self, a: MqElement, detpow: int = 0) -> GlqElement:
+        """a / det^detpow in the localization."""
+        return GlqElement(self, a.terms, detpow)
 
     def scalar_gl(self, c) -> GlqElement:
         return self.embed(self.alg.scalar_element(c))
-
-    def one_gl(self) -> GlqElement:
-        return self.embed(self.alg.one_element())
-
-    def det_inverse(self, k: int = 1) -> GlqElement:
-        return self.gl(self.alg.one_element(), k)
 
     @property
     def sl_algebra(self) -> SlqAlgebra:
@@ -647,17 +603,6 @@ class HopfContext:
         p = a.detpow
         return all(set(m.rowdeg()) <= {p} for m in a.terms)
 
-    def project_diag(self, a: GlqElement) -> LaurentElement:
-        """Restriction to the diagonal torus: x_ii -> t_i, x_ij -> 0 (i != j),
-        det^-1 -> (t1..tn)^-1."""
-        p = a.detpow
-        out = {}
-        for m, c in a.terms.items():
-            if self._counit_mono(m):
-                e = tuple(m.exps[i * self.n + i] - p for i in range(self.n))
-                accumulate(out, e, c)
-        return LaurentElement(self.n, out, self._one)
-
     def project_sl(self, a) -> SlqElement:
         """Quotient to quantum SL_2 (size 2 only): x11, x12, x21, x22 map to
         a, b, c, d and det maps to 1."""
@@ -667,13 +612,3 @@ class HopfContext:
             for e, ce in sl._reduce(m.exps).items():
                 accumulate(out, e, c * ce)
         return SlqElement(sl, out)
-
-    def project_k(self, a) -> LaurentElement:
-        """Further quotient to the circle: a -> z, d -> z^-1, b, c -> 0."""
-        if isinstance(a, (MqElement, GlqElement)):
-            a = self.project_sl(a)
-        out = {}
-        for (ea, eb, ec, ed), c in a.terms.items():
-            if eb == 0 and ec == 0:
-                accumulate(out, (ea - ed,), c)
-        return LaurentElement(1, out, self._one)

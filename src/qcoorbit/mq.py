@@ -17,7 +17,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from typing import NamedTuple
 
 from .scalars import (Frozen, Scalar, ScalarParser, check_power,
                       check_scalar_op, check_scalar_power, parse_int)
@@ -120,11 +119,6 @@ class Monomial(Frozen):
         return "*".join(parts)
 
 
-class MultiDegree(NamedTuple):
-    rowdeg: tuple
-    coldeg: tuple
-
-
 def accumulate(out: dict, key, c) -> None:
     """``out[key] += c``, dropping the key when the sum is zero."""
     v = out.get(key)
@@ -189,17 +183,14 @@ class SparseTerms(Frozen):
     ``terms`` never holds a zero coefficient.  A subclass supplies
     ``_like(terms)``, a new element with the same parent (and the same
     shape); ``_coerce(other)``, which turns ``other`` into an element with
-    the same parent or raises ValueError; ``_coeff(c)``, the coefficient
-    coercion used by :meth:`scale`; ``_mul_keys(k1, k2)``, the product of
-    two basis keys as ``{key: coefficient}``; and ``_rendered()``, the
+    the same parent or raises; ``_coeff(c)``, the coefficient coercion used
+    by :meth:`scale` (by default none); ``_mul_keys(k1, k2)``, the product
+    of two basis keys as ``{key: coefficient}``; and ``_rendered()``, the
     ``(coefficient, word)`` pairs in display order.  Powers need
     ``_coerce(1)`` to be the unit.
     """
 
     __slots__ = ()
-
-    def _coerce(self, other):
-        return other
 
     def _coeff(self, c):
         return c
@@ -283,14 +274,6 @@ class MqElement(SparseTerms):
     def degree(self) -> int:
         """Total degree (-1 for the zero element)."""
         return max((m.deg for m in self.terms), default=-1)
-
-    def multidegree(self) -> MultiDegree:
-        """Common (rowdeg, coldeg) of all terms; raises if mixed."""
-        degs = {(m.rowdeg(), m.coldeg()) for m in self.terms}
-        if len(degs) != 1:
-            raise ValueError("not multihomogeneous")
-        rd, cd = degs.pop()
-        return MultiDegree(rd, cd)
 
     def constant_term(self):
         return self.terms.get(Monomial.one(self.algebra.n), self.algebra.zero)

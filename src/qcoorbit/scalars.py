@@ -113,12 +113,6 @@ class Poly(Frozen):
         x = Fraction(x)
         return cls((x.numerator,), x.denominator)
 
-    @classmethod
-    def q_power(cls, k: int) -> "Poly":
-        if k < 0:
-            raise ValueError("q_power wants a non-negative exponent")
-        return cls((0,) * k + (1,))
-
     # -- queries ------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -169,9 +163,6 @@ class Poly(Frozen):
     def __neg__(self) -> "Poly":
         return Poly([-c for c in self.coeffs], self.den)
 
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
     def __mul__(self, other: "Poly") -> "Poly":
         if not self.coeffs or not other.coeffs:
             return _P_ZERO
@@ -182,18 +173,6 @@ class Poly(Frozen):
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
         return Poly(out, self.den * other.den)
-
-    def __pow__(self, k: int) -> "Poly":
-        if k < 0:
-            raise ValueError("negative power of a Poly")
-        r = _P_ONE
-        base = self
-        while k:
-            if k & 1:
-                r = r * base
-            base = base * base
-            k >>= 1
-        return r
 
     def scale(self, x: Fraction) -> "Poly":
         x = Fraction(x)
@@ -314,7 +293,7 @@ class Scalar(Frozen):
     >>> q = Scalar.q()
     >>> str((q**2 - 1) / (q - 1))
     'q + 1'
-    >>> (q * q**-1).is_one()
+    >>> q * q**-1 == 1
     True
     """
 
@@ -366,19 +345,10 @@ class Scalar(Frozen):
     def q(cls) -> "Scalar":
         return _S_Q
 
-    @classmethod
-    def q_power(cls, k: int) -> "Scalar":
-        if k >= 0:
-            return cls(Poly.q_power(k), _P_ONE, _reduced=True)
-        return cls(_P_ONE, Poly.q_power(-k), _reduced=True)
-
     # -- queries --------------------------------------------------------------
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_one(self) -> bool:
-        return self.num.is_one() and self.den.is_one()
 
     def __bool__(self) -> bool:
         return not self.num.is_zero()
@@ -591,14 +561,15 @@ def check_scalar_op(a, op: str, b) -> int:
     degree over MAX_PARSE_DEGREE, when reducing it needs a gcd over the
     gcd bounds (the numerator of a sum counts as no c*q^k), or when a and b
     hold more than MAX_PARSE_BITS bits together.  Returns the size of the
-    gcd it needs."""
+    gcd it needs: none for a product with a zero factor, which is 0."""
     a, b = Scalar.of(a), Scalar.of(b)
     an, ad, bn, bd = a.num, a.den, b.num, b.den
     if op == "/":
         bn, bd = bd, bn
     if op in "*/":
         degrees = (an.degree + bn.degree, ad.degree + bd.degree)
-        plain = _plain(an) and _plain(bn) or _plain(ad) and _plain(bd)
+        plain = (an.is_zero() or bn.is_zero()
+                 or _plain(an) and _plain(bn) or _plain(ad) and _plain(bd))
     elif ad == bd:
         degrees = (max(an.degree, bn.degree), ad.degree)
         plain = _plain(ad)

@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import qcoorbit
 from qcoorbit import cli, coorbit
 from qcoorbit.cli import check_degree, load_point, main, parse_q1
 from qcoorbit.scalars import Scalar
@@ -150,6 +155,32 @@ def test_degree_over_ceiling_exits_2(capsys):
     assert "ceiling" in err
 
 
+def test_size_and_power_flags_bounded(capsys):
+    """verify-coinvariants and identities refuse a size over SIZE_CEILING,
+    and identities a --max-n outside 0..POWER_CEILING, with exit 2 in under
+    2 s.  The refusals run in a subprocess, so that a regression fails on
+    the timeout instead of hanging."""
+    script = ("import sys, time\n"
+              "from qcoorbit.cli import main\n"
+              "start = time.perf_counter()\n"
+              "code = main(sys.argv[1:])\n"
+              "print(time.perf_counter() - start)\n"
+              "raise SystemExit(code)\n")
+    src = Path(qcoorbit.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    over = str(cli.POWER_CEILING + 1)
+    for argv, message in ((["verify-coinvariants", "--n", "4"], "ceiling 3"),
+                          (["identities", "--n", "4"], "ceiling 3"),
+                          (["identities", "--max-n", over], "--max-n"),
+                          (["identities", "--max-n", "-1"], "--max-n")):
+        done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, timeout=20)
+        assert done.returncode == 2 and message in done.stderr, argv
+        assert float(done.stdout) < 2, argv
+    code, _, _ = run(capsys, "identities", "--max-n", str(cli.POWER_CEILING))
+    assert code == 0
+
+
 def test_malformed_point_exits_2(capsys):
     code, _, err = run(capsys, "kernel", "--point", '{"entries": [[1]], "n": 2}')
     assert code == 2
@@ -185,8 +216,8 @@ def test_parse_q1_and_runconfig():
 
 def test_load_point_coerces(tmp_path):
     pt = load_point('{"n": 2, "entries": [[2, 0], [0, "q"]]}')
-    assert pt.entry(1, 1) == Scalar.of(2)
-    assert pt.entry(2, 2) == Scalar.q()
+    assert pt.entries[0][0] == Scalar.of(2)
+    assert pt.entries[1][1] == Scalar.q()
     with pytest.raises(ValueError):
         load_point('{"n": 2, "entries": [[2.5, 0], [0, 1]]}')
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qcoorbit
-from qcoorbit.mq import MatrixAlgebra, Monomial, MultiDegree
+from qcoorbit.mq import MatrixAlgebra, Monomial
 from qcoorbit.scalars import Scalar
 
 
@@ -104,16 +104,6 @@ def test_monomial_basis_counts(A2, A3):
     basis = A2.monomial_basis(2)
     assert basis == sorted(basis, key=Monomial.sort_key)
     assert len(set(basis)) == len(basis)
-
-
-def test_multidegree(A2):
-    x = A2.generator
-    a = x(1, 1) * x(2, 2)
-    assert a.multidegree() == MultiDegree((1, 1), (1, 1))
-    # straightening preserves the bigrading, so this mixed product is fine
-    assert (x(2, 2) * x(1, 1)).multidegree() == MultiDegree((1, 1), (1, 1))
-    with pytest.raises(ValueError):
-        (x(1, 1) + x(1, 2)).multidegree()
 
 
 def test_det_power_cache(A2):

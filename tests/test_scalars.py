@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qcoorbit
-from qcoorbit.mq import MatrixAlgebra
+from qcoorbit.mq import MatrixAlgebra, _ElementParser
 from qcoorbit.scalars import PoleError, Poly, Scalar, ScalarParser
 
 q = Scalar.q()
@@ -168,6 +168,21 @@ def test_parse_gcd_total_bound():
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 2 and "total" in done.stderr
         assert float(done.stdout) < 2
+
+
+def test_zero_factor_costs_no_gcd():
+    """A product with a zero factor is 0 and needs no gcd: both parsers
+    charge the same for it, nothing beyond its nonzero side."""
+    def cost(parser):
+        assert not parser.parse()
+        return parser.gcd_total
+
+    A = MatrixAlgebra(2)
+    for text in ("((q+2)/(q+3))^10*0", "0*((q+2)/(q+3))^10", "(q+2)/(q+3)*0"):
+        assert cost(ScalarParser(text)) == cost(_ElementParser(A, text))
+    power = ScalarParser("((q+2)/(q+3))^10")
+    power.parse()
+    assert cost(ScalarParser("0*((q+2)/(q+3))^10")) == power.gcd_total
 
 def test_negative_powers():
     assert q**-2 == 1 / q**2
