@@ -21,15 +21,8 @@ from typing import NamedTuple
 
 from .coorbit import CoorbitMap, ImageData, Point, TruncatedSubspace
 from .hopf import HopfContext
-from .mq import MatrixAlgebra, SparseTerms
+from .mq import MatrixAlgebra, SparseTerms, laurent_word
 from .scalars import Scalar
-
-
-def laurent_word(names, exps) -> str:
-    """The word ``t1^2*t2^-1`` of an exponent vector over the variable
-    names; "1" when every exponent is 0."""
-    return "*".join(name if e == 1 else f"{name}^{e}"
-                    for name, e in zip(names, exps) if e) or "1"
 
 
 class Character(SparseTerms):
@@ -70,9 +63,17 @@ class Character(SparseTerms):
         return Character(self.picture, terms)
 
     def _coerce(self, other) -> "Character":
+        if not isinstance(other, Character):
+            raise TypeError("a character combines only with characters and "
+                            "scales by integers")
         if self.picture != other.picture:
             raise ValueError("characters in different pictures")
         return other
+
+    def __mul__(self, other):
+        if isinstance(other, Character):
+            raise TypeError("characters do not multiply")
+        return self.scale(other)
 
     def _rendered(self):
         if self.picture == "z":

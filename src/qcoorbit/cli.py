@@ -32,9 +32,10 @@ CONVENTIONS = {
 }
 
 
-# Cost ceilings for truncation degrees, keyed by matrix size; other sizes
-# get 1.
-DEGREE_CEILING = {2: 4, 3: 2}
+# Cost ceilings for truncation degrees, keyed by matrix size; point commands
+# refuse every other size (kernel at a 6 x 6 point took about 20 s at
+# degree 1).
+DEGREE_CEILING = {1: 1, 2: 4, 3: 2, 4: 1}
 # The largest --n of verify-coinvariants and identities (both ran for more
 # than 30 s at size 4), and the largest --max-n of identities (about 1 s at
 # 14, 33 s at 30).
@@ -42,8 +43,15 @@ SIZE_CEILING = 3
 POWER_CEILING = 14
 
 
-def check_degree(n: int, d: int) -> int:
-    cap = DEGREE_CEILING.get(n, 1)
+def check_degree(n: int, d: int | None = None) -> int:
+    """The truncation degree ``d`` at size ``n`` (the ceiling when None);
+    refuses a size or degree over the cost ceilings."""
+    cap = DEGREE_CEILING.get(n)
+    if cap is None:
+        raise ValueError(f"size {n} is over the cost ceiling "
+                         f"{max(DEGREE_CEILING)} of point commands")
+    if d is None:
+        return cap
     if d > cap:
         raise ValueError(
             f"degree {d} is over the cost ceiling {cap} for size {n}")
@@ -120,16 +128,12 @@ def _point_context(args):
     return HopfContext(MatrixAlgebra(point.n, q)), point
 
 
-def _q_string(algebra) -> str:
-    return str(algebra.q) if isinstance(algebra.q, Fraction) else "q"
-
-
 def _base_report(command: str, algebra) -> dict:
     return {
         "command": command,
         "conventions": CONVENTIONS,
         "n": algebra.n,
-        "q": _q_string(algebra),
+        "q": str(algebra.q),
     }
 
 
@@ -157,9 +161,7 @@ def cmd_verify_coinvariants(args):
 
 def _point_setup(args):
     hopf, point = _point_context(args)
-    n = hopf.alg.n
-    d = check_degree(n, args.degree if args.degree is not None
-                     else DEGREE_CEILING.get(n, 1))
+    d = check_degree(hopf.alg.n, args.degree)
     cm = CoorbitMap(hopf, point, args.coaction)
     return hopf, cm, d
 
@@ -268,7 +270,7 @@ def cmd_identities(args):
     hopf = _context(args.n, args.q1)
     alg = hopf.alg
     dmax = check_degree(alg.n, args.max_degree if args.max_degree is not None
-                        else min(3, DEGREE_CEILING.get(alg.n, 1)))
+                        else min(3, DEGREE_CEILING[alg.n]))
     checks = []
 
     def add(name, value):

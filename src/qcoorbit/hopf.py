@@ -14,15 +14,17 @@ computed per monomial from the two-fold coproduct.  One fold computes that
 coproduct with the middle leg either kept (the coactions) or evaluated at a
 point: at the identity, where evaluation is the counit, it gives the
 coproduct, and at a classical point the co-orbit map.  A :class:`HopfContext`
-memoizes all the per-monomial tables, so repeated coaction and antipode
-computations stay cheap; build one context per algebra and reuse it.
+memoizes the tables that are read again: the two-fold coproduct of each
+monomial (beta and alpha fold the same monomials), the antipode of each
+monomial and of each letter.  Build one context per algebra and reuse it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .mq import MatrixAlgebra, Monomial, MqElement, SparseTerms, accumulate
+from .mq import (MatrixAlgebra, Monomial, MqElement, SparseTerms, accumulate,
+                 laurent_word)
 from .scalars import Scalar
 
 
@@ -180,16 +182,6 @@ class SlqAlgebra:
         return out
 
 
-def _sl_word_str(exps) -> str:
-    if not any(exps):
-        return "1"
-    parts = []
-    for name, e in zip(SlqAlgebra._NAMES, exps):
-        if e:
-            parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
-
-
 class SlqElement(SparseTerms):
     """Linear combination of PBW basis words of the quantum SL_2 algebra."""
 
@@ -216,7 +208,7 @@ class SlqElement(SparseTerms):
         return self.sl._mul_words(e1, e2)
 
     def _rendered(self):
-        return [(self.terms[e], _sl_word_str(e))
+        return [(self.terms[e], laurent_word(self.sl._NAMES, e))
                 for e in sorted(self.terms, key=lambda e: (sum(e), e))]
 
     def __eq__(self, other):
@@ -352,12 +344,9 @@ class HopfContext:
         self.alg = algebra
         self.n = algebra.n
         self._one = algebra.one
-        self._delta_cache = {}
         self._delta2_cache = {}
         self._anti_cache = {}
         self._s_letter_cache = {}
-        self._beta_cache = {}
-        self._alpha_cache = {}
         self._sl = None
         n, zero = self.n, algebra.zero
         self._counit_middle = self._evaluating(
@@ -443,12 +432,8 @@ class HopfContext:
     def _delta_mono(self, m: Monomial):
         """Coproduct of an ordered monomial, {(u, v): coeff}: the two-fold
         coproduct with the counit (evaluation at the identity) in the middle."""
-        out = self._delta_cache.get(m)
-        if out is None:
-            out = {(u, w): c for (u, _v, w), c
-                   in self._fold(m, self._counit_middle).items()}
-            self._delta_cache[m] = out
-        return out
+        return {(u, w): c for (u, _v, w), c
+                in self._fold(m, self._counit_middle).items()}
 
     def _delta2_mono(self, m: Monomial):
         """Two-fold coproduct: {(u, v, w): coeff}."""
@@ -497,7 +482,7 @@ class HopfContext:
             cols = tuple(c for c in range(1, n + 1) if c != i + 1)
             minor = self.alg.quantum_minor(rows, cols)
             sign = self._one if (i - j) % 2 == 0 else -self._one
-            coeff = sign * self.alg.q_power(i - j)
+            coeff = sign * self.alg.q ** (i - j)
             out = {m: coeff * c for m, c in minor.terms.items()}
             self._s_letter_cache[k] = out
         return out
@@ -560,12 +545,7 @@ class HopfContext:
         return out
 
     def _coaction_mono(self, m: Monomial, which: str):
-        cache = self._beta_cache if which == "beta" else self._alpha_cache
-        out = cache.get(m)
-        if out is None:
-            out = self._conjugate(self._delta2_mono(m), which)
-            cache[m] = out
-        return out
+        return self._conjugate(self._delta2_mono(m), which)
 
     def coaction(self, a: MqElement, which: str) -> TensorElement:
         """The adjoint coaction: h_2 (x) S(h_1) h_3 for beta, h_2 (x) h_3 S(h_1)

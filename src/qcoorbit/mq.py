@@ -107,16 +107,9 @@ class Monomial(Frozen):
         return f"Monomial({self})"
 
     def __str__(self):
-        if self.deg == 0:
-            return "1"
         n = self.n
-        parts = []
-        for k, e in enumerate(self.exps):
-            if e:
-                i, j = divmod(k, n)
-                g = f"x{i + 1}{j + 1}"
-                parts.append(g if e == 1 else f"{g}^{e}")
-        return "*".join(parts)
+        return laurent_word([f"x{i + 1}{j + 1}" for i in range(n)
+                             for j in range(n)], self.exps)
 
 
 def accumulate(out: dict, key, c) -> None:
@@ -153,6 +146,13 @@ def _coeff_str(c) -> str:
     if any(ch in body for ch in "+-/ "):
         return f"({s})"
     return s
+
+
+def laurent_word(names, exps) -> str:
+    """The word ``t1^2*t2^-1`` of an exponent vector over the variable
+    names; "1" when every exponent is 0."""
+    return "*".join(name if e == 1 else f"{name}^{e}"
+                    for name, e in zip(names, exps) if e) or "1"
 
 
 def render(terms) -> str:
@@ -352,9 +352,6 @@ class MatrixAlgebra:
             return self.one * c
         raise TypeError(f"cannot use {type(c).__name__} as a coefficient here")
 
-    def q_power(self, k: int):
-        return self.q ** k
-
     # -- element constructors ----------------------------------------------------
 
     def zero_element(self) -> MqElement:
@@ -474,7 +471,7 @@ class MatrixAlgebra:
             inv = sum(1 for a in range(t) for b in range(a + 1, t)
                       if perm[a] > perm[b])
             word = [(rows[a], cols[perm[a]]) for a in range(t)]
-            coeff = (-self.one) ** inv * self.q_power(inv)
+            coeff = (-self.one) ** inv * self.q ** inv
             total = total + self.normal_form(word, coeff)
         return total
 
@@ -510,7 +507,7 @@ class MatrixAlgebra:
             raise ValueError("tau index out of range")
         total = self.zero_element()
         for I in combinations(range(1, self.n + 1), i):
-            total = total + self.quantum_minor(I, I).scale(self.q_power(-2 * sum(I)))
+            total = total + self.quantum_minor(I, I).scale(self.q ** (-2 * sum(I)))
         return total
 
     # -- bases and gradings ----------------------------------------------------------

@@ -41,18 +41,9 @@ def _strip(coeffs):
     return tuple(coeffs[:n])
 
 
-def _int_content(coeffs):
-    g = 0
-    for c in coeffs:
-        g = math.gcd(g, c)
-        if g == 1:
-            return 1
-    return g or 1
-
-
 def _int_primitive(coeffs):
     """Strip integer content and make the leading coefficient positive."""
-    g = _int_content(coeffs)
+    g = math.gcd(*coeffs) or 1
     if coeffs and coeffs[-1] < 0:
         g = -g
     return tuple(c // g for c in coeffs)
@@ -98,13 +89,10 @@ class Poly(Frozen):
         if den < 0:
             coeffs, den = [-c for c in coeffs], -den
         coeffs = _strip(coeffs)
-        if not coeffs:
-            den = 1
-        else:
-            g = math.gcd(_int_content(coeffs), den)
-            if g > 1:
-                coeffs = tuple(c // g for c in coeffs)
-                den //= g
+        g = math.gcd(den, *coeffs)  # den itself for zero, which stores 1
+        if g > 1:
+            coeffs = tuple(c // g for c in coeffs)
+            den //= g
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "den", den)
 
@@ -156,7 +144,7 @@ class Poly(Frozen):
         d1, d2 = self.den, other.den
         if d1 == d2:
             return Poly([a + b for a, b in zip(c1, c2)], d1)
-        L = d1 * d2 // math.gcd(d1, d2)
+        L = math.lcm(d1, d2)
         m1, m2 = L // d1, L // d2
         return Poly([a * m1 + b * m2 for a, b in zip(c1, c2)], L)
 
@@ -233,9 +221,7 @@ class Poly(Frozen):
                     rem[k + j] -= c * gj
         if any(rem):
             raise ValueError("not an exact polynomial division")
-        den = 1
-        for c in quo:
-            den = den * c.denominator // math.gcd(den, c.denominator)
+        den = math.lcm(*(c.denominator for c in quo))
         return Poly([int(c * den) for c in quo], den)
 
     # -- plumbing -------------------------------------------------------------
@@ -297,7 +283,7 @@ class Scalar(Frozen):
     True
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly = _P_ONE, _reduced: bool = False):
         if den.is_zero():
@@ -306,7 +292,6 @@ class Scalar(Frozen):
             num, den = self._reduce(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", hash((num, den)))
 
     @staticmethod
     def _reduce(num: Poly, den: Poly):
@@ -445,7 +430,7 @@ class Scalar(Frozen):
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return self._hash
+        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"Scalar({self})"

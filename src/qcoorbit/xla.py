@@ -15,7 +15,7 @@ Pivoting is deterministic (leftmost nonzero, first available row).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _igcd
+from math import gcd, lcm
 
 from .scalars import Poly, Scalar
 
@@ -31,15 +31,9 @@ def _clear_content(row):
     if probe is None:
         return row
     if isinstance(probe, Fraction):
-        den = 1
-        for e in row:
-            den = den * e.denominator // _igcd(den, e.denominator)
+        den = lcm(*(e.denominator for e in row))
         ints = [int(e * den) for e in row]
-        g = 0
-        for v in ints:
-            g = _igcd(g, v)
-            if g == 1:
-                break
+        g = gcd(*ints)
         if g > 1:
             ints = [v // g for v in ints]
         return [Fraction(v) for v in ints]

@@ -36,6 +36,18 @@ def test_character_arithmetic():
         Character("q", {})
 
 
+def test_character_refuses_what_it_cannot_do():
+    """A character adds only characters and scales by integers: sums with
+    an integer, powers and products of two characters raise TypeError."""
+    c = chi_irreducible(2)
+    for op in (lambda: c + 1, lambda: 1 + c, lambda: c - 1, lambda: 1 - c,
+               lambda: c ** 0, lambda: c ** 2, lambda: c * c,
+               lambda: Character.zero() * Character.zero()):
+        with pytest.raises(TypeError):
+            op()
+    assert (c * 2).mults == (2 * c).mults == {-2: 2, 0: 2, 2: 2}
+
+
 def test_character_rendering():
     c = Character("z", {2: 1, 0: 2, -2: 1})
     assert str(c) == "z^2 + 2 + z^-2"

@@ -155,11 +155,19 @@ def test_degree_over_ceiling_exits_2(capsys):
     assert "ceiling" in err
 
 
+def _diagonal_point(n: int) -> str:
+    return json.dumps({"n": n, "entries": [
+        [str(i + 2) if i == j else "0" for j in range(n)] for i in range(n)]})
+
+
 def test_size_and_power_flags_bounded(capsys):
     """verify-coinvariants and identities refuse a size over SIZE_CEILING,
-    and identities a --max-n outside 0..POWER_CEILING, with exit 2 in under
-    2 s.  The refusals run in a subprocess, so that a regression fails on
-    the timeout instead of hanging."""
+    identities a --max-n outside 0..POWER_CEILING, and kernel, image and
+    character a point of a size that DEGREE_CEILING does not list (kernel
+    took about 20 s at size 6), with exit 2 in under 2 s.  The refusals run
+    in a subprocess, so that a regression fails on the timeout instead of
+    hanging.  eval, which only validates and evaluates, takes a 7 x 7
+    point."""
     script = ("import sys, time\n"
               "from qcoorbit.cli import main\n"
               "start = time.perf_counter()\n"
@@ -169,16 +177,22 @@ def test_size_and_power_flags_bounded(capsys):
     src = Path(qcoorbit.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     over = str(cli.POWER_CEILING + 1)
-    for argv, message in ((["verify-coinvariants", "--n", "4"], "ceiling 3"),
-                          (["identities", "--n", "4"], "ceiling 3"),
-                          (["identities", "--max-n", over], "--max-n"),
-                          (["identities", "--max-n", "-1"], "--max-n")):
+    cases = [(["verify-coinvariants", "--n", "4"], "ceiling 3"),
+             (["identities", "--n", "4"], "ceiling 3"),
+             (["identities", "--max-n", over], "--max-n"),
+             (["identities", "--max-n", "-1"], "--max-n")]
+    cases += [([command, "--point", _diagonal_point(n)], "ceiling 4")
+              for n in (5, 7) for command in ("kernel", "image", "character")]
+    for argv, message in cases:
         done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
                               capture_output=True, text=True, timeout=20)
         assert done.returncode == 2 and message in done.stderr, argv
         assert float(done.stdout) < 2, argv
     code, _, _ = run(capsys, "identities", "--max-n", str(cli.POWER_CEILING))
     assert code == 0
+    code, out, _ = run(capsys, "eval", "--point", _diagonal_point(7),
+                       "x11*x77 + x12")
+    assert code == 0 and json.loads(out)["value"] == "16"
 
 
 def test_malformed_point_exits_2(capsys):
@@ -206,8 +220,9 @@ def test_parse_q1_and_runconfig():
         parse_q1("q")
     assert check_degree(2, 4) == 4
     assert check_degree(3, 2) == 2
-    assert check_degree(7, 1) == 1
-    for n, d in ((2, 5), (3, 3), (7, 2)):
+    assert check_degree(4, 1) == 1
+    assert check_degree(2) == 4
+    for n, d in ((2, 5), (3, 3), (5, 1), (7, 1), (7, 2)):
         with pytest.raises(ValueError, match="ceiling"):
             check_degree(n, d)
     with pytest.raises(ValueError):

@@ -204,6 +204,26 @@ def test_poly_gcd_and_exact_div():
 _ints = st.integers(min_value=-4, max_value=4)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=-60, max_value=60), max_size=6),
+       st.integers(min_value=0, max_value=3),
+       st.integers(min_value=-60, max_value=60).filter(bool))
+def test_poly_stored_form(coeffs, zeros, den):
+    """Poly stores integer coefficients over a positive denominator with no
+    common integer factor over 1, trailing zeros stripped; zero stores
+    denominator 1."""
+    coeffs = coeffs + [0] * zeros
+    p = Poly(coeffs, den)
+    assert p.den > 0 and (not p.coeffs or p.coeffs[-1])
+    padded = p.coeffs + (0,) * (len(coeffs) - len(p.coeffs))
+    assert [Fraction(c, p.den) for c in padded] == \
+        [Fraction(c, den) for c in coeffs]
+    assert not any(p.den % k == 0 and all(c % k == 0 for c in p.coeffs)
+                   for k in range(2, p.den + 1))
+    if not any(coeffs):
+        assert p.den == 1
+
+
 @st.composite
 def scalars(draw, nonzero=False):
     num = draw(st.lists(_ints, min_size=1, max_size=4))
