@@ -1,8 +1,18 @@
 """Exact arithmetic in the rational function field Q(q).
 
 :class:`Scalar` is an element of Q(q): a reduced fraction ``num/den`` of
-polynomials in q, with ``den`` monic, so equality is syntactic equality.
-Rational numbers are the stdlib's :class:`fractions.Fraction`.
+polynomials in q, with ``den`` monic and gcd(num, den) = 1, so equality is
+syntactic equality.  Rational numbers are the stdlib's
+:class:`fractions.Fraction`.
+
+Most scalars the engine builds lie in Z[q, 1/q] or Q[q, 1/q]: straightening
+rules, minors, antipode cofactors and the ``tau`` weights all do.  Their
+reduced denominator is a power q^k, and each Scalar records that k (or -1
+for any other denominator).  A sum or product of two such scalars takes a
+fast path: one polynomial sum or product of the numerators over q^k, then a
+scan that strips the common power of q.  Nothing else can cancel, so the
+result is already reduced and the gcd-based reduction is skipped.  The
+stored form is the same either way.
 
 Scalars are immutable and hashable.  The whole engine is generic over the
 coefficient type: run it with Scalars for symbolic q, or with plain Fractions
@@ -39,6 +49,24 @@ def _strip(coeffs):
     while n and coeffs[n - 1] == 0:
         n -= 1
     return tuple(coeffs[:n])
+
+
+def _convolve(a, b):
+    """Product of nonempty integer coefficient tuples, as a list."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def _valuation(coeffs, stop):
+    """Number of leading zero coefficients, counted up to ``stop``."""
+    v = 0
+    while v < stop and v < len(coeffs) and coeffs[v] == 0:
+        v += 1
+    return v
 
 
 def _int_primitive(coeffs):
@@ -89,11 +117,12 @@ class Poly(Frozen):
         if den < 0:
             coeffs, den = [-c for c in coeffs], -den
         coeffs = _strip(coeffs)
-        g = math.gcd(den, *coeffs)  # den itself for zero, which stores 1
-        if g > 1:
-            coeffs = tuple(c // g for c in coeffs)
-            den //= g
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        if den > 1:
+            g = math.gcd(den, *coeffs)  # den itself for zero, which stores 1
+            if g > 1:
+                coeffs = tuple(c // g for c in coeffs)
+                den //= g
+        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "den", den)
 
     @classmethod
@@ -125,10 +154,7 @@ class Poly(Frozen):
 
     def valuation(self) -> int:
         """Largest k with q^k dividing the polynomial (0 for the constant 1)."""
-        v = 0
-        while v < len(self.coeffs) and self.coeffs[v] == 0:
-            v += 1
-        return v
+        return _valuation(self.coeffs, len(self.coeffs))
 
     def coefficient(self, k: int) -> Fraction:
         if 0 <= k < len(self.coeffs):
@@ -138,15 +164,7 @@ class Poly(Frozen):
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        c1 = self.coeffs + (0,) * (n - len(self.coeffs))
-        c2 = other.coeffs + (0,) * (n - len(other.coeffs))
-        d1, d2 = self.den, other.den
-        if d1 == d2:
-            return Poly([a + b for a, b in zip(c1, c2)], d1)
-        L = math.lcm(d1, d2)
-        m1, m2 = L // d1, L // d2
-        return Poly([a * m1 + b * m2 for a, b in zip(c1, c2)], L)
+        return Poly(*_shifted_sum(self, other, 0))
 
     def __neg__(self) -> "Poly":
         return Poly([-c for c in self.coeffs], self.den)
@@ -154,13 +172,7 @@ class Poly(Frozen):
     def __mul__(self, other: "Poly") -> "Poly":
         if not self.coeffs or not other.coeffs:
             return _P_ZERO
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return Poly(out, self.den * other.den)
+        return Poly(_convolve(self.coeffs, other.coeffs), self.den * other.den)
 
     def scale(self, x: Fraction) -> "Poly":
         x = Fraction(x)
@@ -245,6 +257,33 @@ _P_ONE = Poly((1,))
 _P_Q = Poly((0, 1))
 
 
+def _shifted_sum(a: Poly, b: Poly, shift: int):
+    """Integer coefficient list and denominator of a + q^shift * b."""
+    d1, d2 = a.den, b.den
+    if d1 == d2:
+        out, m2 = list(a.coeffs), 1
+    else:
+        d1 = math.lcm(d1, d2)
+        m1, m2 = d1 // a.den, d1 // d2
+        out = [c * m1 for c in a.coeffs]
+    n = shift + len(b.coeffs)
+    if len(out) < n:
+        out += [0] * (n - len(out))
+    for j, c in enumerate(b.coeffs, shift):
+        out[j] += c * m2
+    return out, d1
+
+
+# _Q_POWERS[k] is the denominator q^k, shared by every Scalar that has it.
+_Q_POWERS = [_P_ONE]
+
+
+def _q_power(k: int) -> Poly:
+    while len(_Q_POWERS) <= k:
+        _Q_POWERS.append(Poly((0,) * len(_Q_POWERS) + (1,)))
+    return _Q_POWERS[k]
+
+
 def _poly_str(p: Poly) -> str:
     if p.is_zero():
         return "0"
@@ -272,9 +311,9 @@ class Scalar(Frozen):
     """An element of the field Q(q), kept in reduced canonical form.
 
     ``num/den`` with monic ``den`` and gcd(num, den) = 1, so ``==`` is plain
-    syntactic equality.  Construct with :meth:`of`, :meth:`q`, or
-    :meth:`parse`; arithmetic is by the usual operators, with ints and
-    Fractions coerced.
+    syntactic equality.  ``qk`` is k when ``den`` is q^k and -1 otherwise.
+    Construct with :meth:`of`, :meth:`q`, or :meth:`parse`; arithmetic is by
+    the usual operators, with ints and Fractions coerced.
 
     >>> q = Scalar.q()
     >>> str((q**2 - 1) / (q - 1))
@@ -283,15 +322,16 @@ class Scalar(Frozen):
     True
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "qk")
 
-    def __init__(self, num: Poly, den: Poly = _P_ONE, _reduced: bool = False):
+    def __init__(self, num: Poly, den: Poly = _P_ONE):
         if den.is_zero():
             raise ZeroDivisionError("scalar with zero denominator")
-        if not _reduced:
-            num, den = self._reduce(num, den)
+        num, den = self._reduce(num, den)
+        k = den.degree if den.is_monomial() else -1   # den is monic
         object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "den", _q_power(k) if k >= 0 else den)
+        object.__setattr__(self, "qk", k)
 
     @staticmethod
     def _reduce(num: Poly, den: Poly):
@@ -324,7 +364,7 @@ class Scalar(Frozen):
         """Coerce an int, Fraction, or Scalar to a Scalar."""
         if isinstance(x, Scalar):
             return x
-        return cls(Poly.from_rational(x), _P_ONE, _reduced=True)
+        return _new(Poly.from_rational(x), _P_ONE, 0)
 
     @classmethod
     def q(cls) -> "Scalar":
@@ -352,6 +392,11 @@ class Scalar(Frozen):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        k1, k2 = self.qk, o.qk
+        if k1 >= 0 and k2 >= 0:
+            if k1 >= k2:
+                return _laurent(*_shifted_sum(self.num, o.num, k1 - k2), k1)
+            return _laurent(*_shifted_sum(o.num, self.num, k2 - k1), k2)
         if self.den == o.den:
             return Scalar(self.num + o.num, self.den)
         return Scalar(self.num * o.den + o.num * self.den, self.den * o.den)
@@ -359,7 +404,7 @@ class Scalar(Frozen):
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(-self.num, self.den, _reduced=True)
+        return _new(-self.num, self.den, self.qk)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -377,8 +422,12 @@ class Scalar(Frozen):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den.is_one() and o.den.is_one():
-            return Scalar(self.num * o.num, _P_ONE, _reduced=True)
+        if self.qk >= 0 and o.qk >= 0:
+            a, b = self.num, o.num
+            if not a.coeffs or not b.coeffs:
+                return _S_ZERO
+            return _laurent(_convolve(a.coeffs, b.coeffs), a.den * b.den,
+                            self.qk + o.qk)
         return Scalar(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -430,6 +479,8 @@ class Scalar(Frozen):
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
+        if self.qk == 0 and self.num.degree <= 0:
+            return hash(self.num.coefficient(0))   # as the equal Fraction
         return hash((self.num, self.den))
 
     def __repr__(self):
@@ -463,9 +514,29 @@ def _needs_parens(p: Poly) -> bool:
     return bool(p.coeffs) and p.coeffs[-1] < 0
 
 
-_S_ONE = Scalar(_P_ONE, _P_ONE, _reduced=True)
-_S_ZERO = Scalar(_P_ZERO, _P_ONE, _reduced=True)
-_S_Q = Scalar(_P_Q, _P_ONE, _reduced=True)
+def _new(num: Poly, den: Poly, k: int) -> Scalar:
+    """A Scalar from a form already reduced, with its ``qk``."""
+    s = object.__new__(Scalar)
+    object.__setattr__(s, "num", num)
+    object.__setattr__(s, "den", den)
+    object.__setattr__(s, "qk", k)
+    return s
+
+
+def _laurent(coeffs, den: int, k: int) -> Scalar:
+    """The Scalar (coeffs/den) / q^k, coeffs an integer list in ascending
+    powers: the common power of q is stripped by a scan of the low
+    coefficients, and nothing else needs reducing."""
+    v = _valuation(coeffs, k)
+    num = Poly(coeffs[v:] if v else coeffs, den)
+    if not num.coeffs:
+        return _S_ZERO
+    return _new(num, _q_power(k - v), k - v)
+
+
+_S_ONE = _new(_P_ONE, _P_ONE, 0)
+_S_ZERO = _new(_P_ZERO, _P_ONE, 0)
+_S_Q = _new(_P_Q, _P_ONE, 0)
 
 _TOKEN_RE = re.compile(r"\s*(\d+|q|\*|/|\+|-|\^|\(|\))")
 

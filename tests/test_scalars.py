@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qcoorbit
+from qcoorbit.coorbit import Point
 from qcoorbit.mq import MatrixAlgebra, _ElementParser
 from qcoorbit.scalars import PoleError, Poly, Scalar, ScalarParser
 
@@ -265,3 +266,109 @@ def test_specialize_is_ring_homomorphism(a, b):
         return
     assert sab == sa * sb
     assert ssum == sa + sb
+
+
+# -- the q-power fast path ----------------------------------------------------
+#
+# Sums and products of two Scalars whose denominators are powers of q skip
+# the general reduction.  Each result must be the one the reduction gives
+# for the unreduced fraction: Scalar(num, den) always reduces.
+
+def _form(s):
+    return s.num, s.den, s.qk, str(s)
+
+
+def _poly_power(p, k):
+    out = Poly((1,))
+    for _ in range(k):
+        out = out * p
+    return out
+
+
+@st.composite
+def laurents(draw):
+    """c(q)/(m q^k) for an integer polynomial c, an integer m and k <= 4."""
+    num = draw(st.lists(_ints, max_size=4))
+    den = draw(st.sampled_from([1, 1, 2, 3, -6]))
+    k = draw(st.integers(min_value=0, max_value=4))
+    return Scalar(Poly(num, den), Poly((0,) * k + (1,)))
+
+
+_rationals = st.one_of(_ints, st.fractions(min_value=-3, max_value=3,
+                                           max_denominator=6))
+
+
+@st.composite
+def laurent_pairs(draw):
+    """Two operands, one of them possibly an int or a Fraction; the second
+    may cancel the first wholly or in its low coefficients."""
+    a = draw(laurents())
+    how = draw(st.sampled_from(["free", "rational", "negated", "low"]))
+    if how == "free":
+        b = draw(laurents())
+    elif how == "rational":
+        b = draw(_rationals)
+    elif how == "negated":
+        b = -a
+    else:
+        coeffs = list(a.num.coeffs)
+        cut = draw(st.integers(min_value=0, max_value=len(coeffs)))
+        high = draw(st.lists(_ints, max_size=3))
+        low = [-c for c in coeffs[:cut]]
+        b = Scalar(Poly(low + high[len(low):], a.num.den), a.den)
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+def _parts(x):
+    s = Scalar.of(x)
+    return s.num, s.den
+
+
+@settings(max_examples=300, deadline=None)
+@given(laurent_pairs())
+def test_q_power_fast_path_matches_reduction(pair):
+    a, b = pair
+    (an, ad), (bn, bd) = _parts(a), _parts(b)
+    assert _form(a + b) == _form(Scalar(an * bd + bn * ad, ad * bd))
+    assert _form(a - b) == _form(Scalar(an * bd + -(bn * ad), ad * bd))
+    assert _form(a * b) == _form(Scalar(an * bn, ad * bd))
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurents(), st.integers(min_value=-3, max_value=3))
+def test_q_power_fast_path_powers(a, k):
+    num, den = a.num, a.den
+    if k < 0 and not num.is_monomial():
+        k = -k   # negative powers of c*q^j/q^k only: the rest leave Z[q, 1/q]
+    elif k < 0:
+        num, den = den, num
+    e = abs(k)
+    assert _form(a ** k) == \
+        _form(Scalar(_poly_power(num, e), _poly_power(den, e)))
+
+
+def test_q_power_fast_path_cases():
+    cases = [((q + 1) / q, 1 - 1 / q),               # constant terms cancel
+             (q ** -2 * (q + 2), -(2 / q ** 2)),        # low terms cancel
+             (Fraction(1, 2) / q, Fraction(-1, 2) / q),  # zero result
+             (3 * q / 4, Fraction(1, 4)),               # rational content
+             (2, q ** -1), (Fraction(2, 3), q ** -3 - q)]
+    for a, b in cases:
+        for x, y in ((a, b), (b, a)):
+            (xn, xd), (yn, yd) = _parts(x), _parts(y)
+            assert _form(x + y) == _form(Scalar(xn * yd + yn * xd, xd * yd))
+            assert _form(x * y) == _form(Scalar(xn * yn, xd * yd))
+    assert _form((q + 1) / q + (1 - 1 / q)) == _form(Scalar.of(2))
+    assert _form(Fraction(1, 2) / q + Fraction(-1, 2) / q) == \
+        _form(Scalar.of(0))
+    assert str((3 * q + 1) / (2 * q ** 2) * (2 * q)) == "(3*q + 1)/q"
+
+
+def test_constant_scalar_hashes_as_its_rational():
+    for x in (1, 0, -7, Fraction(3, 2)):
+        assert Scalar.of(x) == x and hash(Scalar.of(x)) == hash(x)
+        assert len({Scalar.of(x), x}) == 1
+    assert hash(q * q ** -1) == hash(1)
+    plain = Point([[1, 0], [0, Fraction(3, 2)]])
+    lifted = Point([[Scalar.of(1), 0], [0, Scalar.of(Fraction(3, 2))]])
+    assert plain == lifted and hash(plain) == hash(lifted)
