@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -318,3 +319,24 @@ def test_oversized_input_exits_2_quickly(capsys):
     code, _, err = run(capsys, "kernel", "--point", point, "--degree", "1")
     assert code == 2 and "bound" in err
     assert time.perf_counter() - start < 5
+
+
+def test_large_q_power_denominator_is_cheap():
+    """eval builds (1/q^1000)^100 by repeated squaring: each denominator q^k
+    costs O(k), not the O(k^2) of every power of q below it.  It runs in a
+    subprocess under a 1 GB address-space limit, so that a regression fails
+    on memory or the timeout instead of exhausting the machine."""
+    point = '{"n": 2, "entries": [["1/q^1000", "0"], ["0", "1"]]}'
+    src = Path(qcoorbit.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "qcoorbit.cli", "eval", "x11^100",
+         "--point", point],
+        env=env, capture_output=True, text=True, timeout=20,
+        preexec_fn=limit_memory)
+    assert done.returncode == 0, done.stderr[-500:]
+    assert json.loads(done.stdout)["value"] == "1/q^100000"

@@ -158,19 +158,6 @@ def test_map_validates_input(H2, generic):
 # -- truncated kernels, ideals, images --------------------------------------------------
 
 
-def test_generic_point_dimensions(generic):
-    expected = {1: (1, 1, 4), 2: (6, 6, 9), 3: (19, 19, 16)}
-    for d, (k, i, im) in expected.items():
-        ker = generic.kernel_basis(d)
-        ideal = generic.ideal_truncation(d)
-        img = generic.image_data(d)
-        assert ker.dim == k
-        assert ideal.dim == i
-        assert img.space.dim == im
-        assert ideal.is_subspace_of(ker)
-        assert ker == ideal
-
-
 def _complete_intersection_dim(n, d):
     """Dimension in degree <= d of an ideal cut out by a regular sequence of
     degrees 1..n in n^2 variables: the monomial count minus the quotient's,
@@ -195,19 +182,25 @@ def _generic_diagonals(rng, n, count):
     return out
 
 
-@pytest.mark.parametrize("n, dmax, diag", [
-    *((2, 3, diag) for diag in _generic_diagonals(random.Random(2), 2, 4)),
-    *((3, 2, diag) for diag in _generic_diagonals(random.Random(3), 3, 2))],
-    ids=str)
-def test_generic_kernel_is_complete_intersection(H2, H3, n, dmax, diag):
+def test_generic_point_dimensions(H2, H3, generic):
     """At a generic diagonal point the shifted coinvariants tau_i - c_i form
     a regular sequence, so the truncated kernel has the complete-intersection
-    dimension (1, 6, 19 at n = 2; 1, 11 at n = 3) and equals the ideal."""
-    bmap = CoorbitMap(H2 if n == 2 else H3, Point.diagonal(diag))
-    for d in range(1, dmax + 1):
-        kernel = bmap.kernel_basis(d)
-        assert kernel.dim == _complete_intersection_dim(n, d)
-        assert kernel == bmap.ideal_truncation(d)
+    dimension (1, 6, 19 at size 2; 1, 11 at size 3) and equals the ideal
+    truncation: at diag(2, 3), whose image dimensions are checked too, at
+    four seeded size-2 points up to degree 3 and at two size-3 points up to
+    degree 2."""
+    for d, im in ((1, 4), (2, 9), (3, 16)):
+        assert generic.image_data(d).space.dim == im
+    maps = [(2, 3, generic)]
+    maps += [(2, 3, CoorbitMap(H2, Point.diagonal(diag)))
+             for diag in _generic_diagonals(random.Random(2), 2, 4)]
+    maps += [(3, 2, CoorbitMap(H3, Point.diagonal(diag)))
+             for diag in _generic_diagonals(random.Random(3), 3, 2)]
+    for n, dmax, bmap in maps:
+        for d in range(1, dmax + 1):
+            kernel = bmap.kernel_basis(d)
+            assert kernel.dim == _complete_intersection_dim(n, d), bmap.point
+            assert kernel == bmap.ideal_truncation(d), bmap.point
 
 
 def test_nilpotent_point_dimensions(nilpotent):
