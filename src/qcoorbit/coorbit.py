@@ -128,16 +128,30 @@ class TruncatedSubspace(Frozen):
     """A subspace of a finite coefficient space with labeled coordinates.
 
     Stores the unique reduced echelon basis over the given key list, so two
-    subspaces over the same keys are equal iff their bases coincide.
+    subspaces over the same keys are equal iff their bases coincide.  The
+    constructor echelonizes any spanning rows; :meth:`_of_rref` takes rows
+    that already are that basis (as :func:`xla.kernel` returns them) and
+    stores them as they are.
     """
 
     __slots__ = ("keys", "rows", "pivots")
 
     def __init__(self, keys, rows):
+        rref, pivots, _rank = xla.echelon([list(r) for r in rows])
+        self._store(keys, rref, pivots)
+
+    @classmethod
+    def _of_rref(cls, keys, rref):
+        """The subspace whose reduced echelon basis is ``rref``, unchecked."""
+        self = cls.__new__(cls)
+        pivots = [next(i for i, c in enumerate(r) if c) for r in rref]
+        self._store(keys, rref, pivots)
+        return self
+
+    def _store(self, keys, rref, pivots):
         keys = tuple(keys)
         if len(set(keys)) != len(keys):
             raise ValueError("duplicate keys")
-        rref, pivots, _rank = xla.echelon([list(r) for r in rows])
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "rows", tuple(tuple(r) for r in rref))
         object.__setattr__(self, "pivots", tuple(pivots))
@@ -256,7 +270,7 @@ class CoorbitMap:
         # one row per codomain monomial, one column per domain monomial
         rows = [list(col) for col in zip(*_dense_rows(codomain, lifted, alg.zero))]
         kernel_vectors = xla.kernel(rows, len(domain), alg.one)
-        return TruncatedSubspace(domain, kernel_vectors)
+        return TruncatedSubspace._of_rref(domain, kernel_vectors)
 
     def ideal_truncation(self, d: int) -> TruncatedSubspace:
         """Truncated span of the coinvariant-generated ideal, over the

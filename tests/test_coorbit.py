@@ -203,6 +203,19 @@ def test_generic_point_dimensions(H2, H3, generic):
             assert kernel == bmap.ideal_truncation(d), bmap.point
 
 
+def test_kernel_basis_is_already_canonical(H2, generic):
+    """kernel_basis stores the kernel vectors without a second elimination;
+    echelonizing them again changes nothing, at a generic and at a resonant
+    point."""
+    resonant = CoorbitMap(H2, Point.diagonal([2 * H2.alg.q ** 2, 2]))
+    for cm in (generic, resonant):
+        for d in range(1, 4):
+            kernel = cm.kernel_basis(d)
+            again = TruncatedSubspace(kernel.keys, kernel.rows)
+            assert kernel == again, (cm.point, d)
+            assert kernel.pivots == again.pivots, (cm.point, d)
+
+
 def test_nilpotent_point_dimensions(nilpotent):
     expected = {1: (1, 1, 4), 2: (6, 6, 9), 3: (19, 19, 16)}
     for d, (k, i, im) in expected.items():

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 from qcoorbit.scalars import Scalar
-from qcoorbit.xla import echelon, kernel, member
+from qcoorbit.xla import _blocks, _eliminate, echelon, kernel, member
 
 q = Scalar.q()
 one = Scalar.of(1)
@@ -54,7 +54,8 @@ def test_kernel_vectors_annihilate_exactly():
 def test_member_reduces_to_zero():
     rows = [[one, zero, q], [zero, one, -q]]
     rref, pivots, _ = echelon(rows)
-    assert member([q, -q, q**2 - q * q + zero], rref, pivots) is False or True
+    assert not member([q, -q, zero], rref, pivots)
+    assert member([q, -q, 2 * q**2], rref, pivots)  # q*row1 - q*row2
     assert member([one + zero, one, zero], rref, pivots)  # row1 + row2
     assert not member([zero, zero, one], rref, pivots)
 
@@ -96,3 +97,100 @@ def test_rref_is_canonical():
     r1, p1, _ = echelon(rows1)
     r2, p2, _ = echelon(rows2)
     assert p1 == p2 and r1 == r2
+
+
+# -- block split and the kernel contract ------------------------------------
+
+
+def _fraction(rnd):
+    return Fraction(rnd.choice([v for v in range(-4, 5) if v]),
+                    rnd.randint(1, 3))
+
+
+def _scalar(rnd):
+    e = S(rnd.choice([-2, -1, 1, 2])) * q ** rnd.randint(0, 2) \
+        + S(rnd.randint(-2, 2))
+    return e if e else one
+
+
+def _shuffled_blocks(rnd, shapes, entry, zero, zero_rows=0, zero_cols=0):
+    """A matrix that is block-diagonal with blocks of the given (rows, cols)
+    shapes, plus all-zero rows and columns, with rows and columns shuffled.
+    Every block entry is nonzero and each block of two or more rows also
+    gets a row that is a sum of two of its rows, so the rank drops."""
+    ncols = sum(c for _r, c in shapes) + zero_cols
+    order = list(range(ncols))
+    rnd.shuffle(order)
+    rows, start = [], 0
+    for nr, nc in shapes:
+        block = [[entry(rnd) for _ in range(nc)] for _ in range(nr)]
+        if nr >= 2:
+            block.append([a + b for a, b in zip(block[0], block[-1])])
+        for br in block:
+            row = [zero] * ncols
+            for j, e in enumerate(br):
+                row[order[start + j]] = e
+            rows.append(row)
+        start += nc
+    rows += [[zero] * ncols for _ in range(zero_rows)]
+    rnd.shuffle(rows)
+    return rows
+
+
+BLOCK_SHAPES = [
+    [(3, 4)],                          # a single full block
+    [(1, 1), (1, 1), (1, 1)],          # one-entry blocks
+    [(2, 3), (1, 1), (3, 2)],
+    [(2, 2), (3, 3), (1, 2), (1, 1)],
+]
+
+
+def test_block_split_matches_one_unsplit_pass():
+    """The block-split echelon gives what one pass of the elimination loop
+    over the whole matrix gives, over Fractions and over Q(q)."""
+    cases = [(_fraction, Fraction(0), seed) for seed in range(12)]
+    cases += [(_scalar, zero, seed) for seed in range(4)]
+    for entry, zero_entry, seed in cases:
+        rnd = random.Random(seed)
+        for shapes in BLOCK_SHAPES:
+            m = _shuffled_blocks(rnd, shapes, entry, zero_entry,
+                                 zero_rows=seed % 3, zero_cols=seed % 2)
+            split = echelon(m)
+            rows, pivots = _eliminate(m)
+            assert split == (rows, pivots, len(rows)), (seed, shapes)
+            supports = [[c for c, e in enumerate(r) if e] for r in m]
+            assert len(_blocks([s for s in supports if s])) == len(shapes)
+
+
+def _free_columns(m, ncols):
+    """Column c starts a kernel vector exactly when it lies in the span of
+    the columns to its right, i.e. adding it leaves the rank unchanged."""
+    def suffix_rank(c):
+        return rank([r[c:] for r in m]) if c < ncols else 0
+    return [c for c in range(ncols) if suffix_rank(c) == suffix_rank(c + 1)]
+
+
+def test_kernel_is_its_own_rref():
+    """The kernel vectors are the kernel's reduced echelon basis, with the
+    free columns as pivots; each is annihilated and dim = ncols - rank."""
+    cases = []
+    for seed in range(6):
+        rnd = random.Random(seed)
+        entry, one_entry, zero_entry = \
+            (_fraction, Fraction(1), Fraction(0)) if seed % 2 \
+            else (_scalar, one, zero)
+        shapes = [(rnd.randint(1, 2), rnd.randint(1, 3)) for _ in range(3)]
+        m = _shuffled_blocks(rnd, shapes, entry, zero_entry, zero_cols=1)
+        cases.append((m, len(m[0]), one_entry, zero_entry))
+    cases.append(([], 3, one, zero))                              # zero map
+    cases.append(([[zero] * 3, [zero] * 3], 3, one, zero))        # zero map
+    cases.append(([[one, q], [q, one]], 2, one, zero))            # full rank
+    cases.append(([[one, q, zero], [q, one, one]], 3, one, zero))  # onto
+    for m, ncols, one_entry, zero_entry in cases:
+        basis = kernel(m, ncols, one_entry)
+        free = _free_columns(m, ncols)
+        assert echelon(basis) == (basis, free, len(free))
+        assert len(basis) == ncols - rank(m)
+        for v in basis:
+            for row in m:
+                assert not sum((a * b for a, b in zip(row, v)), zero_entry)
