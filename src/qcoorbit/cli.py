@@ -36,9 +36,10 @@ CONVENTIONS = {
 # refuse every other size (kernel at a 6 x 6 point took about 20 s at
 # degree 1).
 DEGREE_CEILING = {1: 1, 2: 4, 3: 2, 4: 1}
-# The largest --n of verify-coinvariants and identities (both ran for more
-# than 30 s at size 4), and the largest --max-n of identities (about 1 s at
-# 14, 33 s at 30).
+# The largest --n of verify-coinvariants and identities, and the largest
+# --max-n of identities (about 1 s at 14, 33 s at 30).  At size 4 the
+# coinvariance check of tau_2 alone takes about 7 s, that of tau_3 did not
+# finish in 2 minutes, and identities ran for more than 60 s.
 SIZE_CEILING = 3
 POWER_CEILING = 14
 

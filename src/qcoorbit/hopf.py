@@ -10,7 +10,8 @@ and the antipode sends x_ij to its signed quantum cofactor over det.
 The two adjoint coactions are
     beta(h) = h_2 (x) S(h_1) h_3      (one-sided "conjugation" from the right)
     alpha(h) = h_2 (x) h_3 S(h_1)
-computed per monomial from the two-fold coproduct.  One fold computes that
+computed by homogeneous part: the part's two-fold coproducts are summed,
+then conjugated once (much of the sum cancels).  One fold computes that
 coproduct with the middle leg either kept (the coactions) or evaluated at a
 point: at the identity, where evaluation is the counit, it gives the
 coproduct, and at a classical point the co-orbit map.  A :class:`HopfContext`
@@ -544,8 +545,21 @@ class HopfContext:
                     accumulate(out, (v, pm), csc * pc)
         return out
 
-    def _coaction_mono(self, m: Monomial, which: str):
-        return self._conjugate(self._delta2_mono(m), which)
+    def _coaction_mono(self, part, which: str):
+        """The coaction of one homogeneous part, given as its ``(monomial,
+        coeff)`` pairs of one degree d: the coefficient-weighted sum of their
+        two-fold coproducts, conjugated once.  Much of that sum cancels (the
+        coinvariants are sums of minors, whose coproducts are short), so one
+        conjugation of the sum does a fraction of the work of one per
+        monomial.  Returns ``{(v, numerator monomial): coeff}`` over det^d.
+        The benchmark's tracer (``perfbench/tracer.py``) times the Hopf
+        layer under this name, so it is kept although the method takes a
+        whole part, not one monomial."""
+        folded = {}
+        for m, c in part:
+            for key, cc in self._delta2_mono(m).items():
+                accumulate(folded, key, c * cc)
+        return self._conjugate(folded, which)
 
     def coaction(self, a: MqElement, which: str) -> TensorElement:
         """The adjoint coaction: h_2 (x) S(h_1) h_3 for beta, h_2 (x) h_3 S(h_1)
@@ -554,15 +568,15 @@ class HopfContext:
             raise ValueError("coaction kind must be 'beta' or 'alpha'")
         if not isinstance(a, MqElement):
             raise TypeError("coactions here take matrix-algebra elements")
-        total = None
+        # a part of degree d lands over det^d; the sum lifts to the largest
+        parts = {}
         for m, c in a.terms.items():
-            part = TensorElement(
-                self, ("mq", "glq"),
-                {k: c * cc for k, cc in self._coaction_mono(m, which).items()},
-                (None, m.deg))
-            total = part if total is None else total + part
-        if total is None:
-            total = TensorElement(self, ("mq", "glq"), {}, (None, 0))
+            parts.setdefault(m.deg, []).append((m, c))
+        total = TensorElement(self, ("mq", "glq"), {}, (None, 0))
+        for d in sorted(parts):
+            total = total + TensorElement(
+                self, ("mq", "glq"), self._coaction_mono(parts[d], which),
+                (None, d))
         return total
 
     def coaction_beta(self, a: MqElement) -> TensorElement:

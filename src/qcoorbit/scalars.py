@@ -217,26 +217,31 @@ class Poly(Frozen):
         return self.scale(1 / lead)
 
     def exact_div(self, g: "Poly") -> "Poly":
-        """Exact quotient self / g; raises if the division leaves a remainder."""
+        """Exact quotient self / g; raises if the division leaves a remainder.
+
+        Divides the integer numerators by g's primitive part, in Z[q]: by
+        Gauss's lemma a quotient in Q[q] then lies in Z[q], so every step is
+        an exact integer division, and one that is not proves a remainder.
+        The two denominators and g's content rescale the result.
+        """
         if g.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = [Fraction(c, self.den) for c in self.coeffs]
-        gc = [Fraction(c, g.den) for c in g.coeffs]
-        dq = len(rem) - len(gc)
-        if dq < 0 and any(rem):
-            raise ValueError("not an exact polynomial division")
-        quo = [Fraction(0)] * (dq + 1 if dq >= 0 else 0)
-        lg = gc[-1]
-        for k in range(dq, -1, -1):
-            c = rem[k + len(gc) - 1] / lg
+        rem = list(self.coeffs)
+        content = math.gcd(*g.coeffs)
+        gp = [c // content for c in g.coeffs]
+        top, lg = len(gp) - 1, gp[-1]
+        quo = [0] * max(len(rem) - top, 0)
+        for k in range(len(quo) - 1, -1, -1):
+            c, r = divmod(rem[k + top], lg)
+            if r:
+                raise ValueError("not an exact polynomial division")
             quo[k] = c
             if c:
-                for j, gj in enumerate(gc):
+                for j, gj in enumerate(gp):
                     rem[k + j] -= c * gj
         if any(rem):
             raise ValueError("not an exact polynomial division")
-        den = math.lcm(*(c.denominator for c in quo))
-        return Poly([int(c * den) for c in quo], den)
+        return Poly([c * g.den for c in quo], self.den * content)
 
     # -- plumbing -------------------------------------------------------------
 

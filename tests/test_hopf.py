@@ -1,6 +1,7 @@
 """Tests for the Hopf layer: coproduct, antipode, coactions, projections."""
 
 import hashlib
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from qcoorbit.coorbit import CoorbitMap, Point
 from qcoorbit.hopf import HopfContext, TensorElement
-from qcoorbit.mq import MatrixAlgebra, Monomial
+from qcoorbit.mq import MatrixAlgebra, Monomial, accumulate
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +223,87 @@ def test_coaction_on_sums_lifts_det_powers(H2):
         H2, ("mq", "glq"),
         {(m, Monomial.one(2)): c for m, c in a.terms.items()}, (None, 0))
     assert t == expected
+
+
+def per_monomial_coaction(H, a, which):
+    """The coaction as a sum over monomials: each monomial's two-fold
+    coproduct conjugated on its own, over det^deg(m), scaled by its
+    coefficient."""
+    total = TensorElement(H, ("mq", "glq"), {}, (None, 0))
+    for m, c in a.terms.items():
+        conj = H._conjugate(H._delta2_mono(m), which)
+        total = total + TensorElement(
+            H, ("mq", "glq"), {k: c * cc for k, cc in conj.items()},
+            (None, m.deg))
+    return total
+
+
+def seeded_element(H, seed, max_deg, nterms):
+    """A seeded element whose i-th term has degree i mod (max_deg + 1), with
+    coefficients that are neither all 1 nor all Laurent polynomials."""
+    rng = random.Random(seed)
+    A = H.alg
+    q = A.q
+    coeffs = (A.one, -A.one, 2 * A.one, q, -q ** -2, q - 1 / q,
+              (q + 1) / (q - 2), Fraction(3, 5))
+    a = A.scalar_element(0)
+    for i in range(nterms):
+        exps = [0] * H.n ** 2
+        for _ in range(i % (max_deg + 1)):
+            exps[rng.randrange(H.n ** 2)] += 1
+        a = a + A.monomial_element(Monomial(H.n, tuple(exps))).scale(
+            rng.choice(coeffs))
+    return a
+
+
+def assert_same_coaction(H, a, which):
+    got = H.coaction(a, which)
+    want = per_monomial_coaction(H, a, which)
+    assert got.detpows == want.detpows
+    assert got.terms == want.terms
+    assert str(got) == str(want)
+
+
+def test_coaction_by_part_matches_per_monomial_n2(H2):
+    A = H2.alg
+    x = A.generator
+    q = A.q
+    # x11 x22 - x22 x11 = (q - 1/q) x12 x21: this sum straightens to zero
+    zero = x(1, 1) * x(2, 2) - x(2, 2) * x(1, 1) - (q - 1 / q) * x(1, 2) * x(2, 1)
+    assert zero.terms == {}
+    cases = [seeded_element(H2, seed, 3, 6) for seed in range(4)]
+    cases += [
+        seeded_element(H2, 4, 3, 5) + A.scalar_element(q + 2),
+        seeded_element(H2, 5, 2, 4) + zero.scale(q + 3),
+        A.quantum_determinant() - x(1, 1) * x(2, 2) + x(1, 2) + 7,
+        A.scalar_element(0),
+    ]
+    assert all({m.deg for m in a.terms} == {0, 1, 2, 3} for a in cases[:4])
+    for a in cases:
+        for which in ("beta", "alpha"):
+            assert_same_coaction(H2, a, which)
+
+
+def test_coaction_by_part_matches_per_monomial_n3(H3):
+    for seed in range(2):
+        a = seeded_element(H3, 10 + seed, 2, 4)
+        for which in ("beta", "alpha"):
+            assert_same_coaction(H3, a, which)
+
+
+def test_summed_fold_of_determinant_is_grouplike(H2, H3):
+    """det is group-like, so the coefficient-weighted sum of the two-fold
+    coproducts of its monomials is det (x) det (x) det."""
+    for H, size in ((H2, 8), (H3, 216)):
+        det = H.alg.quantum_determinant().terms
+        folded = {}
+        for m, c in det.items():
+            for key, cc in H._delta2_mono(m).items():
+                accumulate(folded, key, c * cc)
+        cube = {(u, v, w): cu * cv * cw for (u, cu), (v, cv), (w, cw)
+                in product(det.items(), repeat=3)}
+        assert len(cube) == size
+        assert folded == cube
 
 
 # -- tensor plumbing ---------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -198,6 +200,76 @@ def test_poly_gcd_and_exact_div():
     assert a.exact_div(g) == Poly((-1, 0, 1))
     with pytest.raises(ValueError):
         Poly((1, 1)).exact_div(Poly((0, 1)))
+
+
+def fraction_long_division(a: Poly, b: Poly):
+    """Quotient and remainder of a / b in Q[q], on Fraction coefficients."""
+    rem = [a.coefficient(k) for k in range(a.degree + 1)]
+    bc = [b.coefficient(k) for k in range(b.degree + 1)]
+    quo = [Fraction(0)] * max(len(rem) - len(bc) + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c = quo[k] = rem[k + len(bc) - 1] / bc[-1]
+        for j, bj in enumerate(bc):
+            rem[k + j] -= c * bj
+    return quo, rem
+
+
+def as_poly(fractions):
+    den = math.lcm(*(c.denominator for c in fractions))
+    return Poly([int(c * den) for c in fractions], den)
+
+
+def seeded_poly(rng, degree, den_choices=(1,)):
+    coeffs = [rng.randint(-9, 9) for _ in range(degree)] + [rng.choice(
+        (-7, -3, -2, -1, 1, 2, 5))]
+    return Poly(coeffs, rng.choice(den_choices))
+
+
+def test_exact_div_on_products():
+    """(A * B).exact_div(B) == A over seeded pairs, and the Fraction long
+    division agrees."""
+    rng = random.Random(20)
+    cases = []
+    for _ in range(40):
+        a = seeded_poly(rng, rng.randint(0, 6), (1, 2, 3, 12, 35))
+        b = seeded_poly(rng, rng.randint(0, 4), (1, 4, 9, 10))
+        cases.append((a, b))
+    cases += [
+        (Poly((1, 2, 3), 5), Poly((4, -6, 2))),        # non-primitive B
+        (Poly((0, -1, 0, 7), 3), Poly((6, 0, -4), 9)),  # content with den
+        (Poly((5, 1)), Poly((3, 1, -2))),              # negative leading B
+        (Poly((2, 0, 1), 7), Poly((-6,), 5)),          # constant B
+        (Poly(()), Poly((1, 1), 3)),                   # A = 0
+        (Poly(()), Poly((-4,))),
+    ]
+    assert any(b.leading < 0 for _, b in cases)
+    assert any(b.degree == 0 for _, b in cases)
+    for a, b in cases:
+        assert (a * b).exact_div(b) == a
+        quo, rem = fraction_long_division(a * b, b)
+        assert not any(rem) and as_poly(quo) == a
+
+
+def test_exact_div_inexact_raises():
+    rng = random.Random(21)
+    cases = [(Poly((1, 1)), Poly((0, 1))),
+             (Poly((1,)), Poly((1, 1))),               # deg a < deg b
+             (Poly((3, 2, 1), 2), Poly((1, 2), 3)),
+             (Poly((1, 0, 1)), Poly((2, 0, 2)))]       # exact: B = 2A
+    for _ in range(40):
+        a = seeded_poly(rng, rng.randint(0, 6), (1, 2, 5))
+        b = seeded_poly(rng, rng.randint(1, 4), (1, 3))
+        cases.append((a * b + seeded_poly(rng, 0), b))
+    inexact = 0
+    for a, b in cases:
+        quo, rem = fraction_long_division(a, b)
+        if any(rem):
+            inexact += 1
+            with pytest.raises(ValueError):
+                a.exact_div(b)
+        else:
+            assert a.exact_div(b) == as_poly(quo)
+    assert inexact >= 40
 
 
 # -- property tests ----------------------------------------------------------
