@@ -164,16 +164,25 @@ def _point_setup(args):
     hopf, point = _point_context(args)
     d = check_degree(hopf.alg.n, args.degree)
     cm = CoorbitMap(hopf, point, args.coaction)
-    return hopf, cm, d
+    return cm, d
 
 
 def _point_json(point: Point):
     return [[str(e) for e in row] for row in point.entries]
 
 
+def _degrees_report(command: str, cm: CoorbitMap, degrees) -> dict:
+    """The report of a command run per truncation degree at a point."""
+    report = _base_report(command, cm.hopf.alg)
+    report["point"] = _point_json(cm.point)
+    report["coaction"] = cm.which
+    report["degrees"] = degrees
+    return report
+
+
 def cmd_kernel(args):
-    hopf, cm, dmax = _point_setup(args)
-    alg = hopf.alg
+    cm, dmax = _point_setup(args)
+    alg = cm.hopf.alg
     degrees = []
     ok = True
     for d in range(1, dmax + 1):
@@ -194,15 +203,11 @@ def cmd_kernel(args):
             "kernel_equals_ideal": ker == ideal,
             "kernel_basis": basis,
         })
-    report = _base_report("kernel", alg)
-    report["point"] = _point_json(cm.point)
-    report["coaction"] = cm.which
-    report["degrees"] = degrees
-    return report, ok
+    return _degrees_report("kernel", cm, degrees), ok
 
 
 def cmd_image(args):
-    hopf, cm, dmax = _point_setup(args)
+    cm, dmax = _point_setup(args)
     degrees = []
     ok = True
     for d in range(1, dmax + 1):
@@ -224,15 +229,11 @@ def cmd_image(args):
             "sl2_decomposition": decomp,
             "inside_diag_coinvariants": coinv,
         })
-    report = _base_report("image", hopf.alg)
-    report["point"] = _point_json(cm.point)
-    report["coaction"] = cm.which
-    report["degrees"] = degrees
-    return report, ok
+    return _degrees_report("image", cm, degrees), ok
 
 
 def cmd_character(args):
-    hopf, cm, dmax = _point_setup(args)
+    cm, dmax = _point_setup(args)
     degrees = []
     zchars = []
     for d in range(1, dmax + 1):
@@ -245,10 +246,7 @@ def cmd_character(args):
             "z_character": str(zchar),
             "t_character": str(character_of(img, "t")),
         })
-    report = _base_report("character", hopf.alg)
-    report["point"] = _point_json(cm.point)
-    report["coaction"] = cm.which
-    report["degrees"] = degrees
+    report = _degrees_report("character", cm, degrees)
     report["stabilized"] = (len(zchars) >= 2 and zchars[-1] == zchars[-2])
     return report, True
 

@@ -11,12 +11,14 @@ and images at diagonal points are block-diagonal by torus weight, so each
 block is small.  Row operations never leave a block, so each block is
 eliminated on its own columns and the rows are merged back in pivot order.
 
-Within a block the rule is: while eliminating, rows are kept as cleared
-polynomial rows (denominators multiplied out) and their content is stripped
-after every round, which keeps coefficient growth in check; the final
-reduced echelon form is then normalized (pivots scaled to 1, cleared upward),
-making it the unique RREF — so row-set equality of RREFs is subspace equality.
-Pivoting is deterministic (leftmost nonzero, first available row).
+Within a block the rule is plain Gauss-Jordan elimination in the entry
+field: each pivot row is scaled to 1 and clears the rows below it, then the
+rows are cleared upward from the bottom one.  Entries stay small because
+every field operation returns a reduced element (``Scalar`` and
+``Fraction`` both keep themselves in lowest terms), so rows need no
+separate clearing of denominators or content.  The result is the unique
+RREF, so row-set equality of RREFs is subspace equality.  Pivoting is
+deterministic (leftmost nonzero, first available row).
 
 The kernel eliminates the matrix with its columns reversed.  The vector it
 reads off for a free column then starts with a 1 at that column and is zero
@@ -26,61 +28,13 @@ and need no second elimination.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
-
-from .scalars import Poly, Scalar
-
-
-def _clear_content(row):
-    """Rescale a row by a nonzero field constant to tame entry growth.
-
-    Scalar rows: clear to common-denominator polynomial entries and divide
-    out their polynomial/rational content.  Fraction rows: clear to integers
-    and divide by the integer gcd.  Other types pass through untouched.
-    """
-    probe = next((e for e in row if e), None)
-    if probe is None:
-        return row
-    if isinstance(probe, Fraction):
-        den = lcm(*(e.denominator for e in row))
-        ints = [int(e * den) for e in row]
-        g = gcd(*ints)
-        if g > 1:
-            ints = [v // g for v in ints]
-        return [Fraction(v) for v in ints]
-    if not isinstance(probe, Scalar):
-        return row
-    den = Poly((1,))
-    for e in row:
-        if e and not e.den.is_one():
-            g = Poly.gcd(den, e.den)
-            den = den * e.den.exact_div(g) if g.degree > 0 else den * e.den
-    cleared = [e * Scalar(den) if e else e for e in row]
-    nums = [e.num for e in cleared if e]
-    g = nums[0]
-    for p in nums[1:]:
-        if g.degree == 0:
-            break
-        g = Poly.gcd(g, p)
-    if g.degree > 0:
-        inv = Scalar(Poly((1,)), g)
-        cleared = [e * inv if e else e for e in cleared]
-    # strip the rational content so integer coefficients stay small
-    lead = next(e for e in cleared if e)
-    c = lead.num.leading
-    if c != 1:
-        cleared = [e / c if e else e for e in cleared]
-    return cleared
-
 
 def _eliminate(rows):
-    """Fraction-free elimination of one block, normalized to its RREF.
+    """Gauss-Jordan elimination of one block, to its RREF.
 
     Returns ``(rref_rows, pivot_columns)``; zero rows are dropped.
     """
-    work = [_clear_content(list(r)) for r in rows]
-    work = [r for r in work if any(r)]
+    work = [list(r) for r in rows if any(r)]
     if not work:
         return [], []
     ncols = len(work[0])
@@ -92,25 +46,25 @@ def _eliminate(rows):
             continue
         work[r], work[src] = work[src], work[r]
         pv = work[r][col]
+        work[r] = prow = [a / pv if a else a for a in work[r]]
         for i in range(r + 1, len(work)):
-            ci = work[i][col]
-            if ci:
-                work[i] = _clear_content(
-                    [pv * a - ci * b for a, b in zip(work[i], work[r])])
+            c = work[i][col]
+            if c:
+                work[i] = [a - c * b if b else a
+                           for a, b in zip(work[i], prow)]
         pivots.append(col)
         r += 1
         if r == len(work):
             break
     work = work[:r]
-    # normalize: pivots to 1, clear above
-    for k in range(r - 1, -1, -1):
+    # clear upward from the bottom row
+    for k in range(r - 1, 0, -1):
         col = pivots[k]
-        pv = work[k][col]
-        work[k] = [a / pv for a in work[k]]
         for j in range(k):
-            cj = work[j][col]
-            if cj:
-                work[j] = [a - cj * b for a, b in zip(work[j], work[k])]
+            c = work[j][col]
+            if c:
+                work[j] = [a - c * b if b else a
+                           for a, b in zip(work[j], work[k])]
     return work, pivots
 
 

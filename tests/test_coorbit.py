@@ -188,7 +188,8 @@ def test_generic_point_dimensions(H2, H3, generic):
     dimension (1, 6, 19 at size 2; 1, 11 at size 3) and equals the ideal
     truncation: at diag(2, 3), whose image dimensions are checked too, at
     four seeded size-2 points up to degree 3 and at two size-3 points up to
-    degree 2."""
+    degree 2, and at one point of each size with entries in Q(q) that are
+    not Laurent polynomials."""
     for d, im in ((1, 4), (2, 9), (3, 16)):
         assert generic.image_data(d).space.dim == im
     maps = [(2, 3, generic)]
@@ -196,6 +197,11 @@ def test_generic_point_dimensions(H2, H3, generic):
              for diag in _generic_diagonals(random.Random(2), 2, 4)]
     maps += [(3, 2, CoorbitMap(H3, Point.diagonal(diag)))
              for diag in _generic_diagonals(random.Random(3), 3, 2)]
+    q = H2.alg.q  # entries outside Q[q, 1/q], so elimination divides
+    maps += [(2, 3, CoorbitMap(H2, Point.diagonal([(q + 1) / (q - 1),
+                                                   3 * q ** 2 + 2]))),
+             (3, 2, CoorbitMap(H3, Point.diagonal([(q ** 2 - 1) / q, 2,
+                                                   q + 3])))]
     for n, dmax, bmap in maps:
         for d in range(1, dmax + 1):
             kernel = bmap.kernel_basis(d)

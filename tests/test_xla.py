@@ -1,7 +1,9 @@
+import ast
 import random
 from fractions import Fraction
 
-from qcoorbit.scalars import Scalar
+from qcoorbit import xla
+from qcoorbit.scalars import PoleError, Scalar
 from qcoorbit.xla import _blocks, _eliminate, echelon, kernel, member
 
 q = Scalar.q()
@@ -20,6 +22,22 @@ def rank(rows):
 def rref(rows):
     """The reduced echelon rows: equal exactly when the spans are equal."""
     return echelon(rows)[0]
+
+
+def test_xla_imports_nothing_from_the_package():
+    """Elimination sees its entries only through + - * /, bool and ==, so
+    only qcoorbit.scalars knows how a Scalar is stored."""
+    with open(xla.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, ast.unparse(node)
+            assert not (node.module or "").startswith("qcoorbit"), \
+                ast.unparse(node)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                assert not alias.name.startswith("qcoorbit"), \
+                    ast.unparse(node)
 
 
 def test_identity_full_rank():
@@ -194,3 +212,64 @@ def test_kernel_is_its_own_rref():
         for v in basis:
             for row in m:
                 assert not sum((a * b for a, b in zip(row, v)), zero_entry)
+
+
+# -- an independent oracle: RREF commutes with specialization ----------------
+
+
+def _gauss_jordan(m):
+    """Textbook Gauss-Jordan over Fractions: every pivot row is scaled to 1
+    and clears all other rows at once.  Returns the RREF rows and pivots."""
+    rows = [list(r) for r in m]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        src = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if src is None:
+            continue
+        rows[r], rows[src] = rows[src], rows[r]
+        rows[r] = [a / rows[r][col] for a in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                c = rows[i][col]
+                rows[i] = [a - c * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return rows[:len(pivots)], pivots
+
+
+DENOMINATORS = [q - 1, q + 2, q ** 2 + 1, 2 * q + 3]
+
+
+def _rational_scalar(rnd):
+    """A nonzero entry outside Q[q, 1/q]: a small polynomial over one of
+    the DENOMINATORS."""
+    num = S(rnd.choice([-2, -1, 1, 2])) * q ** rnd.randint(0, 2) \
+        + S(rnd.randint(-2, 2))
+    return (num if num else one) / rnd.choice(DENOMINATORS)
+
+
+def test_rref_specializes_to_the_rref_at_a_point():
+    """At every rational q0 where no entry has a pole and the specialized
+    matrix keeps the generic pivot columns, echelon(M) evaluated at q0 is
+    the RREF of M(q0), computed by the textbook oracle above."""
+    points = [Fraction(v) for v in (1, -2, 3, -1, 2, 5)]
+    points += [Fraction(1, 2), Fraction(-3, 2), Fraction(5, 3)]
+    hits = 0
+    for seed in range(4):
+        rnd = random.Random(seed)
+        for shapes in BLOCK_SHAPES:
+            m = _shuffled_blocks(rnd, shapes, _rational_scalar, zero,
+                                 zero_rows=seed % 2, zero_cols=seed % 3)
+            rows, pivots, _rank = echelon(m)
+            for q0 in points:
+                try:
+                    m0 = [[e.specialize(q0) for e in r] for r in m]
+                except PoleError:
+                    continue
+                rows0, pivots0 = _gauss_jordan(m0)
+                if pivots0 != pivots:
+                    continue
+                assert [[e.specialize(q0) for e in r] for r in rows] \
+                    == rows0, (seed, shapes, q0)
+                hits += 1
+    assert hits >= 90
