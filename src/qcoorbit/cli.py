@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from .chars import (character_of, compare_at_q1, decompose_sl2,
 from .coorbit import CoorbitMap, Point, evaluate, sphere_span, validate_point
 from .hopf import HopfContext
 from .mq import MatrixAlgebra, MqElement
-from .scalars import PoleError, Scalar
+from .scalars import MAX_PARSE_BITS, PoleError, Scalar
 
 CONVENTIONS = {
     "generator_order": "row-major: x11 < x12 < ... < xNN",
@@ -37,10 +38,10 @@ CONVENTIONS = {
 # degree 1).
 DEGREE_CEILING = {1: 1, 2: 4, 3: 2, 4: 1}
 # The largest --n of verify-coinvariants and identities, and the largest
-# --max-n of identities (about 1 s at 14, 33 s at 30).  At size 4 the
-# coinvariance check of tau_2 alone takes about 7 s, that of tau_3 did not
-# finish in 2 minutes, and identities ran for more than 60 s.
-SIZE_CEILING = 3
+# --max-n of identities (about 1 s at 14, 33 s at 30).  On minors both
+# commands take about 1.5 s at size 4; at size 5 the Cauchy-Binet and
+# cofactor checks of the 4-minors alone take about 41 s.
+SIZE_CEILING = 4
 POWER_CEILING = 14
 
 
@@ -62,10 +63,20 @@ def check_degree(n: int, d: int | None = None) -> int:
 
 
 def parse_q1(text: str) -> Fraction:
+    """The rational of ``--q1``.  Refused when its numerator or denominator
+    has more than MAX_PARSE_BITS bits, like an integer of the scalar
+    grammar; a decimal exponent over that bound is refused before Fraction
+    builds its power of 10."""
     try:
-        q0 = Fraction(text)
+        exponent = re.search(r"[eE]([+-]?[\d_]+)\s*$", text)
+        small = not exponent or abs(int(exponent.group(1))) <= MAX_PARSE_BITS
+        q0 = Fraction(text) if small else None
     except (ValueError, ZeroDivisionError) as e:
         raise ValueError(f"bad rational for --q1: {text!r}") from e
+    if q0 is None or max(q0.numerator.bit_length(),
+                         q0.denominator.bit_length()) > MAX_PARSE_BITS:
+        raise ValueError(f"--q1 is over the parser's bound of "
+                         f"{MAX_PARSE_BITS} bits")
     if q0 == 0:
         raise ValueError("--q1 must be nonzero")
     return q0
@@ -143,19 +154,12 @@ def _base_report(command: str, algebra) -> dict:
 
 def cmd_verify_coinvariants(args):
     hopf = _context(args.n, args.q1)
-    alg = hopf.alg
-    checks = []
-    for i in range(1, alg.n + 1):
-        checks.append({
-            "name": f"tau_{i} is beta-coinvariant",
-            "pass": hopf.is_coinvariant(alg.tau(i), "beta"),
-        })
-    for i in range(1, alg.n + 1):
-        checks.append({
-            "name": f"sigma_{i} is alpha-coinvariant",
-            "pass": hopf.is_coinvariant(alg.sigma(i), "alpha"),
-        })
-    report = _base_report("verify-coinvariants", alg)
+    verdicts = hopf.families_coinvariant()
+    checks = [{"name": f"tau_{r} is beta-coinvariant", "pass": tau}
+              for r, (tau, _) in enumerate(verdicts, 1)]
+    checks += [{"name": f"sigma_{r} is alpha-coinvariant", "pass": sigma}
+               for r, (_, sigma) in enumerate(verdicts, 1)]
+    report = _base_report("verify-coinvariants", hopf.alg)
     report["checks"] = checks
     return report, all(c["pass"] for c in checks)
 
@@ -290,10 +294,9 @@ def cmd_identities(args):
         add(f"antipode axiom at {label}", lhs == expected and rhs == expected)
 
     # coinvariance of both families
-    for i in range(1, alg.n + 1):
-        add(f"tau_{i} beta-coinvariant", hopf.is_coinvariant(alg.tau(i), "beta"))
-        add(f"sigma_{i} alpha-coinvariant",
-            hopf.is_coinvariant(alg.sigma(i), "alpha"))
+    for r, (tau, sigma) in enumerate(hopf.families_coinvariant(), 1):
+        add(f"tau_{r} beta-coinvariant", tau)
+        add(f"sigma_{r} alpha-coinvariant", sigma)
 
     # power closed forms and sphere data live in the size-2 world
     if alg.n == 2:

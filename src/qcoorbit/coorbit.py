@@ -282,7 +282,7 @@ class CoorbitMap:
         alg = self.hopf.alg
         products = []
         for i in range(1, min(alg.n, d) + 1):
-            fam = alg.tau(i) if self.which == "beta" else alg.sigma(i)
+            fam = alg.family(i, self.which)
             g = fam - alg.scalar_element(evaluate(fam, self.point))
             for m in alg.monomial_basis(d - i):
                 me = alg.monomial_element(m)

@@ -491,24 +491,32 @@ class MatrixAlgebra:
             self._det_powers.append(self._det_powers[-1] * self.quantum_determinant())
         return self._det_powers[k]
 
+    def principal_weights(self, i: int, which: str) -> dict:
+        """``{I: w_I}`` over the i-subsets I of 1..N, such that the
+        coinvariant family of the coaction ``which`` is sum_I w_I [I|I]:
+        tau_i (beta) weighs [I|I] by q^(-2 sum(I)), sigma_i (alpha) by 1."""
+        if not (1 <= i <= self.n):
+            name = "tau" if which == "beta" else "sigma"
+            raise ValueError(f"{name} index out of range")
+        return {I: self.q ** (-2 * sum(I)) if which == "beta" else self.one
+                for I in combinations(range(1, self.n + 1), i)}
+
+    def family(self, i: int, which: str) -> MqElement:
+        """The coinvariant family of the coaction ``which``: tau_i for
+        beta, sigma_i for alpha."""
+        total = self.zero_element()
+        for I, w in self.principal_weights(i, which).items():
+            total = total + self.quantum_minor(I, I).scale(w)
+        return total
+
     def sigma(self, i: int) -> MqElement:
         """Sum of the principal i x i quantum minors."""
-        if not (1 <= i <= self.n):
-            raise ValueError("sigma index out of range")
-        total = self.zero_element()
-        for I in combinations(range(1, self.n + 1), i):
-            total = total + self.quantum_minor(I, I)
-        return total
+        return self.family(i, "alpha")
 
     def tau(self, i: int) -> MqElement:
         """Weighted sum q^(-2w(I)) [I|I] of the principal i x i minors,
         with w(I) the sum of the elements of I."""
-        if not (1 <= i <= self.n):
-            raise ValueError("tau index out of range")
-        total = self.zero_element()
-        for I in combinations(range(1, self.n + 1), i):
-            total = total + self.quantum_minor(I, I).scale(self.q ** (-2 * sum(I)))
-        return total
+        return self.family(i, "beta")
 
     # -- bases and gradings ----------------------------------------------------------
 

@@ -151,5 +151,5 @@ def member(vector, rref_rows, pivots) -> bool:
     for rr, p in enumerate(pivots):
         c = v[p]
         if c:
-            v = [a - c * b for a, b in zip(v, rref_rows[rr])]
+            v = [a - c * b if b else a for a, b in zip(v, rref_rows[rr])]
     return not any(v)

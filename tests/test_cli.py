@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ import pytest
 import qcoorbit
 from qcoorbit import cli, coorbit
 from qcoorbit.cli import check_degree, load_point, main, parse_q1
-from qcoorbit.scalars import Scalar
+from qcoorbit.scalars import MAX_PARSE_BITS, Scalar
 
 GENERIC = '{"n": 2, "entries": [["2", "0"], ["0", "3"]]}'
 RESONANT = '{"n": 2, "entries": [["q^2", "0"], ["0", "1"]]}'
@@ -178,8 +179,8 @@ def test_size_and_power_flags_bounded(capsys):
     src = Path(qcoorbit.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     over = str(cli.POWER_CEILING + 1)
-    cases = [(["verify-coinvariants", "--n", "4"], "ceiling 3"),
-             (["identities", "--n", "4"], "ceiling 3"),
+    cases = [(["verify-coinvariants", "--n", "5"], "ceiling 4"),
+             (["identities", "--n", "5"], "ceiling 4"),
              (["identities", "--max-n", over], "--max-n"),
              (["identities", "--max-n", "-1"], "--max-n")]
     cases += [([command, "--point", _diagonal_point(n)], "ceiling 4")
@@ -194,6 +195,45 @@ def test_size_and_power_flags_bounded(capsys):
     code, out, _ = run(capsys, "eval", "--point", _diagonal_point(7),
                        "x11*x77 + x12")
     assert code == 0 and json.loads(out)["value"] == "16"
+
+
+def test_size_4_families_within_the_ceiling():
+    """At the size ceiling 4 verify-coinvariants passes all 8 family checks
+    and identities exits 0, each in a subprocess under a timeout (each
+    takes about 1.5 s)."""
+    src = Path(qcoorbit.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    assert cli.SIZE_CEILING == 4
+    for argv, count in ((("verify-coinvariants", "--n", "4"), 8),
+                        (("identities", "--n", "4"), 29)):
+        done = subprocess.run([sys.executable, "-m", "qcoorbit.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr[-500:]
+        report = json.loads(done.stdout)
+        assert report["n"] == 4 and report["all_pass"] is True
+        assert [c["pass"] for c in report["checks"]] == [True] * count
+
+
+def test_q1_size_bounded(capsys):
+    """--q1 refuses a numerator or denominator over MAX_PARSE_BITS, and a
+    decimal exponent over it before building the power, with exit 2 before
+    any context is built."""
+    bound = MAX_PARSE_BITS
+    big = str(1 << bound)                   # bound + 1 bits
+    assert parse_q1(str((1 << bound) - 1)).numerator.bit_length() == bound
+    assert parse_q1("1e-3") == Fraction(1, 1000)
+    for text in (big, f"1/{big}", f"-{big}/3", "1e10001", "2e-99999999999"):
+        with pytest.raises(ValueError, match="bound"):
+            parse_q1(text)
+    start = time.perf_counter()
+    for argv in (("verify-coinvariants", f"--q1={big}"),
+                 ("kernel", "--point", GENERIC, "--degree", "4",
+                  f"--q1=7/{big}"),
+                 ("eval", "x11", "--point", GENERIC, "--q1=1e99999999999")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out and "bound" in err, argv
+    assert time.perf_counter() - start < 1
 
 
 def test_malformed_point_exits_2(capsys):
@@ -243,8 +283,8 @@ def test_load_point_coerces(tmp_path):
 # fold, by running the same argv through ``qcoorbit.cli.main`` and hashing
 # the captured bytes.  That commit rejected size-3 points without the hidden
 # ``--n 3``, so the two size-3 rows were produced with ``--n 3`` appended;
-# here they run without it.  The README commands appear with
-# ``verify-coinvariants --n 2`` in place of ``--n 3`` to keep the suite fast.
+# here they run without it.  The two size-3 family reports at the end were
+# pinned later, once they had become cheap.
 GOLDEN = [
     ("verify-coinvariants", ("verify-coinvariants", "--n", "2"), 780,
      "ee1a4d517f1babdb67032e4f4b9b27a90a23c5b0beb3e731b3174b76e409c6d8"),
@@ -274,6 +314,12 @@ GOLDEN = [
      "3574bed0581425b2b273f68529c3c601dbce68617eb244be12038fa9ab02ebd3"),
     ("image-size3", ("image", "--point", GENERIC3, "--degree", "1"), 981,
      "9a756ef33d706c45d778829fb911aa08e555b667e536fee7a3a91bb84b19bf9b"),
+    # taken at 809d05f, while the families were still checked monomial by
+    # monomial, by running the same argv through ``qcoorbit.cli.main``
+    ("verify-coinvariants-size3", ("verify-coinvariants", "--n", "3"), 933,
+     "a10e24c9a733cbe7dd80ef60b4851da80fb15869074b45ac8cf1df1e9eeb63b3"),
+    ("identities-size3", ("identities", "--n", "3"), 1962,
+     "445b2393887731f7e196c33b7159217a89b2ca7b4a3f4316d7f02ce13b7061b3"),
 ]
 
 

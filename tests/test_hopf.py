@@ -1,6 +1,7 @@
 """Tests for the Hopf layer: coproduct, antipode, coactions, projections."""
 
 import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -8,8 +9,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcoorbit.cli import main
 from qcoorbit.coorbit import CoorbitMap, Point
-from qcoorbit.hopf import HopfContext, TensorElement
+from qcoorbit.hopf import HopfContext, Minors, TensorElement
 from qcoorbit.mq import MatrixAlgebra, Monomial, accumulate
 
 
@@ -304,6 +306,84 @@ def test_summed_fold_of_determinant_is_grouplike(H2, H3):
                 in product(det.items(), repeat=3)}
         assert len(cube) == size
         assert folded == cube
+
+
+# -- coactions of the families on minors -----------------------------------------------
+
+
+def test_minors_coaction_matches_monomial_coaction(H2, H3):
+    """The coaction of tau_r and sigma_r through Cauchy-Binet and the
+    cofactors equals the monomial coaction, under both coactions: the
+    swapped pairs are not coinvariant, so the formula is compared on
+    tensors other than a (x) 1 too."""
+    swapped = 0
+    for H in (H2, H3, HopfContext(MatrixAlgebra(3, Fraction(3, 2)))):
+        A = H.alg
+        for r in range(1, H.n + 1):
+            minors = Minors(H, r)
+            assert minors.identities_hold()
+            for family in ("beta", "alpha"):
+                a = A.family(r, family)
+                for which in ("beta", "alpha"):
+                    got = minors.coaction(A.principal_weights(r, family),
+                                          which)
+                    want = H.coaction(a, which)
+                    assert got == want, (H.n, r, family, which)
+                    assert (got - want).is_zero()
+                    fixed = got == H._fixed(a)
+                    assert fixed == (family == which or r == H.n)
+                    swapped += not fixed
+    assert swapped == 2 * (1 + 2 + 2)
+
+
+def test_family_checks_catch_a_wrong_identity(monkeypatch):
+    """A sign error in the cofactor formula, or a Cauchy-Binet sum that
+    misses one K, makes the family checks report False: the identities are
+    checked, not assumed."""
+    for n in (2, 3):
+        assert HopfContext(MatrixAlgebra(n)).families_coinvariant() == \
+            [(True, True)] * n
+    cofactor = Minors.cofactor
+
+    def wrong_sign(self, I, K):
+        c = cofactor(self, I, K)
+        return c if I == K else -c
+
+    with monkeypatch.context() as m:
+        m.setattr(Minors, "cofactor", wrong_sign)
+        for n in (2, 3):
+            H = HopfContext(MatrixAlgebra(n))
+            # at r = n the only minor is det, whose cofactor has no sign
+            assert H.families_coinvariant() == \
+                [(False, False)] * (n - 1) + [(True, True)]
+            assert not Minors(H, 1).identities_hold()
+    with monkeypatch.context() as m:
+        m.setattr(Minors, "middle", lambda self, I, J: self.sets[1:])
+        for n in (2, 3):
+            H = HopfContext(MatrixAlgebra(n))
+            assert H.families_coinvariant() == [(False, False)] * n
+            assert not any(Minors(H, r).identities_hold()
+                           for r in range(1, n + 1))
+
+
+def test_cli_families_skip_the_monomial_coaction(monkeypatch, capsys):
+    """verify-coinvariants and identities at size 3 check the families on
+    minors: no homogeneous part goes through the monomial coaction."""
+    real = HopfContext._coaction_mono
+    calls = []
+
+    def counted(self, part, which):
+        calls.append(which)
+        return real(self, part, which)
+
+    monkeypatch.setattr(HopfContext, "_coaction_mono", counted)
+    for argv in (["verify-coinvariants", "--n", "3"],
+                 ["identities", "--n", "3"]):
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["all_pass"] is True
+    assert calls == []
+    H = HopfContext(MatrixAlgebra(2))
+    assert H.is_coinvariant(H.alg.tau(1), "beta") and calls
 
 
 # -- tensor plumbing ---------------------------------------------------------------------

@@ -180,6 +180,41 @@ def test_block_split_matches_one_unsplit_pass():
             assert len(_blocks([s for s in supports if s])) == len(shapes)
 
 
+def test_member_agrees_with_rank():
+    """member(v, rref, pivots) is rank(rref + [v]) == rank(rref), over
+    Fractions and over Q(q), on sparse RREFs and on vectors inside the span
+    (seeded combinations of the rows, some coefficients zero) and outside
+    it (seeded sparse vectors and unit vectors)."""
+    seen = {True: 0, False: 0}
+    cases = [(_fraction, Fraction(0), seed) for seed in range(8)]
+    cases += [(_scalar, zero, seed) for seed in range(4)]
+    for entry, zero_entry, seed in cases:
+        rnd = random.Random(100 + seed)
+        for shapes in BLOCK_SHAPES:
+            m = _shuffled_blocks(rnd, shapes, entry, zero_entry,
+                                 zero_cols=seed % 2)
+            ncols = len(m[0])
+            rows, pivots, rk = echelon(m)
+            vectors = []
+            for _ in range(4):
+                v = [zero_entry] * ncols
+                for r in m:
+                    c = entry(rnd) if rnd.random() < 0.6 else zero_entry
+                    v = [a + c * b for a, b in zip(v, r)]
+                vectors.append(v)
+            for _ in range(4):
+                vectors.append([entry(rnd) if rnd.random() < 0.4
+                                else zero_entry for _ in range(ncols)])
+            unit = entry(rnd)
+            vectors += [[unit if j == c else zero_entry for j in range(ncols)]
+                        for c in range(ncols)]
+            for v in vectors:
+                inside = rank(rows + [v]) == rk
+                assert member(v, rows, pivots) == inside, (seed, shapes, v)
+                seen[inside] += 1
+    assert min(seen.values()) >= 100, seen
+
+
 def _free_columns(m, ncols):
     """Column c starts a kernel vector exactly when it lies in the span of
     the columns to its right, i.e. adding it leaves the rank unchanged."""
