@@ -10,8 +10,7 @@ from .chars import (Character, chi_irreducible, character_of, compare_at_q1,
 from .coorbit import (CoorbitMap, ImageData, Point, TruncatedSubspace,
                       diag_coinv_keys, evaluate, psi_power_check, sphere_span,
                       validate_point)
-from .hopf import (GlqElement, HopfContext, SlqAlgebra, SlqElement,
-                   TensorElement)
+from .hopf import GlqElement, HopfContext, TensorElement
 from .mq import MatrixAlgebra, Monomial, MqElement
 from .scalars import PoleError, Scalar
 
@@ -24,7 +23,7 @@ __all__ = [
     "CoorbitMap", "ImageData", "Point", "TruncatedSubspace",
     "diag_coinv_keys", "evaluate", "psi_power_check", "sphere_span",
     "validate_point",
-    "GlqElement", "HopfContext", "SlqAlgebra", "SlqElement", "TensorElement",
+    "GlqElement", "HopfContext", "TensorElement",
     "MatrixAlgebra", "Monomial", "MqElement",
     "PoleError", "Scalar",
     "__version__",

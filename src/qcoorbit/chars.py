@@ -95,11 +95,13 @@ def chi_irreducible(m: int) -> Character:
 
 
 def character_of(space, picture: str = "z") -> Character:
-    """Character of an image truncation or of an SL-basis subspace.
+    """Character of an image truncation or of a sphere span.
 
     Accepts :class:`ImageData` (torus weights; the z picture maps a torus
     weight (w1, ..., wn) to w1 - wn) or a :class:`TruncatedSubspace` whose
-    keys are SL_2 basis words (z picture only, weight ea - eb + ec - ed).
+    keys are size-2 monomials, such as a :func:`~qcoorbit.coorbit.sphere_span`
+    (z picture only, weight e11 - e12 + e21 - e22: column-1 degree minus
+    column-2 degree, which det leaves unchanged).
     """
     if isinstance(space, ImageData):
         if picture == "t":
@@ -108,7 +110,8 @@ def character_of(space, picture: str = "z") -> Character:
     if isinstance(space, TruncatedSubspace):
         if picture != "z":
             raise ValueError("subspace characters only come in the z picture")
-        weights = space.row_weights(lambda e: e[0] - e[1] + e[2] - e[3])
+        weights = space.row_weights(
+            lambda m: m.exps[0] - m.exps[1] + m.exps[2] - m.exps[3])
         return Character.from_weights("z", weights)
     raise TypeError("expected ImageData or TruncatedSubspace")
 

@@ -18,6 +18,10 @@ definitional composite survives in the tests as an oracle.
 Truncations: kernels, ideal spans, and images of the co-orbit map restricted
 to monomials of bounded degree, as :class:`TruncatedSubspace` values over
 explicit key lists, computed by exact echelon reduction.
+
+The size-2 closed forms and quantum sphere spans, stated in quantum SL_2,
+are checked in the degree-0 part of the localization, where the quotient
+onto SL_2 is injective.
 """
 
 from __future__ import annotations
@@ -309,7 +313,12 @@ class CoorbitMap:
 
         Variants: "beta-diag" and "alpha-diag" need a diagonal point;
         "beta-nilpotent" needs the single-entry point at position (1, 2).
-        All three compare inside the SL_2 quotient.
+        The closed form, c^n a^n, a^n c^n or c^(2n) with a = x11 and
+        c = x21, is stated in quantum SL_2 and compared here over det^n.
+        Both sides have degree 0 (deg x_ij = 1, deg det^-1 = -2), and the
+        quotient onto SL_2 is injective on each homogeneous component: if
+        a = (det - 1) b is homogeneous, the lowest- and highest-degree parts
+        of b vanish, O(M_q(2)) being a domain.
         """
         hopf = self.hopf
         alg = hopf.alg
@@ -317,9 +326,8 @@ class CoorbitMap:
             raise ValueError("power checks are for size 2")
         if power < 0:
             raise ValueError("negative power")
-        sl = hopf.sl_algebra
         q = alg.q
-        a, c = sl.generator("a"), sl.generator("c")
+        a, c = alg.generator(1, 1), alg.generator(2, 1)
         if variant in ("beta-diag", "alpha-diag"):
             side = variant.split("-")[0]
             if self.which != side:
@@ -349,10 +357,8 @@ class CoorbitMap:
             rhs = (c ** (2 * power)).scale(coeff)
         else:
             raise ValueError(f"unknown power-check variant {variant!r}")
-        m = Monomial(2, (0, 0, power, 0))
-        num, p = self.of_monomial(m)
-        lhs = hopf.project_sl(GlqElement(hopf, num, p))
-        return lhs == rhs
+        num, p = self.of_monomial(Monomial(2, (0, 0, power, 0)))
+        return GlqElement(hopf, num, p) == hopf.embed(rhs, power)
 
 
 def psi_power_check(hopf: HopfContext, point: Point, power: int,
@@ -372,23 +378,21 @@ def diag_coinv_keys(n: int, d: int):
 
 
 def sphere_span(hopf: HopfContext, length: int) -> TruncatedSubspace:
-    """Span of all products of length <= length of the three sphere
-    generators inside SL_2: ac, 1 + (q + 1/q) bc, and db."""
-    sl = hopf.sl_algebra
-    q = sl.q
-    a, b, c, d = (sl.generator(t) for t in "abcd")
-    gens = [a * c, sl.one_element() + (q + q ** -1) * (b * c), d * b]
-    level = [sl.one_element()]
-    elems = [sl.one_element()]
-    for _ in range(length):
+    """Span of the products of length <= length of the quantum sphere
+    generators ac, 1 + (q + 1/q) bc and db of SL_2, taken as ac/det,
+    (det + (q + 1/q) bc)/det and db/det and lifted to det^length, over their
+    numerator monomials.  The products have degree 0 (deg x_ij = 1,
+    deg det^-1 = -2), where the quotient onto SL_2 is injective (see
+    :meth:`CoorbitMap.power_check`), so this is the paper's span in SL_2.
+    """
+    alg = hopf.alg
+    q = alg.q
+    a, b, c, d = alg.generators()
+    gens = [a * c, alg.quantum_determinant() + (q + q ** -1) * (b * c), d * b]
+    level = [alg.one_element()]
+    lifted = [hopf.embed(level[0]).numerator_at(length).terms]
+    for k in range(1, length + 1):
         level = [e * g for e in level for g in gens]
-        elems.extend(level)
-    return _sl_span(sl, elems)
-
-
-def _sl_span(sl, elems) -> TruncatedSubspace:
-    """Span of SL_2 elements over the basis words they touch."""
-    keys = sorted({e for el in elems for e in el.terms},
-                  key=lambda e: (sum(e), e))
-    return TruncatedSubspace(keys, _dense_rows(keys, [el.terms for el in elems],
-                                               sl.zero))
+        lifted += [hopf.embed(e, k).numerator_at(length).terms for e in level]
+    keys = sorted({m for num in lifted for m in num}, key=Monomial.sort_key)
+    return TruncatedSubspace(keys, _dense_rows(keys, lifted, alg.zero))

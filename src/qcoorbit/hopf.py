@@ -6,6 +6,9 @@ pair (numerator, determinant power), and sums and comparisons lift both
 numerators to the larger power through :meth:`HopfContext._lift`, the one
 product by a power of det.  The coproduct is the matrix-coefficient one, Delta(x_ij) = sum_k x_ik (x) x_kj,
 and the antipode sends x_ij to its signed quantum cofactor over det.
+Statements about quantum SL_n are checked here on degree-0 elements: with
+deg x_ij = 1 and deg det^-1 = -n, the quotient by det - 1 is injective on
+each homogeneous component.
 
 The two adjoint coactions are
     beta(h) = h_2 (x) S(h_1) h_3      (one-sided "conjugation" from the right)
@@ -30,8 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .mq import (MatrixAlgebra, Monomial, MqElement, SparseTerms, accumulate,
-                 laurent_word)
+from .mq import MatrixAlgebra, Monomial, MqElement, SparseTerms, accumulate
 from .scalars import Scalar
 
 
@@ -112,118 +114,6 @@ class GlqElement(SparseTerms):
         if self.detpow == 0:
             return str(self.num)
         return f"({self.num})*det^-{self.detpow}"
-
-
-class SlqAlgebra:
-    """Quantum SL_2 = O(M_q(2)) / (det - 1), with a, b, c, d the images of
-    x11 < x12 < x21 < x22.
-
-    The PBW basis is {a^i b^j c^k, b^j c^k d^l}: any product of a and d
-    reduces through ad = 1 + q bc.  Products are taken in the parent
-    algebra, so its straightening rules are the only relations stated.
-    Coefficients are shared with the parent (symbolic or specialized).
-    """
-
-    _NAMES = "abcd"
-
-    def __init__(self, parent: MatrixAlgebra):
-        if parent.n != 2:
-            raise ValueError("the special quantum group layer is for size 2 only")
-        self.parent = parent
-        self.q = parent.q
-        self.one = parent.one
-        self.zero = parent.zero
-        self._reduce_cache = {}
-        self._word_cache = {}
-
-    # -- elements --------------------------------------------------------------
-
-    def one_element(self) -> "SlqElement":
-        return SlqElement(self, {(0, 0, 0, 0): self.one})
-
-    def scalar_element(self, c) -> "SlqElement":
-        c = self.parent.coerce(c)
-        return SlqElement(self, {(0, 0, 0, 0): c} if c else {})
-
-    def generator(self, name: str) -> "SlqElement":
-        k = self._NAMES.index(name)
-        e = [0, 0, 0, 0]
-        e[k] = 1
-        return SlqElement(self, {tuple(e): self.one})
-
-    # -- straightening -----------------------------------------------------------
-
-    def _reduce(self, exps):
-        """Rewrite a^i b^j c^k d^l (i, l possibly both positive) into the basis."""
-        out = self._reduce_cache.get(exps)
-        if out is not None:
-            return out
-        i, j, k, l = exps
-        if i == 0 or l == 0:
-            out = {exps: self.one}
-        else:
-            out = {}
-            low = self._reduce((i - 1, j, k, l - 1))
-            high = self._reduce((i - 1, j + 1, k + 1, l - 1))
-            cl = self.q ** (j + k)
-            ch = self.q ** (j + k + 1)
-            for e, c in low.items():
-                accumulate(out, e, cl * c)
-            for e, c in high.items():
-                accumulate(out, e, ch * c)
-        self._reduce_cache[exps] = out
-        return out
-
-    def _mul_words(self, e1, e2):
-        """Product of two basis words: their product in the parent algebra,
-        pushed through the quotient map (an algebra map) monomial by
-        monomial."""
-        out = self._word_cache.get((e1, e2))
-        if out is None:
-            out = {}
-            prod = self.parent._mul_monos(Monomial(2, e1), Monomial(2, e2))
-            for m, c in prod.items():
-                for e, cc in self._reduce(m.exps).items():
-                    accumulate(out, e, c * cc)
-            self._word_cache[(e1, e2)] = out
-        return out
-
-
-class SlqElement(SparseTerms):
-    """Linear combination of PBW basis words of the quantum SL_2 algebra."""
-
-    __slots__ = ("sl", "terms")
-
-    def __init__(self, sl: SlqAlgebra, terms):
-        object.__setattr__(self, "sl", sl)
-        object.__setattr__(self, "terms", {e: c for e, c in terms.items() if c})
-
-    def _like(self, terms) -> "SlqElement":
-        return SlqElement(self.sl, terms)
-
-    def _coerce(self, other) -> "SlqElement":
-        if not isinstance(other, SlqElement):
-            return self.sl.scalar_element(other)
-        if self.sl is not other.sl:
-            raise ValueError("elements from different contexts")
-        return other
-
-    def _coeff(self, c):
-        return self.sl.parent.coerce(c)
-
-    def _mul_keys(self, e1, e2):
-        return self.sl._mul_words(e1, e2)
-
-    def _rendered(self):
-        return [(self.terms[e], laurent_word(self.sl._NAMES, e))
-                for e in sorted(self.terms, key=lambda e: (sum(e), e))]
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = self.sl.scalar_element(other)
-        if not isinstance(other, SlqElement):
-            return NotImplemented
-        return self.sl is other.sl and self.terms == other.terms
 
 
 _LEG_TAGS = ("mq", "glq")
@@ -354,7 +244,6 @@ class HopfContext:
         self._delta2_cache = {}
         self._anti_cache = {}
         self._s_letter_cache = {}
-        self._sl = None
         n, zero = self.n, algebra.zero
         self._counit_middle = self._evaluating(
             [[self._one if i == j else zero for j in range(n)]
@@ -368,12 +257,6 @@ class HopfContext:
 
     def scalar_gl(self, c) -> GlqElement:
         return self.embed(self.alg.scalar_element(c))
-
-    @property
-    def sl_algebra(self) -> SlqAlgebra:
-        if self._sl is None:
-            self._sl = SlqAlgebra(self.alg)
-        return self._sl
 
     # -- localization ---------------------------------------------------------------
 
@@ -607,22 +490,12 @@ class HopfContext:
                              for which in ("beta", "alpha")))
         return out
 
-    # -- projections -------------------------------------------------------------------
+    # -- torus coinvariance ---------------------------------------------------------
 
     def is_diag_coinvariant(self, a: GlqElement) -> bool:
         """True when every numerator monomial has row degree (p, ..., p)."""
         p = a.detpow
         return all(set(m.rowdeg()) <= {p} for m in a.terms)
-
-    def project_sl(self, a) -> SlqElement:
-        """Quotient to quantum SL_2 (size 2 only): x11, x12, x21, x22 map to
-        a, b, c, d and det maps to 1."""
-        sl = self.sl_algebra
-        out = {}
-        for m, c in a.terms.items():
-            for e, ce in sl._reduce(m.exps).items():
-                accumulate(out, e, c * ce)
-        return SlqElement(sl, out)
 
 
 class Minors:

@@ -191,30 +191,17 @@ class Poly(Frozen):
 
     @staticmethod
     def gcd(a: "Poly", b: "Poly") -> "Poly":
-        """Monic gcd in Q[q] (gcd(0, 0) = 0)."""
-        if a.is_zero() and b.is_zero():
-            return _P_ZERO
-        if a.is_zero() or b.is_zero():
-            g = b if a.is_zero() else a
-            return g.monic()
+        """Monic gcd in Q[q] of two polynomials with at least two terms each.
+
+        Neither operand may be zero or of the form c*q^k: ``Scalar._reduce``,
+        the only caller, settles those cases before it asks.
+        """
         va, vb = a.valuation(), b.valuation()
         v = min(va, vb)
-        ca = a.coeffs[va:]
-        cb = b.coeffs[vb:]
-        if len(ca) == 1 or len(cb) == 1:
-            core = ()
-        else:
-            core = _int_gcd_poly(ca, cb)
+        core = _int_gcd_poly(a.coeffs[va:], b.coeffs[vb:])
         if len(core) <= 1:
             return Poly((0,) * v + (1,))
-        lead = core[-1]
-        return Poly((0,) * v + core, lead)
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        lead = self.leading
-        return self.scale(1 / lead)
+        return Poly((0,) * v + core, core[-1])
 
     def exact_div(self, g: "Poly") -> "Poly":
         """Exact quotient self / g; raises if the division leaves a remainder.

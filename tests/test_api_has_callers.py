@@ -15,8 +15,8 @@ outside its own body, in one of:
 The check matches by name only, so it has two blind spots.  It skips dunder
 methods, which Python calls through operators and protocols (an unused
 ``__pow__`` passes).  And a name that two definitions share counts as used
-when either one is: ``Scalar._reduce`` would pass without a caller of its
-own, because ``SlqAlgebra._reduce`` has callers.
+when either one is: ``Minors.coaction`` would pass without a caller of its
+own, because ``HopfContext.coaction`` has callers.
 """
 
 import ast

@@ -1,13 +1,15 @@
-"""The names the benchmark reaches into exist.
+"""The names and command lines the benchmark reaches into exist.
 
 ``perfbench/tracer.py`` wraps qcoorbit's layer entry points by name and reads
-some cache attributes, and ``perfbench/run.py`` builds its contexts through
-``cli._context``.  These checks fail in the ordinary test run when a rename
-would break the benchmark.
+some cache attributes, ``perfbench/run.py`` builds its contexts through
+``cli._context``, and ``perfbench/workloads.py`` writes the argv of every
+command it runs.  These checks fail in the ordinary test run when a rename,
+or a dropped option, would break the benchmark.
 """
 
 import importlib
 import importlib.util
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,15 +21,23 @@ from qcoorbit.hopf import HopfContext
 from qcoorbit.mq import MatrixAlgebra
 from qcoorbit.scalars import Poly, Scalar
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    """Load ``perfbench/<name>.py`` as a module of its own, registered so
+    that its dataclasses can resolve their annotations."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracer")
 
 
 def test_span_entry_points_exist(tracer):
@@ -60,3 +70,18 @@ def test_bench_context():
     assert isinstance(hopf, HopfContext)
     assert hopf.n == 2 and hopf.alg.q == Fraction(5, 2)
     assert isinstance(cli._context(3, None).alg.q, Scalar)
+
+
+def test_workload_commands_parse():
+    """Every argv of every workload parses, for the first three seeds; no
+    command runs."""
+    workloads = _load("workloads")
+    parser = cli.build_parser()
+    for w in workloads.WORKLOADS:
+        for seed in (1, 2, 3):
+            for cmd in workloads.commands(w, seed):
+                try:
+                    args = parser.parse_args(list(cmd.argv))
+                except SystemExit:
+                    pytest.fail(f"{w}, seed {seed}: {cmd.argv} does not parse")
+                assert args.command == cmd.kind

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcoorbit.coorbit import (CoorbitMap, Point, TruncatedSubspace,
-                              _sl_span, diag_coinv_keys, evaluate,
+                              _dense_rows, diag_coinv_keys, evaluate,
                               psi_power_check, sphere_span, validate_point)
-from qcoorbit.hopf import HopfContext
+from qcoorbit.hopf import GlqElement, HopfContext
 from qcoorbit.mq import MatrixAlgebra, Monomial, MqElement
 
 
@@ -330,12 +330,18 @@ def test_sphere_span_dimensions(H2):
 
 
 def test_resonant_image_is_sphere_span(resonant, H2):
-    # the degree-2 image truncation, pushed into the SL_2 quotient
-    elems = []
-    for m in H2.alg.monomial_basis(2):
-        num, p = resonant.of_monomial(m)
-        elems.append(H2.project_sl(H2.embed(MqElement(H2.alg, num), p)))
-    assert _sl_span(H2.sl_algebra, elems) == sphere_span(H2, 1)
+    # the degree-2 image truncation and the length-1 sphere span, both
+    # lifted to det^2 and compared over one key list
+    _domain, image = resonant._lifted_images(2)
+    sphere = sphere_span(H2, 1)
+    spanners = [GlqElement(H2, dict(zip(sphere.keys, row)), 1)
+                .numerator_at(2).terms for row in sphere.rows]
+    keys = sorted({m for num in image + spanners for m in num},
+                  key=Monomial.sort_key)
+    zero = H2.alg.zero
+    got = TruncatedSubspace(keys, _dense_rows(keys, image, zero))
+    assert got == TruncatedSubspace(keys, _dense_rows(keys, spanners, zero))
+    assert got.dim == 4
 
 
 # -- subspace plumbing -----------------------------------------------------------------

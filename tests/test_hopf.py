@@ -1,4 +1,4 @@
-"""Tests for the Hopf layer: coproduct, antipode, coactions, projections."""
+"""Tests for the Hopf layer: coproduct, antipode, coactions, localization."""
 
 import hashlib
 import json
@@ -182,6 +182,8 @@ def test_beta_fixes_tau_family(H2, H3):
     for H in (H2, H3):
         for i in range(1, H.n + 1):
             assert H.is_coinvariant(H.alg.tau(i), "beta")
+    H = HopfContext(MatrixAlgebra(2, Fraction(3, 2)))
+    assert H.is_coinvariant(H.alg.tau(1), "beta")
 
 
 def test_alpha_fixes_sigma_family(H2, H3):
@@ -468,9 +470,8 @@ def test_mixed_det_powers(H2, H3):
 
 
 def test_powers_from_the_unit(H2):
-    A, sl = H2.alg, H2.sl_algebra
+    A = H2.alg
     for e, one in ((A.generator(1, 2) + A.generator(2, 1), A.one_element()),
-                   (sl.generator("a") + sl.generator("b"), sl.one_element()),
                    (H2.embed(A.generator(1, 1), 1) + H2.embed(A.generator(2, 2)),
                     H2.scalar_gl(1))):
         assert e ** 0 == one and (e - e) ** 0 == one
@@ -481,104 +482,10 @@ def test_powers_from_the_unit(H2):
             e ** -1
     assert (H2.embed(A.one_element(), 1) ** 3).detpow == 3
 
-# -- the SL_2 quotient ----------------------------------------------------------------
-
-
-def test_sl_relations(H2):
-    sl = H2.sl_algebra
-    q = sl.q
-    a, b, c, d = (sl.generator(t) for t in "abcd")
-    assert a * b == q * (b * a)
-    assert a * c == q * (c * a)
-    assert b * c == c * b
-    assert b * d == q * (d * b)
-    assert c * d == q * (d * c)
-    assert a * d == sl.one_element() + q * (b * c)
-    assert d * a == sl.one_element() + q ** -1 * (b * c)
-    assert a * d - d * a == (q - q ** -1) * (b * c)
-
-
-def test_sl_projection(H2):
-    A = H2.alg
-    x = A.generator
-    sl = H2.sl_algebra
-    assert H2.project_sl(A.quantum_determinant()) == sl.one_element()
-    assert H2.project_sl(H2.embed(A.one_element(), 1)) == sl.one_element()
-    got = H2.project_sl(x(1, 1) * x(2, 2))
-    assert got == sl.one_element() + sl.q * (sl.generator("b") * sl.generator("c"))
-    # projection is an algebra map on a sample product
-    u, v = x(2, 1) * x(1, 2), x(1, 1) + x(2, 2)
-    assert H2.project_sl(u * v) == H2.project_sl(u) * H2.project_sl(v)
-
-
-def test_sl_antipode_through_projection(H2):
-    A = H2.alg
-    x = A.generator
-    sl = H2.sl_algebra
-    a, b, c, d = (sl.generator(t) for t in "abcd")
-    q = sl.q
-    assert H2.project_sl(H2.antipode(x(1, 1))) == d
-    assert H2.project_sl(H2.antipode(x(1, 2))) == -(q ** -1) * b
-    assert H2.project_sl(H2.antipode(x(2, 1))) == -q * c
-    assert H2.project_sl(H2.antipode(x(2, 2))) == a
-
-
-def test_sl_specialized_coefficients():
-    H = HopfContext(MatrixAlgebra(2, Fraction(3, 2)))
-    sl = H.sl_algebra
-    a, d = sl.generator("a"), sl.generator("d")
-    assert a * d == sl.one_element() + Fraction(3, 2) * (sl.generator("b") * sl.generator("c"))
-    assert H.is_coinvariant(H.alg.tau(1), "beta")
-
-
-def sl_basis_words(d):
-    """Exponents (i, j, k, l) of the SL_2 basis words a^i b^j c^k d^l of
-    degree <= d (i and l never both positive), by degree then exponents."""
-    return sorted((e for e in product(range(d + 1), repeat=4)
-                   if sum(e) <= d and not (e[0] and e[3])),
-                  key=lambda e: (sum(e), e))
-
-
-def sl_word(sl, e):
-    """The basis word a^i b^j c^k d^l of exponents e, as a product of the
-    generators."""
-    out = sl.one_element()
-    for name, k in zip("abcd", e):
-        out = out * sl.generator(name) ** k
-    return out
-
-
-# sha256 of the str of every product sl_word(e1) * sl_word(e2)
-# over the 14 basis words of degree <= 2, at symbolic q and then at q = 3/2,
-# joined by newlines (392 lines).  Taken at 9168894, while SL_2 still kept
-# its own six-rule table, by running this loop over the basis words.
-SL_PRODUCTS_SHA256 = \
-    "d2c6a424594ee6844fedc2a31d462f96019a8d0b0b9f210dee6da2315d6238dd"
-
-
-def test_sl_products_pinned():
-    lines = []
-    for q in (None, Fraction(3, 2)):
-        sl = HopfContext(MatrixAlgebra(2, q)).sl_algebra
-        words = sl_basis_words(2)
-        for e1, e2 in product(words, repeat=2):
-            lines.append(str(sl_word(sl, e1) * sl_word(sl, e2)))
-    assert len(lines) == 392
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == SL_PRODUCTS_SHA256
-
-
-def test_sl_product_associative(H2):
-    sl = H2.sl_algebra
-    elems = [sl_word(sl, e) for e in sl_basis_words(1)]
-    for u, v, w in product(elems, repeat=3):
-        assert (u * v) * w == u * (v * w)
-
-
 
 def localization_lines():
-    """str of antipodes, co-orbit images, coactions and powers, in the
-    localization and in SL_2, at symbolic q and then at q = 3/2."""
+    """str of antipodes, co-orbit images, coactions and powers in the
+    localization, at symbolic q and then at q = 3/2."""
     lines = []
     for q in (None, Fraction(3, 2)):
         H = HopfContext(MatrixAlgebra(2, q))
@@ -597,21 +504,19 @@ def localization_lines():
             lines += [str(cm(a)) for a in elems]
             lines.append(str(H.coaction(A.tau(1) + A.tau(2), w)))
         lines.append(str((H.embed(x(1, 1), 1) + H.embed(x(2, 2))) ** 3))
-        a, b, c, d = (H.sl_algebra.generator(t) for t in "abcd")
-        lines += [str((a + b) ** 4), str((c * d) ** 3)]
     return lines
 
 
-# sha256 of the newline-joined localization_lines() (102 lines), taken at
-# 00a06fd, while the localization still multiplied by det powers in four
-# places, by running this same function.
+# sha256 of the newline-joined localization_lines() (98 lines), taken at
+# 3920dd7, while SL_2 was still a separate algebra, by running this same
+# function.
 LOCALIZATION_SHA256 = \
-    "4f39b2573bcc3ad65fa68f94e46c2dc408db04b6f769c79a1f5bf75b6dbde0b4"
+    "d33fd7dd48223365097994cbf10051a80fee61ba4668c44af7f007006d810d5c"
 
 
 def test_localization_pinned():
     lines = localization_lines()
-    assert len(lines) == 102
+    assert len(lines) == 98
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == LOCALIZATION_SHA256
 

@@ -1,9 +1,11 @@
 """Tests for the quantum matrix algebra: straightening, minors, gradings."""
 
+import hashlib
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -104,6 +106,24 @@ def test_monomial_basis_counts(A2, A3):
     basis = A2.monomial_basis(2)
     assert basis == sorted(basis, key=Monomial.sort_key)
     assert len(set(basis)) == len(basis)
+
+
+# sha256 of the str of every product m1 * m2 over the 15 monomials of
+# degree <= 2 in x11..x22, at symbolic q and then at q = 3/2, joined by
+# newlines (450 lines).  Taken at 3920dd7, by running this same loop.
+PRODUCTS_SHA256 = \
+    "74ab46ce459dcd2f8f3e1c6be4589ca51af793df6a44be969d5fc33987ef52c3"
+
+
+def test_products_pinned():
+    lines = []
+    for q in (None, Fraction(3, 2)):
+        A = MatrixAlgebra(2, q)
+        monos = [A.monomial_element(m) for m in A.monomial_basis(2)]
+        lines += [str(m1 * m2) for m1, m2 in product(monos, repeat=2)]
+    assert len(lines) == 450
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PRODUCTS_SHA256
 
 
 def test_det_power_cache(A2):
