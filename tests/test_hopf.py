@@ -182,7 +182,17 @@ def test_beta_fixes_tau_family(H2, H3):
     for H in (H2, H3):
         for i in range(1, H.n + 1):
             assert H.is_coinvariant(H.alg.tau(i), "beta")
-    H = HopfContext(MatrixAlgebra(2, Fraction(3, 2)))
+
+
+def test_sl_specialized_coefficients():
+    """At q = 3/2 the SL_2 relation a d = 1 + q b c holds in the degree-0
+    part of O(GL_q(2)), as x11 x22 det^-1 = 1 + q x12 x21 det^-1, and tau_1
+    stays beta-coinvariant."""
+    q = Fraction(3, 2)
+    H = HopfContext(MatrixAlgebra(2, q))
+    x = H.alg.generator
+    assert (H.embed(x(1, 1) * x(2, 2), 1)
+            == H.scalar_gl(1) + H.embed(x(1, 2) * x(2, 1), 1).scale(q))
     assert H.is_coinvariant(H.alg.tau(1), "beta")
 
 
