@@ -338,6 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "matrix algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, summary):
+        # options match by their full names only, never by a prefix
+        return sub.add_parser(name, help=summary, allow_abbrev=False)
+
     def common(p, point=False, degree=False, size=False):
         if point:
             p.add_argument("--point", required=True,
@@ -358,29 +362,28 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help="write the JSON report here instead of stdout")
 
-    p = sub.add_parser("verify-coinvariants",
-                       help="check the two coinvariant families")
+    p = command("verify-coinvariants", "check the two coinvariant families")
     common(p, size=True)
     p.set_defaults(func=cmd_verify_coinvariants)
 
-    p = sub.add_parser("kernel", help="truncated kernel vs ideal at a point")
+    p = command("kernel", "truncated kernel vs ideal at a point")
     common(p, point=True, degree=True)
     p.set_defaults(func=cmd_kernel)
 
-    p = sub.add_parser("image", help="truncated image data at a point")
+    p = command("image", "truncated image data at a point")
     common(p, point=True, degree=True)
     p.set_defaults(func=cmd_image)
 
-    p = sub.add_parser("character", help="image characters degree by degree")
+    p = command("character", "image characters degree by degree")
     common(p, point=True, degree=True)
     p.set_defaults(func=cmd_character)
 
-    p = sub.add_parser("eval", help="evaluate an expression at a point")
+    p = command("eval", "evaluate an expression at a point")
     p.add_argument("expression", help="expression in x{i}{j}, q, + - * / ^")
     common(p, point=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("identities", help="run the identity suite")
+    p = command("identities", "run the identity suite")
     common(p, size=True)
     p.add_argument("--max-n", type=int, default=4,
                    help="largest power for the closed-form checks")

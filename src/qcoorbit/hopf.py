@@ -284,12 +284,14 @@ class HopfContext:
         letter ``x_k`` as ``{key: coeff}``.  Straightening it keeps the leg
         (the coactions); an entry table evaluates it (the co-orbit maps, and
         the coproduct itself with the counit), and an empty result skips the
-        branch.  Returns ``{(u, v, w): coeff}``.
+        branch.  A factor that is the unit object is not multiplied by.
+        Returns ``{(u, v, w): coeff}``.
         """
         n = self.n
         alg = self.alg
+        one = self._one
         unit = Monomial.one(n)
-        acc = {(unit, unit, unit): self._one}
+        acc = {(unit, unit, unit): one}
         for k in m.word():
             i, j = divmod(k, n)
             nxt = {}
@@ -304,11 +306,13 @@ class HopfContext:
                             left = alg._mul_mono_letter(u, i * n + s)
                         right = alg._mul_mono_letter(w, t * n + j)
                         for um, uc in left.items():
-                            cu = c * uc
+                            cu = c if uc is one else c * uc
                             for vm, vc in mid.items():
-                                cuv = cu * vc
+                                cuv = (cu if vc is one
+                                       else vc if cu is one else cu * vc)
                                 for wm, wc in right.items():
-                                    accumulate(nxt, (um, vm, wm), cuv * wc)
+                                    accumulate(nxt, (um, vm, wm),
+                                               cuv if wc is one else cuv * wc)
             acc = nxt
         return acc
 

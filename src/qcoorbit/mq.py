@@ -9,7 +9,8 @@ so rewriting terminates and the ordered monomials form a basis.
 A :class:`MatrixAlgebra` is a context object: it fixes the size N and the
 coefficient q (a symbolic Scalar by default, or a Fraction to run the whole
 engine with q specialized *before* any computation), and memoizes the
-straightening tables so repeated products are cheap.
+straightening tables so repeated products are cheap.  Most rules carry the
+unit object ``one`` as coefficient; straightening skips products by it.
 """
 
 from __future__ import annotations
@@ -123,13 +124,14 @@ def accumulate(out: dict, key, c) -> None:
         del out[key]
 
 
-def _times_letter(terms: dict, k: int, mul_letter) -> dict:
+def _times_letter(terms: dict, k: int, mul_letter, one) -> dict:
     """``terms`` times the letter ``k``; ``mul_letter(key, k)`` straightens
-    one basis word times the letter."""
+    one basis word times the letter.  A factor that is ``one`` (the
+    algebra's unit object) is not multiplied by."""
     out = {}
     for m, c in terms.items():
         for mm, cc in mul_letter(m, k).items():
-            accumulate(out, mm, c * cc)
+            accumulate(out, mm, c if cc is one else cc if c is one else c * cc)
     return out
 
 
@@ -408,12 +410,14 @@ class MatrixAlgebra:
                 out = {m.bumped(k): self.one}
             else:
                 rest = m.stripped(last)
+                one = self.one
                 out = {}
                 for coeff, (a, b) in self._letter_rule(last, k):
                     for m1, c1 in self._mul_mono_letter(rest, a).items():
-                        ca = coeff * c1
+                        ca = (c1 if coeff is one
+                              else coeff if c1 is one else coeff * c1)
                         for m2, c2 in self._mul_mono_letter(m1, b).items():
-                            accumulate(out, m2, ca * c2)
+                            accumulate(out, m2, ca if c2 is one else ca * c2)
         self._ml_cache[(m, k)] = out
         return out
 
@@ -428,7 +432,7 @@ class MatrixAlgebra:
             return out
         acc = {m1: self.one}
         for k in m2.word():
-            acc = _times_letter(acc, k, self._mul_mono_letter)
+            acc = _times_letter(acc, k, self._mul_mono_letter, self.one)
         self._mm_cache[(m1, m2)] = acc
         return acc
 
@@ -445,7 +449,8 @@ class MatrixAlgebra:
                 raise ValueError(f"generator x{i}{j} out of range")
             k = (i - 1) * self.n + (j - 1)
             elem = MqElement(self, _times_letter(elem.terms, k,
-                                                 self._mul_mono_letter))
+                                                 self._mul_mono_letter,
+                                                 self.one))
         return elem
 
     # -- quantum minors and coinvariant families -----------------------------------

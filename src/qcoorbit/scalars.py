@@ -14,7 +14,10 @@ scan that strips the common power of q.  Nothing else can cancel, so the
 result is already reduced and the gcd-based reduction is skipped.  The
 stored form is the same either way.  In the benchmark's workloads every sum
 and product of ``verify-coinvariants`` takes the fast path, and over 97 % of
-those of the symbolic kernel and image commands do.
+those of the symbolic kernel and image commands do.  A product with the
+shared unit ``q**0`` as a factor returns the other factor itself; the
+straightening rules carry that one object, so their many products by 1 cost
+an identity test.
 
 Scalars are immutable and hashable.  The whole engine is generic over the
 coefficient type: run it with Scalars for symbolic q, or with plain Fractions
@@ -419,6 +422,10 @@ class Scalar(Frozen):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o is _S_ONE:
+            return self
+        if self is _S_ONE:
+            return o
         if self.qk >= 0 and o.qk >= 0:
             a, b = self.num, o.num
             if not a.coeffs or not b.coeffs:

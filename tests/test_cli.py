@@ -157,6 +157,18 @@ def test_degree_over_ceiling_exits_2(capsys):
     assert "ceiling" in err
 
 
+def test_option_prefixes_exit_2(capsys):
+    """Options match only by their full names: a prefix of one is refused
+    as an unknown argument, so renaming an option cannot leave old command
+    lines parsing by accident."""
+    for argv in (("kernel", "--point", GENERIC, "--deg", "2"),
+                 ("image", "--point", GENERIC, "--coact", "beta")):
+        with pytest.raises(SystemExit) as exit_:
+            main(list(argv))
+        assert exit_.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
+
+
 def _diagonal_point(n: int) -> str:
     return json.dumps({"n": n, "entries": [
         [str(i + 2) if i == j else "0" for j in range(n)] for i in range(n)]})

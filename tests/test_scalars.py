@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import qcoorbit
 from qcoorbit.coorbit import Point
-from qcoorbit.mq import MatrixAlgebra, _ElementParser
+from qcoorbit.mq import MatrixAlgebra, Monomial, _ElementParser
 from qcoorbit.scalars import PoleError, Poly, Scalar, ScalarParser
 
 q = Scalar.q()
@@ -444,3 +444,49 @@ def test_constant_scalar_hashes_as_its_rational():
     plain = Point([[1, 0], [0, Fraction(3, 2)]])
     lifted = Point([[Scalar.of(1), 0], [0, Scalar.of(Fraction(3, 2))]])
     assert plain == lifted and hash(plain) == hash(lifted)
+
+
+# -- the unit coefficient -------------------------------------------------------
+#
+# A product by the shared unit q**0 returns the other operand itself, and the
+# straightening loops skip every factor that is the algebra's ``one``.  These
+# checks fail if the unit is ever rebuilt as an equal but distinct object,
+# which would silently turn both skips off.
+
+@settings(max_examples=100, deadline=None)
+@given(laurents())
+def test_product_by_the_unit_is_the_operand(x):
+    one = q ** 0
+    assert x * one is x and one * x is x
+
+
+def test_product_by_the_unit_rational_functions():
+    one = q ** 0
+    for x in ((q ** 2 - 1) / (q + 2), 1 / (q - 1), Scalar.of(0),
+              Fraction(3, 7) * (q + 1) / (q ** 2 + q + 1)):
+        assert x * one is x and one * x is x
+    assert one * one is one and (one * 2) == 2 and (2 * one) == 2
+
+
+def test_algebra_unit_is_shared():
+    assert MatrixAlgebra(2).one is q ** 0
+    assert MatrixAlgebra(3).one is q ** 0
+
+
+def test_commuting_steps_return_the_unit():
+    """A straightening step whose letters all commute (ordered, or by the
+    rule x_il x_jk = x_jk x_il for i < j, k < l) returns the unit itself,
+    at q = 3/2 as at symbolic q: no step multiplied by 1."""
+    for alg in (MatrixAlgebra(2, Fraction(3, 2)), MatrixAlgebra(2)):
+        seen = 0
+        for m in alg.monomial_basis(3):
+            for k in range(4):
+                rules = [alg._letter_rule(l, k) for l in m.word() if l > k]
+                if all(len(r) == 1 and r[0][0] is alg.one for r in rules):
+                    (c,) = alg._mul_mono_letter(m, k).values()
+                    assert c is alg.one, (m, k)
+                    seen += bool(rules)
+        assert seen > 0
+        x11, x22 = (Monomial.generator(2, i, i) for i in (1, 2))
+        (c,) = alg._mul_monos(x11, x22).values()
+        assert c is alg.one
