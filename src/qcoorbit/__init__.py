@@ -7,9 +7,8 @@ from .chars import (Character, chi_irreducible, character_of, compare_at_q1,
                     coordinate_truncation_character,
                     coordinate_truncation_dimension, decompose_sl2,
                     difference_identity)
-from .coorbit import (CoorbitMap, ImageData, Point, TruncatedSubspace,
-                      diag_coinv_keys, evaluate, psi_power_check, sphere_span,
-                      validate_point)
+from .coorbit import (CoorbitMap, Point, TruncatedSubspace, diag_coinv_keys,
+                      evaluate, psi_power_check, sphere_span, validate_point)
 from .hopf import GlqElement, HopfContext, TensorElement
 from .mq import MatrixAlgebra, Monomial, MqElement
 from .scalars import PoleError, Scalar
@@ -20,7 +19,7 @@ __all__ = [
     "Character", "chi_irreducible", "character_of", "compare_at_q1",
     "coordinate_truncation_character", "coordinate_truncation_dimension",
     "decompose_sl2", "difference_identity",
-    "CoorbitMap", "ImageData", "Point", "TruncatedSubspace",
+    "CoorbitMap", "Point", "TruncatedSubspace",
     "diag_coinv_keys", "evaluate", "psi_power_check", "sphere_span",
     "validate_point",
     "GlqElement", "HopfContext", "TensorElement",

@@ -19,10 +19,9 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from .coorbit import CoorbitMap, ImageData, Point, TruncatedSubspace
+from .coorbit import CoorbitMap, Point, TruncatedSubspace
 from .hopf import HopfContext
 from .mq import MatrixAlgebra, SparseTerms, laurent_word
-from .scalars import Scalar
 
 
 class Character(SparseTerms):
@@ -95,25 +94,23 @@ def chi_irreducible(m: int) -> Character:
 
 
 def character_of(space, picture: str = "z") -> Character:
-    """Character of an image truncation or of a sphere span.
+    """Character of an image truncation or of a sphere span: one weight per
+    basis row, read off its keys.
 
-    Accepts :class:`ImageData` (torus weights; the z picture maps a torus
-    weight (w1, ..., wn) to w1 - wn) or a :class:`TruncatedSubspace` whose
-    keys are size-2 monomials, such as a :func:`~qcoorbit.coorbit.sphere_span`
-    (z picture only, weight e11 - e12 + e21 - e22: column-1 degree minus
-    column-2 degree, which det leaves unchanged).
+    The keys are numerator monomials of degree n*p over det^p.  A key's
+    torus weight is its column degrees minus p, which det leaves unchanged;
+    the z picture maps it to w1 - wn, column-1 degree minus column-n degree.
     """
-    if isinstance(space, ImageData):
-        if picture == "t":
-            return Character.from_weights("t", space.weights)
-        return Character.from_weights("z", [w[0] - w[-1] for w in space.weights])
-    if isinstance(space, TruncatedSubspace):
-        if picture != "z":
-            raise ValueError("subspace characters only come in the z picture")
-        weights = space.row_weights(
-            lambda m: m.exps[0] - m.exps[1] + m.exps[2] - m.exps[3])
-        return Character.from_weights("z", weights)
-    raise TypeError("expected ImageData or TruncatedSubspace")
+    if not isinstance(space, TruncatedSubspace):
+        raise TypeError("expected a TruncatedSubspace")
+
+    def weight(m):
+        cols = m.coldeg()
+        if picture == "z":
+            return cols[0] - cols[-1]
+        return tuple(c - m.deg // m.n for c in cols)
+
+    return Character.from_weights(picture, space.row_weights(weight))
 
 
 def decompose_sl2(char: Character) -> dict:
@@ -172,25 +169,15 @@ class SpecializationReport(NamedTuple):
 
 
 def compare_at_q1(hopf: HopfContext, point: Point, d: int,
-                  which: str = "beta", q0=Fraction(1)) -> SpecializationReport:
-    """Re-run the whole image computation with q specialized to q0 before
+                  q0=Fraction(1)) -> SpecializationReport:
+    """Re-run the beta image computation with q specialized to q0 before
     any linear algebra, and compare torus characters with the symbolic run.
 
     Point entries that are symbolic scalars are specialized too (a pole at
     q0 raises).  The default q0 = 1 lands in the commutative world.
     """
-    sym = character_of(CoorbitMap(hopf, point, which).image_data(d), "t")
+    sym = character_of(CoorbitMap(hopf, point).image_data(d), "t")
     alg0 = MatrixAlgebra(hopf.alg.n, q0)
-    entries0 = []
-    for row in point.entries:
-        row0 = []
-        for e in row:
-            if isinstance(e, Scalar):
-                row0.append(e.specialize(q0))
-            else:
-                row0.append(Fraction(e))
-        entries0.append(row0)
-    point0 = Point(entries0)
-    cm0 = CoorbitMap(HopfContext(alg0), point0, which)
+    cm0 = CoorbitMap(HopfContext(alg0), point.specialize(q0))
     spec = character_of(cm0.image_data(d), "t")
     return SpecializationReport(sym == spec, sym, spec)

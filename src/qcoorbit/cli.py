@@ -110,15 +110,14 @@ def load_point(spec: str, q=None) -> Point:
         out = []
         for e in row:
             if isinstance(e, str):
-                v = Scalar.parse(e)
+                out.append(Scalar.parse(e))
             elif isinstance(e, int):
-                v = Scalar.of(e)
+                out.append(Scalar.of(e))
             else:
                 raise ValueError(f"point entries are ints or strings, not "
                                  f"{type(e).__name__}")
-            out.append(v if q is None else v.specialize(q))
         rows.append(out)
-    return Point(rows)
+    return Point(rows) if q is None else Point(rows).specialize(q)
 
 
 def _context(n: int, q1: str | None) -> HopfContext:
@@ -194,18 +193,13 @@ def cmd_kernel(args):
         ideal = cm.ideal_truncation(d)
         inside = ideal.is_subspace_of(ker)
         ok = ok and inside
-        basis = []
-        for row in ker.rows:
-            elem = MqElement(alg, {ker.keys[i]: c
-                                   for i, c in enumerate(row) if c})
-            basis.append(str(elem))
         degrees.append({
             "degree": d,
             "kernel_dim": ker.dim,
             "ideal_dim": ideal.dim,
             "ideal_inside_kernel": inside,
             "kernel_equals_ideal": ker == ideal,
-            "kernel_basis": basis,
+            "kernel_basis": [str(MqElement(alg, row)) for row in ker.rows],
         })
     return _degrees_report("kernel", cm, degrees), ok
 
@@ -222,12 +216,12 @@ def cmd_image(args):
             decomp = {str(m): k for m, k in decompose_sl2(zchar).items()}
         except ValueError:
             decomp = None
-        coinv = all(set(m.rowdeg()) <= {d} for m in img.space.keys)
+        coinv = all(set(m.rowdeg()) <= {d} for m in img.keys)
         ok = ok and coinv
         degrees.append({
             "degree": d,
-            "image_dim": img.space.dim,
-            "det_power": img.detpow,
+            "image_dim": img.dim,
+            "det_power": d,
             "t_character": str(tchar),
             "z_character": str(zchar),
             "sl2_decomposition": decomp,
@@ -246,7 +240,7 @@ def cmd_character(args):
         zchars.append(zchar)
         degrees.append({
             "degree": d,
-            "dim": img.space.dim,
+            "dim": img.dim,
             "z_character": str(zchar),
             "t_character": str(character_of(img, "t")),
         })

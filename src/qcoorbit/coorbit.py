@@ -17,7 +17,9 @@ definitional composite survives in the tests as an oracle.
 
 Truncations: kernels, ideal spans, and images of the co-orbit map restricted
 to monomials of bounded degree, as :class:`TruncatedSubspace` values over
-explicit key lists, computed by exact echelon reduction.
+explicit key lists, computed by exact echelon reduction.  Every vector, from
+a co-orbit image to a stored basis row, is a sparse ``{monomial: coeff}``
+dict; the kernel's matrix rows are the images read by codomain monomial.
 
 The size-2 closed forms and quantum sphere spans, stated in quantum SL_2,
 are checked in the degree-0 part of the localization, where the quotient
@@ -26,13 +28,13 @@ onto SL_2 is injective.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
-from typing import NamedTuple
 
 from . import xla
 from .hopf import GlqElement, HopfContext
 from .mq import Monomial, MqElement, _compositions
-from .scalars import Frozen
+from .scalars import Frozen, Scalar
 
 
 class Point(Frozen):
@@ -60,6 +62,14 @@ class Point(Frozen):
         n = len(values)
         return cls(tuple(tuple(values[i] if i == j else 0 for j in range(n))
                          for i in range(n)))
+
+    def specialize(self, q0) -> "Point":
+        """The point with q specialized to the rational q0: symbolic
+        entries are evaluated there (a pole raises), the others become
+        Fractions."""
+        return Point([[e.specialize(q0) if isinstance(e, Scalar)
+                       else Fraction(e) for e in row]
+                      for row in self.entries])
 
     def is_diagonal(self) -> bool:
         return all(not self.entries[i][j]
@@ -131,25 +141,26 @@ def evaluate(a: MqElement, point: Point):
 class TruncatedSubspace(Frozen):
     """A subspace of a finite coefficient space with labeled coordinates.
 
-    Stores the unique reduced echelon basis over the given key list, so two
-    subspaces over the same keys are equal iff their bases coincide.  The
-    constructor echelonizes any spanning rows; :meth:`_of_rref` takes rows
-    that already are that basis (as :func:`xla.kernel` returns them) and
-    stores them as they are.
+    Vectors are ``{key: coeff}`` dicts over the key list, with no zero
+    coefficient.  Stores the unique reduced echelon basis, so two subspaces
+    over the same keys are equal iff their bases coincide.  The constructor
+    echelonizes any spanning vectors; :meth:`_of_rref` takes vectors that
+    already are that basis (as :func:`xla.kernel` returns them) and stores
+    them as they are.
     """
 
     __slots__ = ("keys", "rows", "pivots")
 
-    def __init__(self, keys, rows):
-        rref, pivots, _rank = xla.echelon([list(r) for r in rows])
+    def __init__(self, keys, vectors):
+        order = {k: i for i, k in enumerate(keys)}
+        rref, pivots, _rank = xla.echelon(vectors, order)
         self._store(keys, rref, pivots)
 
     @classmethod
     def _of_rref(cls, keys, rref):
         """The subspace whose reduced echelon basis is ``rref``, unchecked."""
         self = cls.__new__(cls)
-        pivots = [next(i for i, c in enumerate(r) if c) for r in rref]
-        self._store(keys, rref, pivots)
+        self._store(keys, rref, [min(r, key=keys.index) for r in rref])
         return self
 
     def _store(self, keys, rref, pivots):
@@ -157,7 +168,7 @@ class TruncatedSubspace(Frozen):
         if len(set(keys)) != len(keys):
             raise ValueError("duplicate keys")
         object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in rref))
+        object.__setattr__(self, "rows", tuple(rref))
         object.__setattr__(self, "pivots", tuple(pivots))
 
     @property
@@ -167,15 +178,13 @@ class TruncatedSubspace(Frozen):
     def is_subspace_of(self, other: "TruncatedSubspace") -> bool:
         if self.keys != other.keys:
             raise ValueError("subspaces over different key lists")
-        orows = [list(r) for r in other.rows]
-        opiv = list(other.pivots)
-        return all(xla.member(list(r), orows, opiv) for r in self.rows)
+        return all(xla.member(r, other.rows, other.pivots) for r in self.rows)
 
     def row_weights(self, weight_fn):
         """One weight per basis row; every row must be weight-pure."""
         out = []
         for r in self.rows:
-            ws = {weight_fn(self.keys[i]) for i, c in enumerate(r) if c}
+            ws = {weight_fn(k) for k in r}
             if len(ws) != 1:
                 raise ValueError("basis row mixes weights")
             out.append(ws.pop())
@@ -189,22 +198,10 @@ class TruncatedSubspace(Frozen):
         return f"TruncatedSubspace(dim={self.dim}, ambient={len(self.keys)})"
 
 
-def _dense_rows(keys, vectors, zero):
-    """Coefficient rows of ``{key: coeff}`` dicts over the key list."""
-    index = {k: i for i, k in enumerate(keys)}
-    rows = []
-    for terms in vectors:
-        row = [zero] * len(keys)
-        for k, c in terms.items():
-            row[index[k]] = c
-        rows.append(row)
-    return rows
-
-
-class ImageData(NamedTuple):
-    space: TruncatedSubspace   # over numerator monomial keys
-    detpow: int                # shared determinant power of the image
-    weights: list              # torus weight tuple of each basis row
+def _span(vectors) -> TruncatedSubspace:
+    """Span of ``{monomial: coeff}`` vectors over the monomials they use."""
+    keys = sorted({m for v in vectors for m in v}, key=Monomial.sort_key)
+    return TruncatedSubspace(keys, vectors)
 
 
 class CoorbitMap:
@@ -267,13 +264,17 @@ class CoorbitMap:
     def kernel_basis(self, d: int) -> TruncatedSubspace:
         """Kernel of the co-orbit map on the span of monomials of degree <= d,
         over those monomials as keys."""
-        alg = self.hopf.alg
         domain, lifted = self._lifted_images(d)
-        codomain = sorted({m for num in lifted for m in num},
-                          key=Monomial.sort_key)
         # one row per codomain monomial, one column per domain monomial
-        rows = [list(col) for col in zip(*_dense_rows(codomain, lifted, alg.zero))]
-        kernel_vectors = xla.kernel(rows, len(domain), alg.one)
+        rows = {}
+        for m, num in zip(domain, lifted):
+            for k, c in num.items():
+                rows.setdefault(k, {})[m] = c
+        # Any row order gives the same RREF, but it decides which rows pivot
+        # and so how large the rational functions met on the way get: rows
+        # in hash-set order made a `truncations` benchmark pass 1.7x slower.
+        rows = [rows[k] for k in sorted(rows, key=Monomial.sort_key)]
+        kernel_vectors = xla.kernel(rows, domain, self.hopf.alg.one)
         return TruncatedSubspace._of_rref(domain, kernel_vectors)
 
     def ideal_truncation(self, d: int) -> TruncatedSubspace:
@@ -292,19 +293,12 @@ class CoorbitMap:
                 me = alg.monomial_element(m)
                 prod = g * me if self.which == "beta" else me * g
                 products.append(prod.terms)
-        domain = alg.monomial_basis(d)
-        return TruncatedSubspace(domain, _dense_rows(domain, products, alg.zero))
+        return TruncatedSubspace(alg.monomial_basis(d), products)
 
-    def image_data(self, d: int) -> ImageData:
-        """Image of the degree <= d truncation, with torus weights per row."""
-        alg = self.hopf.alg
-        _domain, lifted = self._lifted_images(d)
-        codomain = sorted({m for num in lifted for m in num},
-                          key=Monomial.sort_key)
-        space = TruncatedSubspace(codomain, _dense_rows(codomain, lifted, alg.zero))
-        weights = space.row_weights(
-            lambda m: tuple(c - d for c in m.coldeg()))
-        return ImageData(space, d, weights)
+    def image_data(self, d: int) -> TruncatedSubspace:
+        """Image of the degree <= d truncation, over the numerator monomials
+        of its elements at det^d."""
+        return _span(self._lifted_images(d)[1])
 
     # -- closed-form checks ------------------------------------------------------
 
@@ -394,5 +388,4 @@ def sphere_span(hopf: HopfContext, length: int) -> TruncatedSubspace:
     for k in range(1, length + 1):
         level = [e * g for e in level for g in gens]
         lifted += [hopf.embed(e, k).numerator_at(length).terms for e in level]
-    keys = sorted({m for num in lifted for m in num}, key=Monomial.sort_key)
-    return TruncatedSubspace(keys, _dense_rows(keys, lifted, alg.zero))
+    return _span(lifted)

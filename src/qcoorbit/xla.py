@@ -1,57 +1,65 @@
-"""Exact dense linear algebra over Q(q) (or plain Fractions).
+"""Exact sparse linear algebra over Q(q) (or plain Fractions).
 
-Entries are duck-typed field elements: anything immutable supporting
-``+ - * /``, ``bool`` (nonzero test) and ``==`` works, so the same routines
-serve the symbolic field and its rational specializations.
+Vectors are ``{column: entry}`` dicts with no zero entry, over any hashable
+column labels; an ``order`` dict gives each column its position.  Entries
+are duck-typed field elements: anything immutable supporting ``+ - * /``,
+``bool`` (nonzero test) and ``==`` works, so the same routines serve the
+symbolic field and its rational specializations.
 
-Elimination first splits the nonzero rows into independent blocks: two rows
-share a block when a chain of rows sharing nonzero columns links them
-(union-find over the column supports).  The co-orbit matrices, ideal spans
-and images at diagonal points are block-diagonal by torus weight, so each
-block is small.  Row operations never leave a block, so each block is
-eliminated on its own columns and the rows are merged back in pivot order.
+Elimination first splits the rows into independent blocks: two rows share a
+block when a chain of rows sharing columns links them (union-find over the
+row supports).  The co-orbit matrices, ideal spans and images at diagonal
+points are block-diagonal by torus weight, so each block is small.  Row
+operations never leave a block, so each block is eliminated on its own
+columns and the rows are merged back in pivot order.
 
 Within a block the rule is plain Gauss-Jordan elimination in the entry
 field: each pivot row is scaled to 1 and clears the rows below it, then the
-rows are cleared upward from the bottom one.  Entries stay small because
-every field operation returns a reduced element (``Scalar`` and
-``Fraction`` both keep themselves in lowest terms), so rows need no
-separate clearing of denominators or content.  The result is the unique
-RREF, so row-set equality of RREFs is subspace equality.  Pivoting is
-deterministic (leftmost nonzero, first available row).
+rows are cleared upward from the bottom one.  A row operation visits only
+the pivot row's entries and drops those that cancel.  Every field operation
+returns a reduced element (``Scalar`` and ``Fraction`` keep themselves in
+lowest terms), so rows need no separate clearing of denominators or
+content.  The result is the unique RREF, so row-set equality of RREFs is
+subspace equality.  Pivoting is deterministic (first column in ``order``,
+first available row).
 
-The kernel eliminates the matrix with its columns reversed.  The vector it
-reads off for a free column then starts with a 1 at that column and is zero
-at every other free column, so the vectors are already the kernel's RREF
-and need no second elimination.
+The kernel eliminates with the column order reversed.  The vector it reads
+off for a free column then has a 1 there and no entry at any other free
+column, so the vectors are already the kernel's RREF.
 """
 
 from __future__ import annotations
 
 
-def _eliminate(rows):
-    """Gauss-Jordan elimination of one block, to its RREF.
+def _subtract(row, c, other):
+    """``row -= c * other`` in place; entries that cancel are dropped."""
+    for col, b in other.items():
+        a = row.pop(col, None)
+        a = -(c * b) if a is None else a - c * b
+        if a:
+            row[col] = a
+
+
+def _eliminate(rows, cols):
+    """Gauss-Jordan elimination of one block over its columns ``cols``, in
+    that order, to its RREF.
 
     Returns ``(rref_rows, pivot_columns)``; zero rows are dropped.
     """
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return [], []
-    ncols = len(work[0])
+    work = [dict(r) for r in rows]
     pivots = []
     r = 0
-    for col in range(ncols):
-        src = next((i for i in range(r, len(work)) if work[i][col]), None)
+    for col in cols:
+        src = next((i for i in range(r, len(work)) if col in work[i]), None)
         if src is None:
             continue
         work[r], work[src] = work[src], work[r]
         pv = work[r][col]
-        work[r] = prow = [a / pv if a else a for a in work[r]]
+        work[r] = prow = {k: a / pv for k, a in work[r].items()}
         for i in range(r + 1, len(work)):
-            c = work[i][col]
-            if c:
-                work[i] = [a - c * b if b else a
-                           for a, b in zip(work[i], prow)]
+            c = work[i].get(col)
+            if c is not None:
+                _subtract(work[i], c, prow)
         pivots.append(col)
         r += 1
         if r == len(work):
@@ -61,10 +69,9 @@ def _eliminate(rows):
     for k in range(r - 1, 0, -1):
         col = pivots[k]
         for j in range(k):
-            c = work[j][col]
-            if c:
-                work[j] = [a - c * b if b else a
-                           for a, b in zip(work[j], work[k])]
+            c = work[j].get(col)
+            if c is not None:
+                _subtract(work[j], c, work[k])
     return work, pivots
 
 
@@ -93,63 +100,55 @@ def _blocks(supports):
     return list(blocks.values())
 
 
-def echelon(rows):
-    """Reduced row echelon form.
+def echelon(rows, order):
+    """Reduced row echelon form of a list of rows, with the columns in
+    ``order``.
 
-    Returns ``(rref_rows, pivot_columns, rank)``; zero rows are dropped.
+    Returns ``(rref_rows, pivot_columns, rank)``; zero rows are dropped, and
+    the given rows are left as they are.
     """
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return [], [], 0
-    ncols = len(rows[0])
-    probe = next(e for e in rows[0] if e)
-    zero = probe - probe
-    supports = [[c for c, e in enumerate(r) if e] for r in rows]
+    rows = [r for r in rows if r]
     merged = []
-    for block in _blocks(supports):
-        cols = sorted({c for i in block for c in supports[i]})
-        rref, pivots = _eliminate([[rows[i][c] for c in cols] for i in block])
-        for row, p in zip(rref, pivots):
-            full = [zero] * ncols
-            for c, e in zip(cols, row):
-                full[c] = e
-            merged.append((cols[p], full))
-    merged.sort(key=lambda pair: pair[0])
+    for block in _blocks([list(r) for r in rows]):
+        cols = sorted({c for i in block for c in rows[i]},
+                      key=order.__getitem__)
+        rref, pivots = _eliminate([rows[i] for i in block], cols)
+        merged.extend(zip(pivots, rref))
+    merged.sort(key=lambda pair: order[pair[0]])
     return [row for _p, row in merged], [p for p, _row in merged], len(merged)
 
 
-def kernel(rows, ncols: int, one):
-    """Basis of the right null space of the matrix given by ``rows``.
+def kernel(rows, columns, one):
+    """Basis of the right null space of the matrix given by ``rows``, whose
+    columns are the list ``columns``.
 
     ``one`` is the multiplicative unit of the entry field (needed so the
     kernel of an all-zero map can still be built).  The columns are
-    eliminated in reverse order, so each vector starts with a 1 at its free
-    column and is zero at the other free columns: in ascending free-column
-    order the vectors are the kernel's unique reduced echelon basis.
+    eliminated in reverse order, so each vector has a 1 at its free column
+    and no entry at the other free columns: in the order of their free
+    columns the vectors are the kernel's unique reduced echelon basis.
     """
-    zero = one - one
-    last = ncols - 1
-    rref, pivots, _rank = echelon([r[::-1] for r in rows])
+    reverse = {c: -i for i, c in enumerate(columns)}
+    rref, pivots, _rank = echelon(rows, reverse)
     pivot_set = set(pivots)
     basis = []
-    for f in range(last, -1, -1):
+    for f in columns:
         if f in pivot_set:
             continue
-        vec = [zero] * ncols
-        vec[last - f] = one
+        vec = {f: one}
         for row, p in zip(rref, pivots):
-            coeff = row[f]
-            if coeff:
-                vec[last - p] = -coeff
+            coeff = row.get(f)
+            if coeff is not None:
+                vec[p] = -coeff
         basis.append(vec)
     return basis
 
 
 def member(vector, rref_rows, pivots) -> bool:
     """Is ``vector`` in the row space described by an RREF?"""
-    v = list(vector)
-    for rr, p in enumerate(pivots):
-        c = v[p]
-        if c:
-            v = [a - c * b if b else a for a, b in zip(v, rref_rows[rr])]
-    return not any(v)
+    v = dict(vector)
+    for row, p in zip(rref_rows, pivots):
+        c = v.get(p)
+        if c is not None:
+            _subtract(v, c, row)
+    return not v

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import qcoorbit
 from qcoorbit import cli
 from qcoorbit.coorbit import CoorbitMap, Point
 from qcoorbit.hopf import HopfContext
@@ -85,3 +86,29 @@ def test_workload_commands_parse():
                 except SystemExit:
                     pytest.fail(f"{w}, seed {seed}: {cmd.argv} does not parse")
                 assert args.command == cmd.kind
+
+
+def test_traced_commands_print_the_untraced_bytes(tracer, capsys):
+    """The benchmark's tracer, installed around ``cli.main`` as in
+    ``run.py --trace 1``, leaves the report bytes unchanged and sees the
+    elimination.  Its wrappers index what they wrap (the rows given to
+    ``xla.echelon``, its rank), so a change of what the entry points take
+    or return fails here and not only under the benchmark."""
+    point = '{"entries": [[2, 0], [0, 3]]}'
+    argvs = [[kind, "--point", point, "--degree", "2"]
+             for kind in ("kernel", "image")]
+
+    def reports():
+        out = []
+        for argv in argvs:
+            assert cli.main(argv) == 0, argv
+            out.append(capsys.readouterr().out)
+        return out
+
+    untraced = reports()
+    traced = tracer.Tracer(qcoorbit)
+    with traced:
+        assert reports() == untraced
+    metrics = traced.layer_metrics(1)
+    assert metrics["xla.echelon_calls"][0] > 0
+    assert metrics["xla.rank_ratio"][0] > 0

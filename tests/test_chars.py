@@ -22,6 +22,11 @@ def H2():
     return HopfContext(MatrixAlgebra(2))
 
 
+@pytest.fixture(scope="module")
+def H3():
+    return HopfContext(MatrixAlgebra(3))
+
+
 def test_character_arithmetic():
     a = Character("z", {2: 1, 0: 1})
     b = Character("z", {0: 1, -2: 1})
@@ -107,8 +112,42 @@ def test_resonant_image_character(H2):
 def test_sphere_span_character(H2):
     zc = character_of(sphere_span(H2, 1), "z")
     assert zc == chi_irreducible(0) + chi_irreducible(2)
-    with pytest.raises(ValueError):
-        character_of(sphere_span(H2, 1), "t")
+    tc = character_of(sphere_span(H2, 1), "t")
+    assert tc == Character("t", {(1, -1): 1, (0, 0): 2, (-1, 1): 1})
+
+
+def _domain_weight(m):
+    """Torus weight of a domain monomial: column degrees minus row degrees."""
+    return tuple(c - r for c, r in zip(m.coldeg(), m.rowdeg()))
+
+
+@pytest.mark.parametrize("which", ["beta", "alpha"])
+@pytest.mark.parametrize("n,d,entries", [
+    (2, 3, [[2, 0], [0, 3]]),
+    (2, 3, [[Scalar.q() ** 2, 0], [0, 1]]),
+    (2, 3, [[0, 1], [0, 0]]),
+    (3, 2, [[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
+], ids=["diag(2,3)", "diag(q^2,1)", "nilpotent", "size-3"])
+def test_torus_grading_checks_characters_read_off_keys(H2, H3, which, n, d,
+                                                       entries):
+    """The co-orbit map carries a domain monomial of weight coldeg - rowdeg
+    to numerator keys k over det^p with coldeg(k) - p equal to it, at every
+    point (the weight character_of reads off a key).  So, weight by weight,
+    the image's t character and the kernel's weights add up to the weights
+    of the domain (rank-nullity)."""
+    hopf = {2: H2, 3: H3}[n]
+    cm = CoorbitMap(hopf, Point(entries), which)
+    domain = hopf.alg.monomial_basis(d)
+    for m in domain:
+        num, p = cm.of_monomial(m)
+        for k in num:
+            assert tuple(c - p for c in k.coldeg()) == _domain_weight(m), \
+                (m, k)
+    kernel = Character.from_weights(
+        "t", cm.kernel_basis(d).row_weights(_domain_weight))
+    image = character_of(cm.image_data(d), "t")
+    assert image + kernel == Character.from_weights(
+        "t", [_domain_weight(m) for m in domain])
 
 
 def test_character_of_rejects_other_types():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from qcoorbit import xla
 from qcoorbit.scalars import PoleError, Scalar
-from qcoorbit.xla import _blocks, _eliminate, echelon, kernel, member
+from qcoorbit.xla import _blocks
 
 q = Scalar.q()
 one = Scalar.of(1)
@@ -13,6 +13,45 @@ zero = Scalar.of(0)
 
 def S(x):
     return Scalar.of(x)
+
+
+# -- dense adapters: the checks below state their matrices as lists of rows;
+# xla works on {column: entry} dicts, here over the columns 0, 1, 2, ...
+
+
+def _sparse(rows):
+    return [{c: e for c, e in enumerate(r) if e} for r in rows]
+
+
+def _dense(vectors, ncols, zero_entry):
+    return [[v.get(c, zero_entry) for c in range(ncols)] for v in vectors]
+
+
+def _columns(rows):
+    ncols = len(rows[0]) if rows else 0
+    return ncols, {c: c for c in range(ncols)}
+
+
+def echelon(rows):
+    ncols, order = _columns(rows)
+    rref, pivots, rk = xla.echelon(_sparse(rows), order)
+    zero_entry = rows[0][0] - rows[0][0] if rows else None
+    return _dense(rref, ncols, zero_entry), pivots, rk
+
+
+def _eliminate(rows):
+    ncols, order = _columns(rows)
+    rref, pivots = xla._eliminate(_sparse(rows), list(order))
+    return _dense(rref, ncols, rows[0][0] - rows[0][0]), pivots
+
+
+def kernel(rows, ncols, one_entry):
+    basis = xla.kernel(_sparse(rows), list(range(ncols)), one_entry)
+    return _dense(basis, ncols, one_entry - one_entry)
+
+
+def member(vector, rref_rows, pivots):
+    return xla.member(_sparse([vector])[0], _sparse(rref_rows), pivots)
 
 
 def rank(rows):
@@ -38,6 +77,22 @@ def test_xla_imports_nothing_from_the_package():
             for alias in node.names:
                 assert not alias.name.startswith("qcoorbit"), \
                     ast.unparse(node)
+
+
+def test_sparse_rows_stay_sparse_and_inputs_unchanged():
+    """Entries that cancel leave the rows, labels of any kind serve as
+    columns, and the input dicts are not changed (the co-orbit images that
+    reach elimination are the memoized ones)."""
+    rows = [{"a": one, "b": q}, {"a": one, "b": q, "c": q + 1}]
+    saved = [dict(r) for r in rows]
+    rref, pivots, rk = xla.echelon(rows, {"a": 0, "b": 1, "c": 2})
+    assert (rref, pivots, rk) == ([{"a": one, "b": q}, {"c": one}],
+                                  ["a", "c"], 2)
+    assert xla.kernel(rows, ["a", "b", "c"], one) == [{"a": one, "b": -1 / q}]
+    assert xla.member(rows[1], rref, pivots)
+    assert not xla.member({"b": one}, rref, pivots)
+    assert rows == saved
+    assert rref == [{"a": one, "b": q}, {"c": one}]
 
 
 def test_identity_full_rank():
