@@ -270,9 +270,10 @@ class CoorbitMap:
         for m, num in zip(domain, lifted):
             for k, c in num.items():
                 rows.setdefault(k, {})[m] = c
-        # Any row order gives the same RREF, but it decides which rows pivot
-        # and so how large the rational functions met on the way get: rows
-        # in hash-set order made a `truncations` benchmark pass 1.7x slower.
+        # Any row order gives the same RREF, but it breaks the pivot rule's
+        # ties and so decides how large the rational functions met on the
+        # way get: rows in insertion order, unsorted, made a `truncations`
+        # benchmark pass about 5 % slower (256-270 loops against 245-260).
         rows = [rows[k] for k in sorted(rows, key=Monomial.sort_key)]
         kernel_vectors = xla.kernel(rows, domain, self.hopf.alg.one)
         return TruncatedSubspace._of_rref(domain, kernel_vectors)

@@ -20,8 +20,16 @@ the pivot row's entries and drops those that cancel.  Every field operation
 returns a reduced element (``Scalar`` and ``Fraction`` keep themselves in
 lowest terms), so rows need no separate clearing of denominators or
 content.  The result is the unique RREF, so row-set equality of RREFs is
-subspace equality.  Pivoting is deterministic (first column in ``order``,
-first available row).
+subspace equality.
+
+Columns are taken in ``order``.  For each column the pivot row is the
+candidate whose entry there is a unit of Q[q, 1/q], c*q^k, if one exists,
+then the one with the fewest entries, then the first: dividing by c*q^k keeps
+Laurent rows Laurent, and a short row touches few entries of the rows it
+clears.  Which row serves as pivot cannot change the result, because the RREF
+of a matrix with its columns in a fixed order is unique.  An entry says it is
+c*q^k through an ``is_monomial()`` method; an entry without one (a
+``Fraction``) counts as a unit, so over Q the rule is "shortest row".
 
 The kernel eliminates with the column order reversed.  The vector it reads
 off for a free column then has a 1 there and no entry at any other free
@@ -40,6 +48,13 @@ def _subtract(row, c, other):
             row[col] = a
 
 
+def _pivot_rank(row, col):
+    """Sort key of a candidate pivot row: units c*q^k first, then short
+    rows (entries without ``is_monomial`` count as units)."""
+    is_monomial = getattr(row[col], "is_monomial", None)
+    return (is_monomial is not None and not is_monomial(), len(row))
+
+
 def _eliminate(rows, cols):
     """Gauss-Jordan elimination of one block over its columns ``cols``, in
     that order, to its RREF.
@@ -50,9 +65,10 @@ def _eliminate(rows, cols):
     pivots = []
     r = 0
     for col in cols:
-        src = next((i for i in range(r, len(work)) if col in work[i]), None)
-        if src is None:
+        candidates = [i for i in range(r, len(work)) if col in work[i]]
+        if not candidates:
             continue
+        src = min(candidates, key=lambda i: _pivot_rank(work[i], col))
         work[r], work[src] = work[src], work[r]
         pv = work[r][col]
         work[r] = prow = {k: a / pv for k, a in work[r].items()}

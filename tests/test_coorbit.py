@@ -13,6 +13,7 @@ from qcoorbit.coorbit import (CoorbitMap, Point, TruncatedSubspace,
                               sphere_span, validate_point)
 from qcoorbit.hopf import GlqElement, HopfContext
 from qcoorbit.mq import MatrixAlgebra, Monomial, MqElement
+from qcoorbit.scalars import Poly
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +221,28 @@ def test_kernel_basis_is_already_canonical(H2, generic):
             again = TruncatedSubspace(kernel.keys, kernel.rows)
             assert kernel == again, (cm.point, d)
             assert kernel.pivots == again.pivots, (cm.point, d)
+
+
+# Poly.gcd calls made by kernel_basis(2) at diag(2, 3, 5) from a fresh
+# context, as counted when elimination began to pivot on c*q^k entries and
+# short rows; taking the first row with the pivot column made 1,552.
+KERNEL_GCD_CEILING = 426
+
+
+def test_kernel_gcd_calls_stay_under_ceiling(monkeypatch):
+    """A timing-free guard on the elimination's pivot rule: the kernel at a
+    generic size-3 point needs no more polynomial gcds than the ceiling."""
+    calls = []
+    gcd = Poly.gcd
+
+    def counting(a, b):
+        calls.append(None)
+        return gcd(a, b)
+
+    monkeypatch.setattr(Poly, "gcd", staticmethod(counting))
+    cm = CoorbitMap(HopfContext(MatrixAlgebra(3)), Point.diagonal([2, 3, 5]))
+    assert cm.kernel_basis(2).dim == _complete_intersection_dim(3, 2)
+    assert 0 < len(calls) <= KERNEL_GCD_CEILING
 
 
 def test_nilpotent_point_dimensions(nilpotent):

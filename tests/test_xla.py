@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 from qcoorbit import xla
-from qcoorbit.scalars import PoleError, Scalar
+from qcoorbit.scalars import PoleError, Poly, Scalar
 from qcoorbit.xla import _blocks
 
 q = Scalar.q()
@@ -363,3 +363,101 @@ def test_rref_specializes_to_the_rref_at_a_point():
                     == rows0, (seed, shapes, q0)
                 hits += 1
     assert hits >= 90
+
+
+# -- the pivot rule: any candidate row gives the same RREF -------------------
+
+
+def _mixed_entry(rnd):
+    """A nonzero entry of one of three kinds: c*q^k, a Laurent polynomial
+    that is no c*q^k, or a rational function outside Q[q, 1/q]."""
+    c = S(rnd.choice([-3, -2, -1, 1, 2, 3]))
+    kind = rnd.randrange(3)
+    if kind == 0:
+        return c * q ** rnd.randint(-2, 2)
+    if kind == 1:
+        return c * q ** rnd.randint(-1, 1) + S(rnd.choice([-2, -1, 1, 2]))
+    return _rational_scalar(rnd)
+
+
+def _oracle_kernel(m, ncols, one_entry):
+    """The kernel basis read off the textbook RREF of the matrix with its
+    columns reversed, as dense rows over the original columns."""
+    rows, pivots = _gauss_jordan([r[::-1] for r in m])
+    basis = []
+    for f in range(ncols):
+        if ncols - 1 - f in pivots:
+            continue
+        vec = [one_entry - one_entry] * ncols
+        vec[f] = one_entry
+        for row, p in zip(rows, pivots):
+            vec[ncols - 1 - p] = -row[ncols - 1 - f]
+        basis.append(vec)
+    return basis
+
+
+def test_pivot_choice_leaves_the_rref_unchanged():
+    """echelon and kernel give the same output under every seeded row order,
+    and it is what the textbook oracle gives, over Q(q) with entries mixing
+    c*q^k, Laurent and general rational functions, and over Fractions,
+    where the rule reduces to taking the shortest row."""
+    cases = [(_mixed_entry, one, seed) for seed in range(6)]
+    cases += [(_fraction, Fraction(1), seed) for seed in range(6)]
+    for entry, one_entry, seed in cases:
+        zero_entry = one_entry - one_entry
+        rnd = random.Random(300 + seed)
+        for shapes in BLOCK_SHAPES:
+            m = _shuffled_blocks(rnd, shapes, entry, zero_entry,
+                                 zero_rows=seed % 2, zero_cols=seed % 3)
+            # thin some rows out, so that rows differ in length
+            m = [[e if rnd.random() < 0.7 else zero_entry for e in r]
+                 for r in m]
+            ncols = len(m[0])
+            expected = echelon(m)
+            oracle_rows, oracle_pivots = _gauss_jordan(m)
+            assert expected == (oracle_rows, oracle_pivots,
+                                len(oracle_pivots)), (seed, shapes)
+            basis = kernel(m, ncols, one_entry)
+            assert basis == _oracle_kernel(m, ncols, one_entry), (seed, shapes)
+            for _ in range(3):
+                shuffled = m[:]
+                rnd.shuffle(shuffled)
+                assert echelon(shuffled) == expected, (seed, shapes)
+                assert kernel(shuffled, ncols, one_entry) == basis
+
+
+def test_laurent_block_needs_no_gcd(monkeypatch):
+    """In a Laurent block where every column has a c*q^k candidate pivot,
+    elimination divides only by c*q^k, so it asks for no polynomial gcd,
+    although the rows met first have pivot entries such as 2 + q."""
+    calls = []
+    gcd = Poly.gcd
+
+    def counting(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    rnd = random.Random(7)
+    ncols = 6
+    laurent = [q ** -1 - 2, q + 1, 3 * q ** 2 - q, zero, S(2) - q ** 3]
+    # rows with c*q^k first in column i and Laurent entries after it
+    triangular = []
+    for i in range(ncols):
+        row = [zero] * ncols
+        row[i] = S(rnd.choice([-2, -1, 1, 3])) * q ** rnd.randint(-2, 2)
+        for j in range(i + 1, ncols):
+            row[j] = rnd.choice(laurent)
+        triangular.append(row)
+    # Laurent combinations of them, none with a c*q^k in its first column
+    combos = []
+    for a, b in [(0, 1), (1, 3), (2, 4), (0, 5)]:
+        ca, cb = q + 2, S(1) - q ** 2
+        combos.append([ca * x + cb * y
+                       for x, y in zip(triangular[a], triangular[b])])
+    m = combos + triangular
+    assert not any(e.is_monomial() for e in (combos[0][0], combos[3][0]))
+    monkeypatch.setattr(Poly, "gcd", staticmethod(counting))
+    rows, pivots, rk = echelon(m)
+    assert calls == []
+    assert (pivots, rk) == (list(range(ncols)), ncols)
+    assert all(e.den.is_monomial() for r in rows for e in r if e)
