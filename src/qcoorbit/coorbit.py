@@ -273,7 +273,7 @@ class CoorbitMap:
         # Any row order gives the same RREF, but it breaks the pivot rule's
         # ties and so decides how large the rational functions met on the
         # way get: rows in insertion order, unsorted, made a `truncations`
-        # benchmark pass about 5 % slower (256-270 loops against 245-260).
+        # benchmark pass about 5 % slower (270-279 loops against 254-264).
         rows = [rows[k] for k in sorted(rows, key=Monomial.sort_key)]
         kernel_vectors = xla.kernel(rows, domain, self.hopf.alg.one)
         return TruncatedSubspace._of_rref(domain, kernel_vectors)

@@ -262,21 +262,17 @@ class HopfContext:
 
     def _lift(self, out: dict, num: dict, k: int, c=None) -> None:
         """Accumulate c * num * det^k into ``out`` (c = 1 when None): the
-        one product by a determinant power.  A factor that is the unit
-        object is not multiplied by."""
+        one product by a determinant power."""
         alg = self.alg
-        one = self._one
         det_k = alg.det_power(k).terms
         for nm, nc in num.items():
-            cnc = nc if c is None or c is one else c if nc is one else c * nc
+            cnc = nc if c is None else c * nc
             if not k:
                 accumulate(out, nm, cnc)
                 continue
             for lm, lc in det_k.items():
-                cl = cnc if lc is one else lc if cnc is one else cnc * lc
                 for mm, mc in alg._mul_monos(nm, lm).items():
-                    accumulate(out, mm,
-                               cl if mc is one else mc if cl is one else cl * mc)
+                    accumulate(out, mm, cnc * lc * mc)
 
     # -- coproduct ------------------------------------------------------------------
 
@@ -370,21 +366,13 @@ class HopfContext:
 
     # -- antipode ---------------------------------------------------------------------
 
-    def _share_unit(self, terms: dict) -> dict:
-        """``terms`` with every coefficient equal to 1 replaced by the unit
-        object, so that products by it are skipped by an identity test (at a
-        rational q, a product that comes out 1 is a new ``Fraction``)."""
-        one = self._one
-        return {key: one if c == one else c for key, c in terms.items()}
-
     def _s_letter(self, k: int):
         """S(x_ij) = (-q)^(i-j) [complement(j) | complement(i)] det^-1, the
         cofactor formula for 1-minors."""
         out = self._s_letter_cache.get(k)
         if out is None:
             i, j = divmod(k, self.n)
-            out = self._share_unit(
-                Minors(self, 1).cofactor((i + 1,), (j + 1,)).terms)
+            out = Minors(self, 1).cofactor((i + 1,), (j + 1,)).terms
             self._s_letter_cache[k] = out
         return out
 
@@ -400,15 +388,12 @@ class HopfContext:
             rest = self._antipode_mono(m.stripped(last))
             head = self._s_letter(last)
             alg = self.alg
-            one = self._one
             out = {}
             for hm, hc in head.items():
                 for rm, rc in rest.items():
-                    c = rc if hc is one else hc if rc is one else hc * rc
+                    c = hc * rc
                     for mm, mc in alg._mul_monos(hm, rm).items():
-                        accumulate(out, mm,
-                                   c if mc is one else mc if c is one else c * mc)
-            out = self._share_unit(out)
+                        accumulate(out, mm, c * mc)
         self._anti_cache[m] = out
         return out
 
@@ -436,19 +421,16 @@ class HopfContext:
     def _conjugate(self, folded, which: str):
         """Send the first leg of ``{(u, v, w): coeff}`` through the antipode
         and multiply it into the last: S(u) w for beta, w S(u) for alpha.
-        Returns ``{(v, numerator monomial): coeff}`` over det^deg(u).  A
-        factor that is the unit object is not multiplied by."""
+        Returns ``{(v, numerator monomial): coeff}`` over det^deg(u)."""
         alg = self.alg
-        one = self._one
         out = {}
         for (u, v, w), c in folded.items():
             for sm, sc in self._antipode_mono(u).items():
-                csc = c if sc is one else sc if c is one else c * sc
+                csc = c * sc
                 pair = alg._mul_monos(sm, w) if which == "beta" \
                     else alg._mul_monos(w, sm)
                 for pm, pc in pair.items():
-                    accumulate(out, (v, pm), csc if pc is one
-                               else pc if csc is one else csc * pc)
+                    accumulate(out, (v, pm), csc * pc)
         return out
 
     def _coaction_mono(self, part, which: str):

@@ -17,9 +17,7 @@ and product of ``verify-coinvariants`` takes the fast path, and over 97 % of
 those of the symbolic kernel and image commands do.  A product with the
 shared unit ``q**0`` as a factor returns the other factor itself; the
 straightening rules carry that one object, so their many products by 1 cost
-an identity test.  Any other sum, product or quotient is reduced by a
-polynomial gcd: the heuristic gcd (GCDHEU) at up to six evaluation points,
-then the primitive remainder sequence.
+an identity test.
 
 Scalars are immutable and hashable.  The whole engine is generic over the
 coefficient type: run it with Scalars for symbolic q, or with plain Fractions
@@ -101,76 +99,12 @@ def _int_pseudo_rem(a, b):
     return _strip(a)
 
 
-def _int_quotient(a, b):
-    """Quotient of integer coefficient sequences a / b when it lies in Z[q]
-    (as a list), else None; b is nonzero."""
-    rem = list(a)
-    top, lb = len(b) - 1, b[-1]
-    quo = [0] * max(len(rem) - top, 0)
-    for k in range(len(quo) - 1, -1, -1):
-        c, r = divmod(rem[k + top], lb)
-        if r:
-            return None
-        quo[k] = c
-        if c:
-            for j, bj in enumerate(b):
-                rem[k + j] -= c * bj
-    return None if any(rem) else quo
-
-
-def _int_value(coeffs, xi):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * xi + c
-    return acc
-
-
-# GCDHEU tries this many evaluation points before the remainder sequence.
-_HEU_POINTS = 6
-
-
-def _int_gcd_heu(a, b):
-    """The heuristic gcd (GCDHEU; B. W. Char, K. O. Geddes and G. H. Gonnet,
-    J. Symbolic Comput. 7, 1989) of primitive integer coefficient tuples, or
-    None when no evaluation point gives it.
-
-    At an integer xi >= 2 min(|a|, |b|) + 2 (max norms), the balanced
-    base-xi digits of gcd(a(xi), b(xi)) are the coefficients of a polynomial
-    whose primitive part, if it divides both a and b, is their gcd: a proper
-    divisor h of the gcd would divide a and b, so |h(xi)| > xi/2 by Cauchy's
-    root bound, yet h(xi) divides the digits' content, which is at most
-    xi/2.  Each failed point is followed by a larger one.
-    """
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
-    for _ in range(_HEU_POINTS):
-        h = math.gcd(_int_value(a, xi), _int_value(b, xi))
-        digits = []
-        while h:
-            d = h % xi
-            if 2 * d > xi:
-                d -= xi
-            digits.append(d)
-            h = (h - d) // xi
-        g = _int_primitive(digits)
-        if _int_quotient(a, g) is not None and _int_quotient(b, g) is not None:
-            return g
-        xi = xi * 73794 // 27011
-    return None
-
-
-def _int_gcd_prs(a, b):
-    """Gcd of primitive integer coefficient tuples by the primitive
-    remainder sequence."""
+def _int_gcd_poly(a, b):
+    """Primitive gcd of integer coefficient tuples (leading coeff positive)."""
+    a, b = _int_primitive(a), _int_primitive(b)
     while b:
         a, b = b, _int_primitive(_int_pseudo_rem(a, b))
     return a
-
-
-def _int_gcd_poly(a, b):
-    """Primitive gcd of integer coefficient tuples (leading coeff positive):
-    GCDHEU, then the remainder sequence if no evaluation point gives it."""
-    a, b = _int_primitive(a), _int_primitive(b)
-    return _int_gcd_heu(a, b) or _int_gcd_prs(a, b)
 
 
 class Poly(Frozen):
@@ -282,9 +216,20 @@ class Poly(Frozen):
         """
         if g.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
         content = math.gcd(*g.coeffs)
-        quo = _int_quotient(self.coeffs, [c // content for c in g.coeffs])
-        if quo is None:
+        gp = [c // content for c in g.coeffs]
+        top, lg = len(gp) - 1, gp[-1]
+        quo = [0] * max(len(rem) - top, 0)
+        for k in range(len(quo) - 1, -1, -1):
+            c, r = divmod(rem[k + top], lg)
+            if r:
+                raise ValueError("not an exact polynomial division")
+            quo[k] = c
+            if c:
+                for j, gj in enumerate(gp):
+                    rem[k + j] -= c * gj
+        if any(rem):
             raise ValueError("not an exact polynomial division")
         return Poly([c * g.den for c in quo], self.den * content)
 

@@ -13,9 +13,7 @@ from hypothesis import given, settings, strategies as st
 import qcoorbit
 from qcoorbit.coorbit import Point
 from qcoorbit.mq import MatrixAlgebra, Monomial, _ElementParser
-from qcoorbit.scalars import (PoleError, Poly, Scalar, ScalarParser, _convolve,
-                               _int_gcd_heu, _int_gcd_poly, _int_gcd_prs,
-                               _int_primitive)
+from qcoorbit.scalars import PoleError, Poly, Scalar, ScalarParser
 
 q = Scalar.q()
 
@@ -272,71 +270,6 @@ def test_exact_div_inexact_raises():
         else:
             assert a.exact_div(b) == as_poly(quo)
     assert inexact >= 40
-
-
-def _product(*factors):
-    """Product of integer coefficient tuples."""
-    out = (1,)
-    for f in factors:
-        out = tuple(_convolve(out, f))
-    return out
-
-
-# b = q^2 + q + 1 has max norm 1, so GCDHEU evaluates at 4, 10, 27, 73, 199
-# and 543; a vanishes at all six, so gcd(a(xi), b(xi)) = b(xi) and the
-# candidate b never divides a.
-FORCED_FALLBACK = (_product(*[(-r, 1) for r in (4, 10, 27, 73, 199, 543)]),
-                   (1, 1, 1))
-
-
-def test_heuristic_gcd_matches_the_remainder_sequence():
-    """GCDHEU, and the gcd that puts it in front of the remainder sequence,
-    agree with the remainder sequence on pinned and seeded pairs: coprime
-    pairs, pairs with integer content, pairs with a power of q, and a pair
-    at which every evaluation point fails, so the remainder sequence
-    answers.  Poly.gcd returns a monic common divisor with coprime
-    cofactors."""
-    x, x1 = (0, 1), (1, 1)
-    cases = [
-        ((1, 0, 1), x1),                                      # coprime
-        (_product((-1, 1), (2, -3, 5)), _product((3, 1), (1, 0, 0, 2))),
-        (_product((6,), x1, (2, 1)), _product((4,), x1, (-3, 1))),  # content
-        ((12, 18, 6), (10, 15, 5)),                          # content only
-        (_product(x, x, x, x1), _product(x, x1, x1)),        # powers of q
-        (_product(x, x, (1, 0, 1)), _product(x, x, x, (1, 0, 1))),
-        ((-1,) + (0,) * 11 + (1,), (-1,) + (0,) * 7 + (1,)),  # gcd q^4 - 1
-        (_product(*[x1] * 6, (-1, 1)),                       # gcd (q + 1)^6,
-         _product(*[x1] * 6, (1, -1, 1))),                   # norm 20 > 11, 9
-        (_product(*[(7, -5, 3)] * 3, (1, 2)),
-         _product(*[(7, -5, 3)] * 2, (2, -1, 1))),
-        FORCED_FALLBACK, FORCED_FALLBACK[::-1],
-    ]
-    rng = random.Random(22)
-    for _ in range(60):
-        g = seeded_poly(rng, rng.randint(0, 4)).coeffs
-        a = seeded_poly(rng, rng.randint(0, 4)).coeffs
-        b = seeded_poly(rng, rng.randint(0, 4)).coeffs
-        content = (rng.choice((1, 1, 2, 6, -15)),)
-        shift = (0,) * rng.randint(0, 2) + (1,)
-        cases.append((_product(g, a, content, shift), _product(g, b, shift)))
-    heuristic = 0
-    for a, b in cases:
-        pa, pb = _int_primitive(a), _int_primitive(b)
-        expected = _int_gcd_prs(pa, pb)
-        assert _int_gcd_poly(a, b) == expected, (a, b)
-        found = _int_gcd_heu(pa, pb)
-        assert found in (None, expected), (a, b)
-        heuristic += found is not None
-        if len([c for c in a if c]) > 1 and len([c for c in b if c]) > 1:
-            A, B = Poly(a), Poly(b)
-            g = Poly.gcd(A, B)
-            qa, qb = A.exact_div(g), B.exact_div(g)
-            assert g.is_monic()
-            assert _int_gcd_prs(_int_primitive(qa.coeffs),
-                                _int_primitive(qb.coeffs)) == (1,)
-    assert _int_gcd_heu(*FORCED_FALLBACK) is None
-    assert _int_gcd_heu(*FORCED_FALLBACK[::-1]) is None
-    assert heuristic == len(cases) - 2
 
 
 # -- property tests ----------------------------------------------------------
