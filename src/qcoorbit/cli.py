@@ -20,7 +20,7 @@ from .chars import (character_of, compare_at_q1, decompose_sl2,
 from .coorbit import CoorbitMap, Point, evaluate, sphere_span, validate_point
 from .hopf import HopfContext
 from .mq import MatrixAlgebra, MqElement
-from .scalars import MAX_PARSE_BITS, PoleError, Scalar
+from .scalars import MAX_PARSE_BITS, PoleError, Scalar, gcd_budget
 
 CONVENTIONS = {
     "generator_order": "row-major: x11 < x12 < ... < xNN",
@@ -108,14 +108,11 @@ def load_point(spec: str, q=None) -> Point:
     rows = []
     for row in entries:
         out = []
-        for e in row:
-            if isinstance(e, str):
-                out.append(Scalar.parse(e))
-            elif isinstance(e, int):
-                out.append(Scalar.of(e))
-            else:
+        for e in row:   # an int goes through the grammar's bounds too
+            if isinstance(e, bool) or not isinstance(e, (int, str)):
                 raise ValueError(f"point entries are ints or strings, not "
                                  f"{type(e).__name__}")
+            out.append(Scalar.parse(str(e)))
         rows.append(out)
     return Point(rows) if q is None else Point(rows).specialize(q)
 
@@ -252,11 +249,12 @@ def cmd_character(args):
 def cmd_eval(args):
     hopf, point = _point_context(args)
     validate_point(point, hopf.alg)
-    elem = hopf.alg.parse(args.expression)
     report = _base_report("eval", hopf.alg)
     report["point"] = _point_json(point)
-    report["expression"] = str(elem)
-    report["value"] = str(evaluate(elem, point))
+    with gcd_budget():   # the expression and its value share one budget
+        elem = hopf.alg.parse(args.expression)
+        report["expression"] = str(elem)
+        report["value"] = str(evaluate(elem, point))
     return report, True
 
 

@@ -552,32 +552,29 @@ def _compositions(total, slots):
             yield (first,) + rest
 
 
-_ELEM_TOKEN_RE = re.compile(r"\s*(x\d\d|\d+|q|\*|/|\+|-|\^|\(|\))")
-
-
 class _ElementParser(ScalarParser):
     """The scalar grammar over the algebra's coefficients, plus the
     generators x{i}{j}."""
 
-    TOKEN_RE = _ELEM_TOKEN_RE
+    TOKEN_RE = re.compile(r"\s*(x\d\d|\d+|q|\*|/|\+|-|\^|\(|\))")
     WHAT = "expression"
 
     def __init__(self, algebra: MatrixAlgebra, text: str):
         super().__init__(text)
         self.algebra = algebra
 
-    def _check(self, v: MqElement, op: str, w: MqElement) -> int:
+    def _check(self, v: MqElement, op: str, w: MqElement) -> None:
         """Refuse ``v op w`` when a product would exceed MAX_ELEMENT_DEGREE,
         or when the scalar parser's bounds would refuse the same operation
-        on two coefficients it combines (on a shared monomial for + and -).
-        Returns the summed gcd sizes of those operations."""
+        on two coefficients it combines (on a shared monomial for + and -)."""
         if op == "*" and v.degree() + w.degree() > MAX_ELEMENT_DEGREE:
             raise ValueError(f"expression of degree over {MAX_ELEMENT_DEGREE}")
         if op in "+-":
             pairs = ((v.terms[m], w.terms[m]) for m in v.terms.keys() & w.terms)
         else:
             pairs = product(v.terms.values(), w.terms.values())
-        return sum(check_scalar_op(a, op, b) for a, b in pairs)
+        for a, b in pairs:
+            check_scalar_op(a, op, b)
 
     def _divide(self, v: MqElement, w: MqElement) -> MqElement:
         if set(w.terms) - {Monomial.one(self.algebra.n)}:
@@ -589,12 +586,13 @@ class _ElementParser(ScalarParser):
 
     def _power(self, v: MqElement, k: int) -> MqElement:
         check_power(v.degree(), k, MAX_ELEMENT_DEGREE)
-        self._spend(sum(check_scalar_power(c, k) for c in v.terms.values()))
-        if k < 0:
-            if set(v.terms) - {Monomial.one(self.algebra.n)}:
+        for c in v.terms.values():
+            check_scalar_power(c, k)
+        if set(v.terms) - {Monomial.one(self.algebra.n)}:
+            if k < 0:
                 raise ValueError("negative powers only of scalar expressions")
-            return self.algebra.scalar_element(v.constant_term() ** k)
-        return v ** k
+            return v ** k
+        return self.algebra.scalar_element(v.constant_term() ** k)
 
     def _leaf(self, t: str) -> MqElement:
         if t == "q":

@@ -19,6 +19,11 @@ shared unit ``q**0`` as a factor returns the other factor itself; the
 straightening rules carry that one object, so their many products by 1 cost
 an identity test.
 
+A gcd is the one step whose cost the input's size does not bound.  So the
+parsers, and ``eval``, reduce outside input under :func:`gcd_budget`: each
+remainder step of a gcd is charged as it runs, and input whose gcds would
+cost over MAX_PARSE_GCD_WORK is refused with a ValueError.
+
 Scalars are immutable and hashable.  The whole engine is generic over the
 coefficient type: run it with Scalars for symbolic q, or with plain Fractions
 after specializing q to a rational number (see :meth:`Scalar.specialize`).
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import contextmanager
 from fractions import Fraction
 
 
@@ -99,12 +105,42 @@ def _int_pseudo_rem(a, b):
     return _strip(a)
 
 
+# Gcd work spent under the open gcd_budget, or None when none is open.
+_gcd_work = None
+MAX_PARSE_GCD_WORK = 1_500_000_000
+
+
 def _int_gcd_poly(a, b):
-    """Primitive gcd of integer coefficient tuples (leading coeff positive)."""
+    """Primitive gcd of integer coefficient tuples (leading coeff positive).
+
+    Under an open gcd_budget each pseudo-remainder step is charged before it
+    runs: len(a) products per degree that a sheds, each costing (h/8)^2 for
+    h = a's height in bits plus a word.  That is about 10^9 units a second."""
+    global _gcd_work
     a, b = _int_primitive(a), _int_primitive(b)
     while b:
+        if _gcd_work is not None:
+            h = max(abs(c).bit_length() for c in a) + 64
+            _gcd_work += max(len(a) - len(b) + 1, 0) * len(a) * h * h // 64
+            if _gcd_work > MAX_PARSE_GCD_WORK:
+                raise ValueError(f"input needing gcd work over the parser's "
+                                 f"bound {MAX_PARSE_GCD_WORK}")
         a, b = b, _int_primitive(_int_pseudo_rem(a, b))
     return a
+
+
+@contextmanager
+def gcd_budget():
+    """Meter every gcd of the block against MAX_PARSE_GCD_WORK; a nested
+    budget shares the outer one."""
+    global _gcd_work
+    outer = _gcd_work
+    _gcd_work = outer or 0
+    try:
+        yield
+    finally:
+        if outer is None:
+            _gcd_work = None
 
 
 class Poly(Frozen):
@@ -456,20 +492,26 @@ class Scalar(Frozen):
         return o / self
 
     def __pow__(self, k: int):
+        """num^k / den^k, with no gcd: powers of coprime polynomials are
+        coprime, and powers of a monic denominator are monic."""
         if k == 0:
             return _S_ONE
-        base = self
+        num, den = self.num, self.den
         if k < 0:
-            if base.is_zero():
+            if self.is_zero():
                 raise ZeroDivisionError("negative power of zero")
-            base, k = Scalar(base.den, base.num), -k
-        r = _S_ONE
-        while k:
-            if k & 1:
-                r = r * base
-            base = base * base
-            k >>= 1
-        return r
+            num, den, k = den, num, -k
+            if not den.is_monic():
+                lead = den.leading
+                num, den = num.scale(1 / lead), den.scale(1 / lead)
+        a, b = num.coeffs, den.coeffs
+        for bit in bin(k)[3:]:   # left to right: no square past the last bit
+            a, b = _convolve(a, a), _convolve(b, b)
+            if bit == "1":
+                a, b = _convolve(a, num.coeffs), _convolve(b, den.coeffs)
+        num, den = Poly(a, num.den ** k), Poly(b, den.den ** k)
+        qk = den.degree if den.is_monomial() else -1
+        return _new(num, _Q_POWERS.get(qk, den), qk)
 
     # -- specialization & rendering -------------------------------------------
 
@@ -547,23 +589,14 @@ _S_ONE = _new(_P_ONE, _P_ONE, 0)
 _S_ZERO = _new(_P_ZERO, _P_ONE, 0)
 _S_Q = _new(_P_Q, _P_ONE, 0)
 
-_TOKEN_RE = re.compile(r"\s*(\d+|q|\*|/|\+|-|\^|\(|\))")
-
 # Parsed input builds no scalar with a numerator or denominator degree over
-# this bound, and no power with a larger exponent: exact gcds over Q[q]
-# slow down sharply as the degree grows.
+# this bound, no power with a larger exponent and no integer of more than
+# MAX_PARSE_BITS bits.  Its gcds are metered where they run, by gcd_budget.
 MAX_PARSE_DEGREE = 1000
-# Nor does it reduce by a gcd of two polynomials, neither of them c*q^k, of
-# degree over MAX_PARSE_GCD_DEGREE or of degree times integer bits over
-# MAX_PARSE_GCD_SIZE (the remainder sequences of Poly.gcd grow with both),
-# and it builds no integer of more than MAX_PARSE_BITS bits.
-MAX_PARSE_GCD_DEGREE = 100
-MAX_PARSE_GCD_SIZE = 40_000
 MAX_PARSE_BITS = 10_000
-# Those bounds hold per step; the sizes (degree times bits) of the gcds that
-# one parse needs may not add up to more than MAX_PARSE_GCD_TOTAL either, so
-# that an input cannot repeat an admitted step many times.
-MAX_PARSE_GCD_TOTAL = 50_000
+# Parentheses nest at most this deep: each level costs the recursive descent
+# four stack frames, and 200 levels would reach Python's default limit.
+MAX_PARSE_NESTING = 199
 
 
 def check_power(degree: int, k: int, bound: int = MAX_PARSE_DEGREE) -> None:
@@ -577,74 +610,54 @@ def check_power(degree: int, k: int, bound: int = MAX_PARSE_DEGREE) -> None:
                          f"parser's bound {bound}")
 
 
-def _plain(p: Poly) -> bool:
-    """True for zero and for c*q^k: reducing by such a side needs no gcd."""
-    return not any(p.coeffs[:-1])
-
-
 def _bits(s: Scalar) -> int:
     """Bit length of the largest integer stored in a Scalar."""
     return max(abs(c).bit_length()
                for p in (s.num, s.den) for c in p.coeffs + (p.den,))
 
 
-def _check_result(degree: int, needs_gcd: bool, bits: int) -> int:
-    """Refuse a parsed result of the given degree and integer bits; return
-    the size of the gcd its reduction needs (0 for none)."""
-    if needs_gcd and (degree > MAX_PARSE_GCD_DEGREE
-                      or degree * bits > MAX_PARSE_GCD_SIZE):
-        raise ValueError(f"scalar input needing a gcd of degree {degree} "
-                         f"over {bits}-bit integers is over the parser's "
-                         f"bounds")
+def _check_bits(bits: int) -> None:
+    """Refuse a parsed result whose integers have the given bit length."""
     if bits > MAX_PARSE_BITS:
         raise ValueError(f"integers of about {bits} bits are over the "
                          f"parser's bound {MAX_PARSE_BITS}")
-    return degree * bits if needs_gcd else 0
 
 
 def parse_int(token: str) -> int:
     """An integer literal, refused over MAX_PARSE_BITS bits."""
     v = int(token)
-    _check_result(0, False, v.bit_length())
+    _check_bits(v.bit_length())
     return v
 
 
-def check_scalar_power(v, k: int) -> int:
-    """Refuse parsing v^k (v a Scalar or Fraction) over the degree, gcd or
-    height bounds; return the size of the gcd it needs."""
+def check_scalar_power(v, k: int) -> None:
+    """Refuse parsing v^k (v a Scalar or Fraction) over the degree or
+    height bounds."""
     v = Scalar.of(v)
-    degree = max(v.num.degree, v.den.degree)
-    check_power(degree, k)
+    check_power(max(v.num.degree, v.den.degree), k)
     terms = max(len(v.num.coeffs), len(v.den.coeffs))
-    return _check_result(degree * abs(k), not (_plain(v.num) or _plain(v.den)),
-                         abs(k) * (_bits(v) + terms.bit_length()))
+    _check_bits(abs(k) * (_bits(v) + terms.bit_length()))
 
 
-def check_scalar_op(a, op: str, b) -> int:
+def check_scalar_op(a, op: str, b) -> None:
     """Refuse parsing ``a op b`` (op in + - * /, a and b Scalars or
     Fractions) when its unreduced result has a numerator or denominator
-    degree over MAX_PARSE_DEGREE, when reducing it needs a gcd over the
-    gcd bounds (the numerator of a sum counts as no c*q^k), or when a and b
-    hold more than MAX_PARSE_BITS bits together.  Returns the size of the
-    gcd it needs: none for a product with a zero factor, which is 0."""
+    degree over MAX_PARSE_DEGREE, or when a and b hold more than
+    MAX_PARSE_BITS bits together."""
     a, b = Scalar.of(a), Scalar.of(b)
     an, ad, bn, bd = a.num, a.den, b.num, b.den
     if op == "/":
         bn, bd = bd, bn
     if op in "*/":
         degrees = (an.degree + bn.degree, ad.degree + bd.degree)
-        plain = (an.is_zero() or bn.is_zero()
-                 or _plain(an) and _plain(bn) or _plain(ad) and _plain(bd))
     elif ad == bd:
         degrees = (max(an.degree, bn.degree), ad.degree)
-        plain = _plain(ad)
     else:
         degrees = (max(an.degree + bd.degree, bn.degree + ad.degree),
                    ad.degree + bd.degree)
-        plain = _plain(ad) and _plain(bd)
     if max(degrees) > MAX_PARSE_DEGREE:
         raise ValueError(f"scalar input of degree over {MAX_PARSE_DEGREE}")
-    return _check_result(max(degrees), not plain, _bits(a) + _bits(b))
+    _check_bits(_bits(a) + _bits(b))
 
 
 class ScalarParser:
@@ -654,11 +667,10 @@ class ScalarParser:
     Subclasses extend the grammar by overriding ``TOKEN_RE`` and ``WHAT``
     (the input's name in error messages) and the hooks ``_check(v, op, w)``,
     run before each binary operation, ``_divide``, ``_power`` and ``_leaf``,
-    which reads an atom other than a parenthesis.  ``_check`` and
-    ``_power`` pass the gcd size of their step to :meth:`_spend`.
+    which reads an atom other than a parenthesis.
     """
 
-    TOKEN_RE = _TOKEN_RE
+    TOKEN_RE = re.compile(r"\s*(\d+|q|\*|/|\+|-|\^|\(|\))")
     WHAT = "scalar"
 
     def __init__(self, text: str):
@@ -673,16 +685,7 @@ class ScalarParser:
             self.tokens.append(m.group(1))
             pos = m.end()
         self.i = 0
-        self.gcd_total = 0
-
-    def _spend(self, size: int) -> None:
-        """Add a step's gcd size to the parse's total; refuse the input when
-        the total is over MAX_PARSE_GCD_TOTAL."""
-        self.gcd_total += size
-        if self.gcd_total > MAX_PARSE_GCD_TOTAL:
-            raise ValueError(f"{self.WHAT} input needing gcds of total size "
-                             f"{self.gcd_total} is over the parser's bound "
-                             f"{MAX_PARSE_GCD_TOTAL}")
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -693,7 +696,9 @@ class ScalarParser:
         return t
 
     def parse(self):
-        v = self.expr()
+        """The value of the input, reduced under one :func:`gcd_budget`."""
+        with gcd_budget():
+            v = self.expr()
         if self.peek() is not None:
             raise ValueError(f"trailing {self.WHAT} input at {self.peek()!r}")
         return v
@@ -703,7 +708,7 @@ class ScalarParser:
         while self.peek() in ("+", "-"):
             op = self.next()
             w = self.term()
-            self._spend(self._check(v, op, w))
+            self._check(v, op, w)
             v = v + w if op == "+" else v - w
         return v
 
@@ -712,17 +717,17 @@ class ScalarParser:
         while self.peek() in ("*", "/"):
             op = self.next()
             w = self.unary()
-            self._spend(self._check(v, op, w))
+            self._check(v, op, w)
             v = v * w if op == "*" else self._divide(v, w)
         return v
 
     def unary(self):
-        if self.peek() == "-":
+        """A signed power: leading minus signs (read in a loop, not by
+        recursion), then an atom with an optional integer exponent."""
+        negate = False
+        while self.peek() == "-":
             self.next()
-            return -self.unary()
-        return self.power()
-
-    def power(self):
+            negate = not negate
         v = self.atom()
         if self.peek() == "^":
             self.next()
@@ -733,15 +738,20 @@ class ScalarParser:
             t = self.next()
             if t is None or not t.isdigit():
                 raise ValueError("expected integer exponent after ^")
-            return self._power(v, sign * int(t))
-        return v
+            v = self._power(v, sign * int(t))
+        return -v if negate else v
 
     def atom(self):
         t = self.next()
         if t is None:
             raise ValueError(f"unexpected end of {self.WHAT} input")
         if t == "(":
+            if self.depth == MAX_PARSE_NESTING:
+                raise ValueError(f"{self.WHAT} input is nested too deeply: "
+                                 f"over {MAX_PARSE_NESTING} parentheses")
+            self.depth += 1
             v = self.expr()
+            self.depth -= 1
             if self.next() != ")":
                 raise ValueError(f"unbalanced parenthesis in {self.WHAT} input")
             return v
@@ -755,7 +765,7 @@ class ScalarParser:
         return v / w
 
     def _power(self, v: Scalar, k: int) -> Scalar:
-        self._spend(check_scalar_power(v, k))
+        check_scalar_power(v, k)
         return v ** k
 
     def _leaf(self, t: str):

@@ -290,6 +290,41 @@ def test_load_point_coerces(tmp_path):
         load_point('{"n": 2, "entries": [[2.5, 0], [0, 1]]}')
 
 
+def test_point_entries_refuse_booleans_and_huge_ints(capsys):
+    """JSON true and false are no entries, although Python's bool is an int,
+    and an integer entry meets the grammar's bit bound, as the same digits
+    in a string do: both exit 2."""
+    for spec in ('{"entries": [[true, false], [false, true]]}',
+                 '{"entries": [[2, 0], [0, true]]}'):
+        with pytest.raises(ValueError, match="bool"):
+            load_point(spec)
+        code, out, err = run(capsys, "eval", "x11", "--point", spec)
+        assert code == 2 and not out and "bool" in err
+    digits = "9" * 4000
+    for entry in (digits, f'"{digits}"'):
+        spec = '{"entries": [[%s, 0], [0, 1]]}' % entry
+        code, out, err = run(capsys, "eval", "x11", "--point", spec)
+        assert code == 2 and not out and "bits" in err
+    assert load_point('{"entries": [[-3, 0], [0, 7]]}').entries[0][0] == -3
+
+
+def test_deep_nesting_exits_2(capsys):
+    """Parentheses nested 200 deep exit 2, through eval and a point entry;
+    199 deep parse."""
+    def nest(depth, atom):
+        return "(" * depth + atom + ")" * depth
+
+    code, out, _ = run(capsys, "eval", nest(199, "x11"), "--point", GENERIC)
+    assert code == 0 and json.loads(out)["value"] == "2"
+    point = '{"entries": [["%s", "0"], ["0", "3"]]}'
+    code, out, _ = run(capsys, "eval", "x11", "--point", point % nest(199, "2"))
+    assert code == 0 and json.loads(out)["value"] == "2"
+    for argv in (["eval", nest(200, "x11"), "--point", GENERIC],
+                 ["eval", "x11", "--point", point % nest(200, "2")]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out and "nested too deeply" in err
+
+
 # Length and sha256 of the stdout of ``main(argv)`` for each command, taken
 # at commit f3a8968, before the sparse-term core and the single coproduct
 # fold, by running the same argv through ``qcoorbit.cli.main`` and hashing

@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import qcoorbit
 from qcoorbit.coorbit import Point
-from qcoorbit.mq import MatrixAlgebra, Monomial, _ElementParser
-from qcoorbit.scalars import PoleError, Poly, Scalar, ScalarParser
+from qcoorbit.mq import MatrixAlgebra, Monomial
+from qcoorbit.scalars import PoleError, Poly, Scalar, ScalarParser, gcd_budget
 
 q = Scalar.q()
 
@@ -90,22 +90,24 @@ def test_parse_degree_bound():
 
 
 def test_parse_gcd_bound():
-    """A parse step whose reduction needs a gcd of two polynomials, neither a
-    power of q, is refused over degree 100 or over degree x bits 40,000."""
+    """A parse whose gcds need more than MAX_PARSE_GCD_WORK is refused as the
+    work is done: each refusal comes about a second in.  Powers need no gcd,
+    so a power of any admitted degree parses at once."""
     start = time.perf_counter()
     A = MatrixAlgebra(2)
     for parse, text in [
             (Scalar.parse, "((q+2)^200 + 1)/((q+3)^200 + 7)"),    # degree 200
-            (Scalar.parse, "((q+2)/(q+3))^150"),                  # degree 150
-            (Scalar.parse, "1/(q+2)^60 - 1/(q+3)^60"),            # degree 120
             (Scalar.parse, "((q+2^10)^100 + 1)/((q+3^6)^100 + 7)"),  # 1952 bits
-            (A.parse, "x11*((q+2)^200 + 1)/((q+3)^200 + 7)"),
-            (A.parse, "(x11*(q+2)^2/(q+3)^2)^60")]:
-        with pytest.raises(ValueError, match="gcd"):
+            (A.parse, "x11*((q+2)^200 + 1)/((q+3)^200 + 7)")]:
+        with pytest.raises(ValueError, match="gcd work"):
             parse(text)
     assert time.perf_counter() - start < 5
     assert Scalar.parse("((q+2)^100 + 1)/((q+3)^100 + 7)").den.degree == 100
     assert Scalar.parse("((q+2)/(q+3))^100").den == ((q + 3) ** 100).num
+    assert Scalar.parse("((q+2)/(q+3))^150").den == ((q + 3) ** 150).num
+    assert Scalar.parse("1/(q+2)^60 - 1/(q+3)^60").den.degree == 120
+    assert A.parse("(x11*(q+2)^2/(q+3)^2)^60") == \
+        (A.generator(1, 1) ** 60).scale(((q + 2) / (q + 3)) ** 120)
     # a power of q on one side needs no gcd
     assert Scalar.parse("(q+2)^300 / q^299").den.degree == 299
     assert Scalar.parse("(q+2)^-300").num.degree == 0
@@ -144,48 +146,184 @@ def test_parse_height_bound():
 
 
 def test_parse_gcd_total_bound():
-    """The gcd sizes of one parse add up to at most MAX_PARSE_GCD_TOTAL, so an
-    input that repeats an admitted step is refused.  Five copies of a step
-    that takes about a second exit 2 in under 2 s, through eval and through a
+    """The gcd work of one parse adds up against one MAX_PARSE_GCD_WORK, so
+    an input that repeats an admitted step is refused.  Five copies of a
+    step of about a second exit 2 in under 2 s, through eval and through a
     point entry; the CLI runs in a subprocess, so that a regression fails on
     the timeout instead of hanging."""
-    assert ScalarParser("((q+2)/(q+3))^100").parse() is not None
+    step = "((q+2)^100 + 1)/((q+3)^100 + 7)"
+    assert ScalarParser(step).parse() is not None
+    for parse in (Scalar.parse, MatrixAlgebra(2).parse):
+        with pytest.raises(ValueError, match="gcd work"):
+            parse(" + ".join([step] * 4))
+    # powers of R = (q+2)/(q+3) need no gcd, and R^100 + R^100 a cheap one
     twice = "((q+2)/(q+3))^100 + ((q+2)/(q+3))^100"
     for parse in (Scalar.parse, MatrixAlgebra(2).parse):
-        with pytest.raises(ValueError, match="total"):
-            parse(twice)
+        parse(twice)
     five = "+".join(["((2*q+3)^90+1)/((3*q+2)^90+5)*0"] * 5)
     assert len(five) == 159
     point = '{"entries": [["%s", "0"], ["0", "1"]]}'
-    script = ("import sys, time\n"
-              "from qcoorbit.cli import main\n"
-              "start = time.perf_counter()\n"
-              "code = main(sys.argv[1:])\n"
-              "print(time.perf_counter() - start)\n"
-              "raise SystemExit(code)\n")
     src = Path(qcoorbit.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     for argv in (["eval", five, "--point", point % 2],
                  ["kernel", "--point", point % five, "--degree", "1"]):
-        done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 2 and "total" in done.stderr
+        done = subprocess.run([sys.executable, "-c", TIMED_MAIN, *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 2 and "gcd work" in done.stderr
         assert float(done.stdout) < 2
+
+
+# Runs qcoorbit.cli.main on its arguments, or Scalar.parse on the one after
+# "parse", and prints the seconds it took.
+TIMED_MAIN = ("import sys, time\n"
+              "from qcoorbit.cli import main\n"
+              "from qcoorbit.scalars import Scalar\n"
+              "start = time.perf_counter()\n"
+              "if sys.argv[1] == 'parse':\n"
+              "    code = 0 if Scalar.parse(sys.argv[2]) is not None else 1\n"
+              "else:\n"
+              "    code = main(sys.argv[1:])\n"
+              "print(time.perf_counter() - start)\n"
+              "raise SystemExit(code)\n")
+
+
+def _spent(parse, text):
+    """The gcd work that parsing ``text`` charges to a budget."""
+    with gcd_budget():
+        assert qcoorbit.scalars._gcd_work == 0
+        value = parse(text)
+        return value, qcoorbit.scalars._gcd_work
 
 
 def test_zero_factor_costs_no_gcd():
     """A product with a zero factor is 0 and needs no gcd: both parsers
-    charge the same for it, nothing beyond its nonzero side."""
-    def cost(parser):
-        assert not parser.parse()
-        return parser.gcd_total
-
+    spend on it what its nonzero side costs, and nothing more."""
     A = MatrixAlgebra(2)
-    for text in ("((q+2)/(q+3))^10*0", "0*((q+2)/(q+3))^10", "(q+2)/(q+3)*0"):
-        assert cost(ScalarParser(text)) == cost(_ElementParser(A, text))
-    power = ScalarParser("((q+2)/(q+3))^10")
-    power.parse()
-    assert cost(ScalarParser("0*((q+2)/(q+3))^10")) == power.gcd_total
+    side = "((q+2)/(q+3) + (2*q+3)/(3*q-2))"
+    _, cost = _spent(Scalar.parse, side)
+    assert cost > 0
+    for text in (f"{side}*0", f"0*{side}", f"{side}^10*0", f"0*{side}^10"):
+        for parse in (Scalar.parse, A.parse):
+            value, spent = _spent(parse, text)
+            assert not value and spent == cost
+
+
+def test_gcd_budget_meters_every_parse_gcd():
+    """A parse charges the gcds it needs to the open budget, a nested budget
+    shares the outer one, and no budget stays open after a parse, also one
+    that raised: a later gcd path that bypassed the meter, or a budget that
+    leaked into the engine's own elimination, fails here."""
+    assert qcoorbit.scalars._gcd_work is None
+    with gcd_budget():
+        Scalar.parse("(q+2)/(q+3) + (2*q+3)/(3*q-2)")
+        once = qcoorbit.scalars._gcd_work
+        assert once > 0
+        MatrixAlgebra(2).parse("(q+2)/(q+3)*x11 + (2*q+3)/(3*q-2)*x11")
+        assert qcoorbit.scalars._gcd_work == 2 * once
+    assert qcoorbit.scalars._gcd_work is None
+    A = MatrixAlgebra(2)
+    for parse, text in [(Scalar.parse, "((2*q+3)^90+1)/((3*q+2)^90+5)"),
+                        (A.parse, "x11*((2*q+3)^90+1)/((3*q+2)^90+5)"),
+                        (Scalar.parse, "q +* 2"),
+                        (A.parse, "(" * 200 + "x11" + ")" * 200)]:
+        with pytest.raises(ValueError):
+            parse(text)
+        assert qcoorbit.scalars._gcd_work is None
+    with pytest.raises(ValueError, match="gcd work"), gcd_budget():
+        Scalar.parse("((q+2)^100 + 1)/((q+3)^100 + 7)")
+        Scalar.parse("((q+2)^100 + 1)/((q+3)^100 + 7) + 1/(q+5)")
+        A.parse(" + ".join(["x11*((q+2)^100 + 1)/((q+3)^100 + 7)"] * 3))
+    assert qcoorbit.scalars._gcd_work is None
+
+
+# The inputs below keep inside the degree, exponent and bit bounds, and their
+# gcds ran for seconds to minutes before gcd work was metered where it runs
+# (times on one 2-core VM, Python 3.11): (CLI argv, or "parse" and a scalar,
+# and the exit status).
+R, S, T = "(q+2)/(q+3)", "(2*q+3)/(3*q-2)", "((2*q+3)^20+1)/((3*q+2)^20+5)"
+POINT = '{"entries": [["%s", "0"], ["0", "%s"]]}'
+SUM90 = "(1/((2*q+3)^90+1)*x22 + 1/((3*q+2)^90+5)*x12)*(x11 + x21)"
+METERED = {
+    "sum90": (["eval", SUM90, "--point", POINT % (2, 3)], 2),          # 24 s
+    "sum150": (["eval", SUM90.replace("90", "150"),                    # 477 s
+                "--point", POINT % (2, 3)], 2),
+    "one_scalar": (["eval", "1/((2*q+3)^90+1) + 1/((3*q+2)^90+5)",
+                    "--point", POINT % (2, 3)], 2),
+    "power30": (["eval", f"({R}*x11 + {S}*x12)^30",                    # 206 s
+                 "--point", POINT % (2, 3)], 2),
+    "evaluate": (["eval", "1/((2*q+3)^90+1)*x11 + 1/((3*q+2)^90+5)*x22",
+                  "--point", POINT % (2, 3)], 2),                      # 24 s
+    "point": (["eval", "x11 + x22", "--point", POINT % (              # 25 s
+        "1/((2*q+3)^90+1)", "1/((3*q+2)^90+5)")], 2),
+    "slowest": (["eval", "x11", "--point", POINT % (                   # 1.4 s
+        "((2*q+3)^90+1)/((3*q+2)^90+5)", 1)], 2),
+    "t_fourth": (["parse", f"({T})^4"], 0),                            # 68 s
+}
+
+
+@pytest.mark.parametrize("name", METERED)
+def test_gcd_work_bound_table(name):
+    """Each metered refusal exits 2 in under 3 s, and the power of T, a
+    valid point entry that needs no gcd, parses in under 0.1 s.  Runs in a
+    subprocess, so that a regression fails on the timeout, not by hanging."""
+    argv, code = METERED[name]
+    src = Path(qcoorbit.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", TIMED_MAIN, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == code, done.stderr[-300:]
+    seconds = float(done.stdout.splitlines()[-1])
+    if code:
+        assert "gcd work" in done.stderr and seconds < 3
+    else:
+        assert seconds < 0.1
+
+
+# Sums, products and powers of R, S and T in both grammars that the parsers
+# admit.  Every input of this corpus that was admitted in under 0.5 s before
+# gcd work was metered is here, each is admitted within 0.1 s on one 2-core
+# VM, and the inputs that moved between refused and admitted are listed in
+# CHANGES.md.
+ADMITTED_SCALARS = [
+    *(f"({x})^{k}" for k in (10, 50, 100, 150, 300) for x in (R, S)),
+    *(f"({T})^{k}" for k in (1, 2, 4, 8, -3)),
+    *(f"({R})^{k} + ({S})^{k}" for k in (5, 10, 20)),
+    f"({R})^10 * ({S})^10", f"({R})^100 + ({R})^100",
+    *(f"({R} + {S})^{k}" for k in (5, 10, 20)),
+    *(f"({R}*{S} + {T})^{k}" for k in (1, 2)),
+    f"{T} + {R}", f"{T}*{S}", f"{T}/{S}", f"{T} - {T}", f"1/({T})",
+]
+ADMITTED_ELEMENTS = [
+    *(f"({R}*x11 + {S}*x12)^{k}" for k in (2, 5, 10)),
+    f"({T}*x11)^2", f"(x11 + {R})^5", f"(x11 + {R})^10",
+    f"({R})^10*x11 + ({S})^10*x11", f"{R}*x11 + {S}*x11",
+    f"({R}*x11 + {S}*x22)*({T}*x12)", f"({T})*x11*x22 - ({R})*x22*x11",
+]
+
+
+@pytest.mark.parametrize("text", ADMITTED_SCALARS + ADMITTED_ELEMENTS)
+def test_admitted_corpus(text):
+    parse = MatrixAlgebra(2).parse if "x" in text else Scalar.parse
+    start = time.perf_counter()
+    parse(text)
+    assert time.perf_counter() - start < 1
+
+
+def test_parse_nesting_bound():
+    """Both grammars take parentheses nested 199 deep and refuse 200 with a
+    ValueError, not a RecursionError.  Leading minus signs are read in a
+    loop, so a thousand of them parse."""
+    A = MatrixAlgebra(2)
+    for parse, atom, value in ((Scalar.parse, "q", q),
+                               (A.parse, "x11", A.generator(1, 1))):
+        assert parse("(" * 199 + atom + ")" * 199) == value
+        with pytest.raises(ValueError, match="nested too deeply"):
+            parse("(" * 200 + atom + ")" * 200)
+        assert parse("-(" * 199 + atom + ")" * 199) == -value
+        assert parse("-" * 1000 + atom) == value
+        assert parse("-" * 1001 + atom + "^2") == -(value * value)
+
 
 def test_negative_powers():
     assert q**-2 == 1 / q**2
@@ -490,3 +628,50 @@ def test_commuting_steps_return_the_unit():
         x11, x22 = (Monomial.generator(2, i, i) for i in (1, 2))
         (c,) = alg._mul_monos(x11, x22).values()
         assert c is alg.one
+
+
+def _repeated(x, k):
+    """x^k by |k| products, inverted for negative k."""
+    r = Scalar.of(1)
+    for _ in range(abs(k)):
+        r = r * x
+    return r if k >= 0 else 1 / r
+
+
+def _assert_powers(x):
+    """x^k for k in -5..7 is x multiplied out, and it calls no Poly.gcd."""
+    gcd, calls = Poly.gcd, []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    for k in range(-5, 8):
+        if k < 0 and not x:
+            with pytest.raises(ZeroDivisionError):
+                x ** k
+            continue
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(Poly, "gcd", staticmethod(counting))
+            power = x ** k
+        assert not calls
+        assert _form(power) == _form(_repeated(x, k))
+    assert x ** 0 is q ** 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurents())
+def test_power_is_repeated_product_laurent(x):
+    _assert_powers(x)
+
+
+def test_power_is_repeated_product_rational():
+    rng = random.Random(22)
+    xs = [Scalar(seeded_poly(rng, rng.randint(0, 4), (1, 2, 3)),
+                 seeded_poly(rng, rng.randint(0, 3), (1, 5)))
+          for _ in range(20)]
+    xs += [(q + 2) / (q + 3), (3 * q ** 2 - 2) / (2 * q + 1), Scalar.of(0),
+           Scalar.of(Fraction(-3, 4)), q ** -2 * (q + 1)]
+    assert sum(x.qk < 0 for x in xs) >= 10
+    for x in xs:
+        _assert_powers(x)
