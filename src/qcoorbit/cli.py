@@ -20,7 +20,8 @@ from .chars import (character_of, compare_at_q1, decompose_sl2,
 from .coorbit import CoorbitMap, Point, evaluate, sphere_span, validate_point
 from .hopf import HopfContext
 from .mq import MatrixAlgebra, MqElement
-from .scalars import MAX_PARSE_BITS, PoleError, Scalar, gcd_budget
+from .scalars import (MAX_PARSE_BITS, PoleError, Scalar, check_point_entry,
+                      gcd_budget)
 
 CONVENTIONS = {
     "generator_order": "row-major: x11 < x12 < ... < xNN",
@@ -86,10 +87,11 @@ def load_point(spec: str, q=None) -> Point:
     """Read a point from inline JSON or from a JSON file.
 
     Format: {"n": 2, "entries": [["2", "0"], ["0", "q^2"]]} with entries
-    given as integers or expression strings in the scalar grammar.  When a
-    rational q is given (the engine runs specialized), the entries are
-    specialized at it.  The caller validates the point once, through
-    :func:`validate_point` or the co-orbit map.
+    given as integers or expression strings in the scalar grammar, within
+    the point bounds of :func:`check_point_entry`.  When a rational q is
+    given (the engine runs specialized), the entries are specialized at it.
+    The caller validates the point once, through :func:`validate_point` or
+    the co-orbit map, under the same gcd budget as the reading.
     """
     text = spec.strip()
     if not text.startswith("{"):
@@ -113,6 +115,7 @@ def load_point(spec: str, q=None) -> Point:
                 raise ValueError(f"point entries are ints or strings, not "
                                  f"{type(e).__name__}")
             out.append(Scalar.parse(str(e)))
+            check_point_entry(out[-1])
         rows.append(out)
     return Point(rows) if q is None else Point(rows).specialize(q)
 
@@ -161,9 +164,10 @@ def cmd_verify_coinvariants(args):
 
 
 def _point_setup(args):
-    hopf, point = _point_context(args)
-    d = check_degree(hopf.alg.n, args.degree)
-    cm = CoorbitMap(hopf, point, args.coaction)
+    with gcd_budget():   # the point is read and validated under one budget
+        hopf, point = _point_context(args)
+        d = check_degree(hopf.alg.n, args.degree)
+        cm = CoorbitMap(hopf, point, args.coaction)
     return cm, d
 
 
@@ -247,11 +251,11 @@ def cmd_character(args):
 
 
 def cmd_eval(args):
-    hopf, point = _point_context(args)
-    validate_point(point, hopf.alg)
-    report = _base_report("eval", hopf.alg)
-    report["point"] = _point_json(point)
-    with gcd_budget():   # the expression and its value share one budget
+    with gcd_budget():   # point, expression and value: one budget
+        hopf, point = _point_context(args)
+        validate_point(point, hopf.alg)
+        report = _base_report("eval", hopf.alg)
+        report["point"] = _point_json(point)
         elem = hopf.alg.parse(args.expression)
         report["expression"] = str(elem)
         report["value"] = str(evaluate(elem, point))

@@ -351,7 +351,7 @@ class MatrixAlgebra:
         if isinstance(c, type(self.one)):
             return c
         if isinstance(c, (int, Fraction)):
-            return self.one * c
+            return self.one if c == 1 else self.one * c
         raise TypeError(f"cannot use {type(c).__name__} as a coefficient here")
 
     # -- element constructors ----------------------------------------------------
@@ -552,11 +552,14 @@ def _compositions(total, slots):
             yield (first,) + rest
 
 
+_ELEM_TOKEN_RE = re.compile(r"\s*(x\d\d|\d+|q|\*|/|\+|-|\^|\(|\))")
+
+
 class _ElementParser(ScalarParser):
     """The scalar grammar over the algebra's coefficients, plus the
     generators x{i}{j}."""
 
-    TOKEN_RE = re.compile(r"\s*(x\d\d|\d+|q|\*|/|\+|-|\^|\(|\))")
+    TOKEN_RE = _ELEM_TOKEN_RE
     WHAT = "expression"
 
     def __init__(self, algebra: MatrixAlgebra, text: str):

@@ -17,12 +17,15 @@ and product of ``verify-coinvariants`` takes the fast path, and over 97 % of
 those of the symbolic kernel and image commands do.  A product with the
 shared unit ``q**0`` as a factor returns the other factor itself; the
 straightening rules carry that one object, so their many products by 1 cost
-an identity test.
+an identity test.  Other fractions skip the gcd where only powers of q can
+cancel: in a sum with a Laurent scalar, a product with c*q^k, a square and
+a power.
 
 A gcd is the one step whose cost the input's size does not bound.  So the
-parsers, and ``eval``, reduce outside input under :func:`gcd_budget`: each
-remainder step of a gcd is charged as it runs, and input whose gcds would
-cost over MAX_PARSE_GCD_WORK is refused with a ValueError.
+parsers, and the point commands, reduce outside input under
+:func:`gcd_budget`: each remainder step of a gcd is charged as it runs, and
+input whose gcds would cost over MAX_PARSE_GCD_WORK is refused with a
+ValueError.
 
 Scalars are immutable and hashable.  The whole engine is generic over the
 coefficient type: run it with Scalars for symbolic q, or with plain Fractions
@@ -320,6 +323,14 @@ def _q_power(k: int) -> Poly:
     return p
 
 
+def _strip_q(num: Poly, den: Poly):
+    """num and den divided by the largest power of q that divides both."""
+    v = min(num.valuation(), den.valuation())
+    if v:
+        num, den = Poly(num.coeffs[v:], num.den), Poly(den.coeffs[v:], den.den)
+    return num, den
+
+
 def _poly_str(p: Poly) -> str:
     if p.is_zero():
         return "0"
@@ -380,11 +391,7 @@ class Scalar(Frozen):
             return num, den
         if num.is_monomial() or den.is_monomial():
             # the only common factors are powers of q: strip the valuation
-            v = min(num.valuation(), den.valuation())
-            if v:
-                num = Poly(num.coeffs[v:], num.den)
-                den = Poly(den.coeffs[v:], den.den)
-            return num, den
+            return _strip_q(num, den)
         g = Poly.gcd(num, den)
         if g.degree > 0:
             num, den = num.exact_div(g), den.exact_div(g)
@@ -438,6 +445,11 @@ class Scalar(Frozen):
             if k1 >= k2:
                 return _laurent(*_shifted_sum(self.num, o.num, k1 - k2), k1)
             return _laurent(*_shifted_sum(o.num, self.num, k2 - k1), k2)
+        if k1 >= 0 or k2 >= 0:
+            # a/b + p/q^k with a, b coprime: (a*q^k + p*b)/(b*q^k) has no
+            # common factor but powers of q, so no gcd is needed
+            return _new(*_strip_q(self.num * o.den + o.num * self.den,
+                                  self.den * o.den), -1)
         if self.den == o.den:
             return Scalar(self.num + o.num, self.den)
         return Scalar(self.num * o.den + o.num * self.den, self.den * o.den)
@@ -473,6 +485,11 @@ class Scalar(Frozen):
                 return _S_ZERO
             return _laurent(_convolve(a.coeffs, b.coeffs), a.den * b.den,
                             self.qk + o.qk)
+        if o is self:   # the square of a reduced fraction is reduced
+            return self ** 2
+        if self.is_monomial() or o.is_monomial():
+            # a reduced fraction times c*q^k: only powers of q can cancel
+            return _new(*_strip_q(self.num * o.num, self.den * o.den), -1)
         return Scalar(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -589,6 +606,8 @@ _S_ONE = _new(_P_ONE, _P_ONE, 0)
 _S_ZERO = _new(_P_ZERO, _P_ONE, 0)
 _S_Q = _new(_P_Q, _P_ONE, 0)
 
+_TOKEN_RE = re.compile(r"\s*(\d+|q|\*|/|\+|-|\^|\(|\))")
+
 # Parsed input builds no scalar with a numerator or denominator degree over
 # this bound, no power with a larger exponent and no integer of more than
 # MAX_PARSE_BITS bits.  Its gcds are metered where they run, by gcd_budget.
@@ -614,6 +633,24 @@ def _bits(s: Scalar) -> int:
     """Bit length of the largest integer stored in a Scalar."""
     return max(abs(c).bit_length()
                for p in (s.num, s.den) for c in p.coeffs + (p.den,))
+
+
+# A point entry a/b with neither a nor b of the form c*q^k may have degree
+# at most MAX_POINT_DEGREE and degree times integer bits at most
+# MAX_POINT_SIZE: the folds at a point reduce by gcds of about that size,
+# and those gcds are not metered.
+MAX_POINT_DEGREE = 100
+MAX_POINT_SIZE = 40_000
+
+
+def check_point_entry(s: Scalar) -> None:
+    """Refuse a point entry over the point bounds."""
+    degree = max(s.num.degree, s.den.degree)
+    if s.qk < 0 and not s.num.is_monomial() and (
+            degree > MAX_POINT_DEGREE or degree * _bits(s) > MAX_POINT_SIZE):
+        raise ValueError(f"point entry of degree {degree} over {_bits(s)}-bit "
+                         f"integers is over the bounds {MAX_POINT_DEGREE} "
+                         f"and {MAX_POINT_SIZE} (degree times bits)")
 
 
 def _check_bits(bits: int) -> None:
@@ -670,7 +707,7 @@ class ScalarParser:
     which reads an atom other than a parenthesis.
     """
 
-    TOKEN_RE = re.compile(r"\s*(\d+|q|\*|/|\+|-|\^|\(|\))")
+    TOKEN_RE = _TOKEN_RE
     WHAT = "scalar"
 
     def __init__(self, text: str):

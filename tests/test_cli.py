@@ -15,7 +15,9 @@ import pytest
 import qcoorbit
 from qcoorbit import cli, coorbit
 from qcoorbit.cli import check_degree, load_point, main, parse_q1
-from qcoorbit.scalars import MAX_PARSE_BITS, Scalar
+from qcoorbit import scalars
+from qcoorbit.mq import MatrixAlgebra
+from qcoorbit.scalars import MAX_PARSE_BITS, Scalar, gcd_budget
 
 GENERIC = '{"n": 2, "entries": [["2", "0"], ["0", "3"]]}'
 RESONANT = '{"n": 2, "entries": [["q^2", "0"], ["0", "1"]]}'
@@ -306,6 +308,28 @@ def test_point_entries_refuse_booleans_and_huge_ints(capsys):
         code, out, err = run(capsys, "eval", "x11", "--point", spec)
         assert code == 2 and not out and "bits" in err
     assert load_point('{"entries": [[-3, 0], [0, 7]]}').entries[0][0] == -3
+
+
+def test_point_entry_bounds():
+    """An entry a/b with neither a nor b of the form c*q^k is refused over
+    degree 100 or over 40,000 degree times bits; an entry with such a side
+    is not.  Validating an admitted diagonal point needs no gcd: the sums
+    with 0 and the products with 1 in its rules keep a reduced entry."""
+    def point(entry):
+        return '{"entries": [["%s", "0"], ["0", "1"]]}' % entry
+
+    for entry in ("((q+2)/(q+3))^100", "1/(q+2)^150", "q^150/(q+2)",
+                  "((q+2^39)/(q+3))^10"):
+        load_point(point(entry))
+    for entry in ("((q+2)/(q+3))^101", "((q+2^39)/(q+3))^100"):
+        with pytest.raises(ValueError, match="point entry of degree"):
+            load_point(point(entry))
+    for spec in (point("(((2*q+3)^20+1)/((3*q+2)^20+5))^4"),
+                 point("1/(q+2)^150"), GENERIC):
+        pt = load_point(spec)
+        with gcd_budget():
+            coorbit.validate_point(pt, MatrixAlgebra(2))
+            assert scalars._gcd_work == 0
 
 
 def test_deep_nesting_exits_2(capsys):

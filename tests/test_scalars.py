@@ -244,6 +244,7 @@ def test_gcd_budget_meters_every_parse_gcd():
 R, S, T = "(q+2)/(q+3)", "(2*q+3)/(3*q-2)", "((2*q+3)^20+1)/((3*q+2)^20+5)"
 POINT = '{"entries": [["%s", "0"], ["0", "%s"]]}'
 SUM90 = "(1/((2*q+3)^90+1)*x22 + 1/((3*q+2)^90+5)*x12)*(x11 + x21)"
+STEP = "((q+2)^100 + 1)/((q+3)^100 + 7)"
 METERED = {
     "sum90": (["eval", SUM90, "--point", POINT % (2, 3)], 2),          # 24 s
     "sum150": (["eval", SUM90.replace("90", "150"),                    # 477 s
@@ -259,14 +260,28 @@ METERED = {
     "slowest": (["eval", "x11", "--point", POINT % (                   # 1.4 s
         "((2*q+3)^90+1)/((3*q+2)^90+5)", 1)], 2),
     "t_fourth": (["parse", f"({T})^4"], 0),                            # 68 s
+    # the entries of one point share a budget: each of these alone is
+    # admitted, after about 0.5 s of gcds
+    "two_entries": (["kernel", "--degree", "1", "--point",
+                     POINT % ((f"{STEP} + {STEP}",) * 2)], 2),
+    # T^4 as an entry: 76 s, of which 8.7 s reduced its sum with 0 and its
+    # product with a parsed 1 in validate_point
+    "t_fourth_point": (["eval", "x11", "--point", POINT % (f"({T})^4", 1)], 0),
 }
+# Entries over the point bounds, which were refused as such entries before
+# gcd work was metered, in about 0.2 s, and whose folds run unbounded.
+METERED.update({
+    f"{name}_{argv[0]}": (argv + ["--point", POINT % (entry, 1)], 2)
+    for name, entry in (("t_eighth", f"({T})^8"), ("r_300", f"({R})^300"))
+    for argv in (["eval", "x11"], ["kernel", "--degree", "1"])})
 
 
 @pytest.mark.parametrize("name", METERED)
 def test_gcd_work_bound_table(name):
-    """Each metered refusal exits 2 in under 3 s, and the power of T, a
-    valid point entry that needs no gcd, parses in under 0.1 s.  Runs in a
-    subprocess, so that a regression fails on the timeout, not by hanging."""
+    """Each refusal exits 2 in under 3 s, on the gcd budget or on the point
+    bounds, and T^4, a valid point entry whose power and evaluation at x11
+    need no gcd, parses and evaluates in under 0.1 s.  Runs in a subprocess,
+    so that a regression fails on the timeout, not by hanging."""
     argv, code = METERED[name]
     src = Path(qcoorbit.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -275,7 +290,9 @@ def test_gcd_work_bound_table(name):
     assert done.returncode == code, done.stderr[-300:]
     seconds = float(done.stdout.splitlines()[-1])
     if code:
-        assert "gcd work" in done.stderr and seconds < 3
+        point_bound = name.startswith(("t_eighth", "r_300"))
+        assert ("point entry of degree" if point_bound else "gcd work") \
+            in done.stderr and seconds < 3
     else:
         assert seconds < 0.1
 
@@ -296,7 +313,8 @@ ADMITTED_SCALARS = [
 ]
 ADMITTED_ELEMENTS = [
     *(f"({R}*x11 + {S}*x12)^{k}" for k in (2, 5, 10)),
-    f"({T}*x11)^2", f"(x11 + {R})^5", f"(x11 + {R})^10",
+    f"({T}*x11)^2", f"({T}*x11)^4", f"({T})^4*x11^4",
+    f"(x11 + {R})^5", f"(x11 + {R})^10",
     f"({R})^10*x11 + ({S})^10*x11", f"{R}*x11 + {S}*x11",
     f"({R}*x11 + {S}*x22)*({T}*x12)", f"({T})*x11*x22 - ({R})*x22*x11",
 ]
@@ -638,23 +656,29 @@ def _repeated(x, k):
     return r if k >= 0 else 1 / r
 
 
-def _assert_powers(x):
-    """x^k for k in -5..7 is x multiplied out, and it calls no Poly.gcd."""
+def _without_gcd(f, *args):
+    """f(*args), asserting that it calls no Poly.gcd."""
     gcd, calls = Poly.gcd, []
 
     def counting(a, b):
         calls.append((a, b))
         return gcd(a, b)
 
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(Poly, "gcd", staticmethod(counting))
+        value = f(*args)
+    assert not calls
+    return value
+
+
+def _assert_powers(x):
+    """x^k for k in -5..7 is x multiplied out, and it calls no Poly.gcd."""
     for k in range(-5, 8):
         if k < 0 and not x:
             with pytest.raises(ZeroDivisionError):
                 x ** k
             continue
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(Poly, "gcd", staticmethod(counting))
-            power = x ** k
-        assert not calls
+        power = _without_gcd(pow, x, k)
         assert _form(power) == _form(_repeated(x, k))
     assert x ** 0 is q ** 0
 
@@ -675,3 +699,29 @@ def test_power_is_repeated_product_rational():
     assert sum(x.qk < 0 for x in xs) >= 10
     for x in xs:
         _assert_powers(x)
+
+
+def test_laurent_side_needs_no_gcd():
+    """A fraction a/b that is no Laurent polynomial, plus a Laurent scalar,
+    times c*q^k, or times itself, can cancel no factor but powers of q: the
+    result is the general reduction's, reached with no Poly.gcd."""
+    rng = random.Random(23)
+    xs = [x for x in (Scalar(seeded_poly(rng, rng.randint(0, 4), (1, 2, 3)),
+                             seeded_poly(rng, rng.randint(1, 3), (1, 5))
+                             * Poly((0,) * rng.randint(0, 2) + (1,)))
+                      for _ in range(40)) if x.qk < 0]
+    xs += [(q + 2) / (q + 3), (q ** 2 - 1) / (q * (q + 2)), q / (q + 1)]
+    units = [Scalar.of(1), Scalar.of(Fraction(-3, 4)), 2 * q ** 3, q ** -2]
+    laurents_ = units + [Scalar.of(0), q + 1, (q ** 2 - 2) / q, q ** -1 - q]
+    assert len(xs) >= 20
+    for x in xs:
+        for y in laurents_:
+            for a, b in ((x, y), (y, x)):
+                for sign, op in ((1, a.__add__), (-1, a.__sub__)):
+                    general = Scalar(a.num * b.den + b.num.scale(sign)
+                                     * a.den, a.den * b.den)
+                    assert _form(_without_gcd(op, b)) == _form(general)
+        for y in units + [x]:
+            general = Scalar(x.num * y.num, x.den * y.den)
+            assert _form(_without_gcd(x.__mul__, y)) == _form(general)
+            assert _form(_without_gcd(y.__mul__, x)) == _form(general)
