@@ -4,7 +4,8 @@ Commands take points as JSON (inline or a file path), run exact
 computations, and print a deterministic JSON report (sorted keys, no
 timestamps) so reruns are byte-identical.  Exit status: 0 when every check
 in the report passed, 1 when some check failed, 2 for usage or domain
-errors (bad point, degree over the cost ceiling, pole in a specialization).
+errors (bad point, degree over the cost ceiling, pole in a specialization,
+gcd work over the one budget that each command runs under).
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from .chars import (character_of, compare_at_q1, decompose_sl2,
 from .coorbit import CoorbitMap, Point, evaluate, sphere_span, validate_point
 from .hopf import HopfContext
 from .mq import MatrixAlgebra, MqElement
-from .scalars import (MAX_PARSE_BITS, PoleError, Scalar, check_point_entry,
-                      gcd_budget)
+from .scalars import MAX_PARSE_BITS, PoleError, Scalar, gcd_budget
 
 CONVENTIONS = {
     "generator_order": "row-major: x11 < x12 < ... < xNN",
@@ -87,11 +87,12 @@ def load_point(spec: str, q=None) -> Point:
     """Read a point from inline JSON or from a JSON file.
 
     Format: {"n": 2, "entries": [["2", "0"], ["0", "q^2"]]} with entries
-    given as integers or expression strings in the scalar grammar, within
-    the point bounds of :func:`check_point_entry`.  When a rational q is
-    given (the engine runs specialized), the entries are specialized at it.
-    The caller validates the point once, through :func:`validate_point` or
-    the co-orbit map, under the same gcd budget as the reading.
+    given as integers or expression strings in the scalar grammar.  When a
+    rational q is given (the engine runs specialized), the entries are
+    specialized at it.  The caller validates the point once, through
+    :func:`validate_point` or the co-orbit map; in a command, the reading,
+    the validation and every fold at the point share the command's gcd
+    budget.
     """
     text = spec.strip()
     if not text.startswith("{"):
@@ -115,7 +116,6 @@ def load_point(spec: str, q=None) -> Point:
                 raise ValueError(f"point entries are ints or strings, not "
                                  f"{type(e).__name__}")
             out.append(Scalar.parse(str(e)))
-            check_point_entry(out[-1])
         rows.append(out)
     return Point(rows) if q is None else Point(rows).specialize(q)
 
@@ -164,10 +164,9 @@ def cmd_verify_coinvariants(args):
 
 
 def _point_setup(args):
-    with gcd_budget():   # the point is read and validated under one budget
-        hopf, point = _point_context(args)
-        d = check_degree(hopf.alg.n, args.degree)
-        cm = CoorbitMap(hopf, point, args.coaction)
+    hopf, point = _point_context(args)
+    d = check_degree(hopf.alg.n, args.degree)
+    cm = CoorbitMap(hopf, point, args.coaction)
     return cm, d
 
 
@@ -251,14 +250,13 @@ def cmd_character(args):
 
 
 def cmd_eval(args):
-    with gcd_budget():   # point, expression and value: one budget
-        hopf, point = _point_context(args)
-        validate_point(point, hopf.alg)
-        report = _base_report("eval", hopf.alg)
-        report["point"] = _point_json(point)
-        elem = hopf.alg.parse(args.expression)
-        report["expression"] = str(elem)
-        report["value"] = str(evaluate(elem, point))
+    hopf, point = _point_context(args)
+    validate_point(point, hopf.alg)
+    report = _base_report("eval", hopf.alg)
+    report["point"] = _point_json(point)
+    elem = hopf.alg.parse(args.expression)
+    report["expression"] = str(elem)
+    report["value"] = str(evaluate(elem, point))
     return report, True
 
 
@@ -394,7 +392,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report, ok = args.func(args)
+        with gcd_budget():   # one budget from reading the input to the report
+            report, ok = args.func(args)
     except (ValueError, PoleError, ZeroDivisionError, OSError,
             json.JSONDecodeError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -21,11 +21,11 @@ an identity test.  Other fractions skip the gcd where only powers of q can
 cancel: in a sum with a Laurent scalar, a product with c*q^k, a square and
 a power.
 
-A gcd is the one step whose cost the input's size does not bound.  So the
-parsers, and the point commands, reduce outside input under
-:func:`gcd_budget`: each remainder step of a gcd is charged as it runs, and
-input whose gcds would cost over MAX_PARSE_GCD_WORK is refused with a
-ValueError.
+A gcd is the one step whose cost the input's size does not bound.  So each
+parse, and each CLI command from reading its input to its report, runs
+under one :func:`gcd_budget`: each remainder step of a gcd is charged as it
+runs, and input whose gcds would cost over MAX_PARSE_GCD_WORK is refused
+with a ValueError.  A library parse closes its budget when it returns.
 
 Scalars are immutable and hashable.  The whole engine is generic over the
 coefficient type: run it with Scalars for symbolic q, or with plain Fractions
@@ -123,11 +123,11 @@ def _int_gcd_poly(a, b):
     a, b = _int_primitive(a), _int_primitive(b)
     while b:
         if _gcd_work is not None:
-            h = max(abs(c).bit_length() for c in a) + 64
+            h = max(max(a), -min(a)).bit_length() + 64
             _gcd_work += max(len(a) - len(b) + 1, 0) * len(a) * h * h // 64
             if _gcd_work > MAX_PARSE_GCD_WORK:
-                raise ValueError(f"input needing gcd work over the parser's "
-                                 f"bound {MAX_PARSE_GCD_WORK}")
+                raise ValueError(f"input needing gcd work over the bound "
+                                 f"{MAX_PARSE_GCD_WORK}")
         a, b = b, _int_primitive(_int_pseudo_rem(a, b))
     return a
 
@@ -633,24 +633,6 @@ def _bits(s: Scalar) -> int:
     """Bit length of the largest integer stored in a Scalar."""
     return max(abs(c).bit_length()
                for p in (s.num, s.den) for c in p.coeffs + (p.den,))
-
-
-# A point entry a/b with neither a nor b of the form c*q^k may have degree
-# at most MAX_POINT_DEGREE and degree times integer bits at most
-# MAX_POINT_SIZE: the folds at a point reduce by gcds of about that size,
-# and those gcds are not metered.
-MAX_POINT_DEGREE = 100
-MAX_POINT_SIZE = 40_000
-
-
-def check_point_entry(s: Scalar) -> None:
-    """Refuse a point entry over the point bounds."""
-    degree = max(s.num.degree, s.den.degree)
-    if s.qk < 0 and not s.num.is_monomial() and (
-            degree > MAX_POINT_DEGREE or degree * _bits(s) > MAX_POINT_SIZE):
-        raise ValueError(f"point entry of degree {degree} over {_bits(s)}-bit "
-                         f"integers is over the bounds {MAX_POINT_DEGREE} "
-                         f"and {MAX_POINT_SIZE} (degree times bits)")
 
 
 def _check_bits(bits: int) -> None:

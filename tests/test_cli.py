@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -311,25 +312,83 @@ def test_point_entries_refuse_booleans_and_huge_ints(capsys):
 
 
 def test_point_entry_bounds():
-    """An entry a/b with neither a nor b of the form c*q^k is refused over
-    degree 100 or over 40,000 degree times bits; an entry with such a side
-    is not.  Validating an admitted diagonal point needs no gcd: the sums
-    with 0 and the products with 1 in its rules keep a reduced entry."""
+    """A point entry meets the grammar's bounds and the command's gcd budget
+    and no bound of its own, so entries of any shape load.  Validating an
+    admitted diagonal point needs no gcd: the sums with 0 and the products
+    with 1 in its rules keep a reduced entry."""
     def point(entry):
         return '{"entries": [["%s", "0"], ["0", "1"]]}' % entry
 
-    for entry in ("((q+2)/(q+3))^100", "1/(q+2)^150", "q^150/(q+2)",
-                  "((q+2^39)/(q+3))^10"):
-        load_point(point(entry))
-    for entry in ("((q+2)/(q+3))^101", "((q+2^39)/(q+3))^100"):
-        with pytest.raises(ValueError, match="point entry of degree"):
-            load_point(point(entry))
-    for spec in (point("(((2*q+3)^20+1)/((3*q+2)^20+5))^4"),
+    for spec in (point("((q+2)/(q+3))^101"), point("((q+2^39)/(q+3))^100"),
+                 point("(((2*q+3)^20+1)/((3*q+2)^20+5))^8"),
                  point("1/(q+2)^150"), GENERIC):
         pt = load_point(spec)
         with gcd_budget():
             coorbit.validate_point(pt, MatrixAlgebra(2))
             assert scalars._gcd_work == 0
+
+
+def _spending(monkeypatch):
+    """The gcd work of each later ``main`` call, recorded as its budget
+    closes."""
+    spent = []
+    budget = scalars.gcd_budget
+
+    @contextmanager
+    def recording():
+        with budget():
+            try:
+                yield
+            finally:
+                spent.append(scalars._gcd_work)
+
+    monkeypatch.setattr(cli, "gcd_budget", recording)
+    return spent
+
+
+RATIONAL = '{"entries": [["(q+1)/(q-1)", "0"], ["0", "3*q^2+2"]]}'
+
+
+def test_gcd_budget_is_scoped_to_the_command(capsys, monkeypatch):
+    """main opens one gcd budget per command, which the kernel's folds and
+    elimination spend after the point is read, and closes it on exit 0, 1
+    and 2."""
+    spent = _spending(monkeypatch)
+    with gcd_budget():
+        load_point(RATIONAL)
+        reading = scalars._gcd_work
+    code, _, _ = run(capsys, "kernel", "--point", RATIONAL, "--degree", "1")
+    assert code == 0 and spent[-1] > reading
+    assert scalars._gcd_work is None
+    slow = '{"entries": [["((q+2)/(q+3))^100", "0"], ["0", "1"]]}'
+    code, _, err = run(capsys, "kernel", "--point", slow, "--degree", "1")
+    assert code == 2 and "gcd work" in err
+    assert scalars._gcd_work is None
+    code, _, _ = run(capsys, "eval", "x11", "--point", "{}")
+    assert code == 2 and scalars._gcd_work is None
+    monkeypatch.setattr(cli.HopfContext, "families_coinvariant",
+                        lambda self: [(False, True)])
+    code, _, _ = run(capsys, "verify-coinvariants")
+    assert code == 1 and scalars._gcd_work is None
+    assert len(spent) == 4
+
+
+# Kernels at rational diagonal points at the top degree of their size, which
+# spent 6.4 % and 4.4 % of the gcd budget when it came to span the command.
+RATIONAL_KERNELS = [
+    (RATIONAL, "4"),
+    ('{"entries": [["(q+1)/(q-1)", "0", "0"], ["0", "2", "0"], '
+     '["0", "0", "q+3"]]}', "2"),
+]
+
+
+def test_rational_kernels_spend_a_tenth_of_the_budget(capsys, monkeypatch):
+    """Guards real workloads against a change that makes gcds dearer: each
+    kernel above spends under a tenth of MAX_PARSE_GCD_WORK."""
+    spent = _spending(monkeypatch)
+    for point, degree in RATIONAL_KERNELS:
+        code, _, _ = run(capsys, "kernel", "--point", point, "--degree", degree)
+        assert code == 0 and spent[-1] < scalars.MAX_PARSE_GCD_WORK // 10
 
 
 def test_deep_nesting_exits_2(capsys):

@@ -212,8 +212,10 @@ def test_zero_factor_costs_no_gcd():
 def test_gcd_budget_meters_every_parse_gcd():
     """A parse charges the gcds it needs to the open budget, a nested budget
     shares the outer one, and no budget stays open after a parse, also one
-    that raised: a later gcd path that bypassed the meter, or a budget that
-    leaked into the engine's own elimination, fails here."""
+    that raised.  A CLI command keeps its budget open through its folds and
+    elimination, but a library parse never leaks one into them: a later gcd
+    path that bypassed the meter, or a parse that left its budget open,
+    fails here."""
     assert qcoorbit.scalars._gcd_work is None
     with gcd_budget():
         Scalar.parse("(q+2)/(q+3) + (2*q+3)/(3*q-2)")
@@ -240,61 +242,66 @@ def test_gcd_budget_meters_every_parse_gcd():
 # The inputs below keep inside the degree, exponent and bit bounds, and their
 # gcds ran for seconds to minutes before gcd work was metered where it runs
 # (times on one 2-core VM, Python 3.11): (CLI argv, or "parse" and a scalar,
-# and the exit status).
+# the exit status, and the seconds it may take).
 R, S, T = "(q+2)/(q+3)", "(2*q+3)/(3*q-2)", "((2*q+3)^20+1)/((3*q+2)^20+5)"
 POINT = '{"entries": [["%s", "0"], ["0", "%s"]]}'
 SUM90 = "(1/((2*q+3)^90+1)*x22 + 1/((3*q+2)^90+5)*x12)*(x11 + x21)"
 STEP = "((q+2)^100 + 1)/((q+3)^100 + 7)"
 METERED = {
-    "sum90": (["eval", SUM90, "--point", POINT % (2, 3)], 2),          # 24 s
+    "sum90": (["eval", SUM90, "--point", POINT % (2, 3)], 2, 3),       # 24 s
     "sum150": (["eval", SUM90.replace("90", "150"),                    # 477 s
-                "--point", POINT % (2, 3)], 2),
+                "--point", POINT % (2, 3)], 2, 3),
     "one_scalar": (["eval", "1/((2*q+3)^90+1) + 1/((3*q+2)^90+5)",
-                    "--point", POINT % (2, 3)], 2),
+                    "--point", POINT % (2, 3)], 2, 3),
     "power30": (["eval", f"({R}*x11 + {S}*x12)^30",                    # 206 s
-                 "--point", POINT % (2, 3)], 2),
+                 "--point", POINT % (2, 3)], 2, 3),
     "evaluate": (["eval", "1/((2*q+3)^90+1)*x11 + 1/((3*q+2)^90+5)*x22",
-                  "--point", POINT % (2, 3)], 2),                      # 24 s
+                  "--point", POINT % (2, 3)], 2, 3),                   # 24 s
     "point": (["eval", "x11 + x22", "--point", POINT % (              # 25 s
-        "1/((2*q+3)^90+1)", "1/((3*q+2)^90+5)")], 2),
+        "1/((2*q+3)^90+1)", "1/((3*q+2)^90+5)")], 2, 3),
     "slowest": (["eval", "x11", "--point", POINT % (                   # 1.4 s
-        "((2*q+3)^90+1)/((3*q+2)^90+5)", 1)], 2),
-    "t_fourth": (["parse", f"({T})^4"], 0),                            # 68 s
+        "((2*q+3)^90+1)/((3*q+2)^90+5)", 1)], 2, 3),
+    "t_fourth": (["parse", f"({T})^4"], 0, 0.1),                       # 68 s
     # the entries of one point share a budget: each of these alone is
     # admitted, after about 0.5 s of gcds
     "two_entries": (["kernel", "--degree", "1", "--point",
-                     POINT % ((f"{STEP} + {STEP}",) * 2)], 2),
+                     POINT % ((f"{STEP} + {STEP}",) * 2)], 2, 3),
     # T^4 as an entry: 76 s, of which 8.7 s reduced its sum with 0 and its
     # product with a parsed 1 in validate_point
-    "t_fourth_point": (["eval", "x11", "--point", POINT % (f"({T})^4", 1)], 0),
+    "t_fourth_point": (["eval", "x11", "--point", POINT % (f"({T})^4", 1)],
+                       0, 0.1),
+    # the folds and the elimination of a command spend its budget too
+    "r_100_kernel": (["kernel", "--degree", "1", "--point",            # 23 s
+                      POINT % (f"({R})^100", 1)], 2, 3),
+    "t_fourth_kernel": (["kernel", "--degree", "1", "--point",         # 306 s
+                         POINT % (f"({T})^4", 1)], 2, 3),
+    "r_10_kernel_d4": (["kernel", "--degree", "4", "--point",          # 47 s
+                        POINT % (f"({R})^10", 1)], 2, 3),
 }
-# Entries over the point bounds, which were refused as such entries before
-# gcd work was metered, in about 0.2 s, and whose folds run unbounded.
+# Entries that a bound of their own refused as point entries, in about
+# 0.25 s, before the command's folds were metered: evaluating x11 at them
+# needs no gcd, and the kernel's folds at them spend the budget.
 METERED.update({
-    f"{name}_{argv[0]}": (argv + ["--point", POINT % (entry, 1)], 2)
+    f"{name}_{argv[0]}": (argv + ["--point", POINT % (entry, 1)], code, limit)
     for name, entry in (("t_eighth", f"({T})^8"), ("r_300", f"({R})^300"))
-    for argv in (["eval", "x11"], ["kernel", "--degree", "1"])})
+    for argv, code, limit in ((["eval", "x11"], 0, 0.2),
+                              (["kernel", "--degree", "1"], 2, 3))})
 
 
 @pytest.mark.parametrize("name", METERED)
 def test_gcd_work_bound_table(name):
-    """Each refusal exits 2 in under 3 s, on the gcd budget or on the point
-    bounds, and T^4, a valid point entry whose power and evaluation at x11
-    need no gcd, parses and evaluates in under 0.1 s.  Runs in a subprocess,
-    so that a regression fails on the timeout, not by hanging."""
-    argv, code = METERED[name]
+    """Each refusal exits 2 on the gcd budget in under its limit of 3 s, and
+    each admitted input, whose powers and evaluation at x11 need no gcd,
+    exits 0 in under its limit.  Runs in a subprocess, so that a regression
+    fails on the timeout, not by hanging."""
+    argv, code, limit = METERED[name]
     src = Path(qcoorbit.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", TIMED_MAIN, *argv], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == code, done.stderr[-300:]
-    seconds = float(done.stdout.splitlines()[-1])
-    if code:
-        point_bound = name.startswith(("t_eighth", "r_300"))
-        assert ("point entry of degree" if point_bound else "gcd work") \
-            in done.stderr and seconds < 3
-    else:
-        assert seconds < 0.1
+    assert not code or "gcd work" in done.stderr
+    assert float(done.stdout.splitlines()[-1]) < limit
 
 
 # Sums, products and powers of R, S and T in both grammars that the parsers
