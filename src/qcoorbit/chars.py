@@ -58,6 +58,15 @@ class Character(SparseTerms):
     def from_weights(cls, picture: str, weights) -> "Character":
         return cls(picture, Counter(weights))
 
+    def z_picture(self) -> "Character":
+        """The z character of a t character: a weight w goes to w1 - wn."""
+        if self.picture != "t":
+            raise ValueError("only a t character maps to the z picture")
+        out = Counter()
+        for w, m in self.terms.items():
+            out[w[0] - w[-1]] += m
+        return Character("z", out)
+
     def _like(self, terms) -> "Character":
         return Character(self.picture, terms)
 
@@ -98,19 +107,18 @@ def character_of(space, picture: str = "z") -> Character:
     basis row, read off its keys.
 
     The keys are numerator monomials of degree n*p over det^p.  A key's
-    torus weight is its column degrees minus p, which det leaves unchanged;
-    the z picture maps it to w1 - wn, column-1 degree minus column-n degree.
+    torus weight is its column degrees minus p, which det leaves unchanged,
+    and every basis row must be pure in it; the z picture maps it to
+    w1 - wn, column-1 degree minus column-n degree
+    (:meth:`Character.z_picture`).
     """
     if not isinstance(space, TruncatedSubspace):
         raise TypeError("expected a TruncatedSubspace")
-
-    def weight(m):
-        cols = m.coldeg()
-        if picture == "z":
-            return cols[0] - cols[-1]
-        return tuple(c - m.deg // m.n for c in cols)
-
-    return Character.from_weights(picture, space.row_weights(weight))
+    if picture not in ("z", "t"):
+        raise ValueError("picture must be 'z' or 't'")
+    char = Character.from_weights("t", space.row_weights(
+        lambda m: tuple(c - m.deg // m.n for c in m.coldeg())))
+    return char.z_picture() if picture == "z" else char
 
 
 def decompose_sl2(char: Character) -> dict:

@@ -211,7 +211,7 @@ def cmd_image(args):
     for d in range(1, dmax + 1):
         img = cm.image_data(d)
         tchar = character_of(img, "t")
-        zchar = character_of(img, "z")
+        zchar = tchar.z_picture()
         try:
             decomp = {str(m): k for m, k in decompose_sl2(zchar).items()}
         except ValueError:
@@ -236,13 +236,14 @@ def cmd_character(args):
     zchars = []
     for d in range(1, dmax + 1):
         img = cm.image_data(d)
-        zchar = character_of(img, "z")
+        tchar = character_of(img, "t")
+        zchar = tchar.z_picture()
         zchars.append(zchar)
         degrees.append({
             "degree": d,
             "dim": img.dim,
             "z_character": str(zchar),
-            "t_character": str(character_of(img, "t")),
+            "t_character": str(tchar),
         })
     report = _degrees_report("character", cm, degrees)
     report["stabilized"] = (len(zchars) >= 2 and zchars[-1] == zchars[-2])

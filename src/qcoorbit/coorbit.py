@@ -9,11 +9,19 @@ co-orbit map of the point,
     psi(h) = (ev (x) id) beta(h),      phi(h) = (ev (x) id) alpha(h),
 
 a linear (not algebra) map into the localized algebra.  The implementation
-never materializes the full coaction: since evaluation is an algebra map,
-the two-fold coproduct folds letter by letter with its middle leg evaluated
-at the point (``HopfContext._fold``), so only the nonzero point entries
-branch, which keeps sparse points (diagonal, single-entry) cheap.  The
-definitional composite survives in the tests as an oracle.
+never forms a coaction or a two-fold coproduct.  With Delta^2(a x_ij) =
+sum_{s,t} a_1 x_is (x) a_2 x_st (x) a_3 x_tj, evaluation at the point xi an
+algebra map and S anti-multiplicative, S(a_1 x_is) = S(x_is) S(a_1) gives
+
+    psi(a x_ij) = sum_{s,t} xi_st S(x_is) psi(a) x_tj,
+    phi(x_ij a) = sum_{s,t} xi_st x_tj phi(a) S(x_is),
+
+so the image of an ordered monomial is one step from the image of the
+monomial without its last letter (beta) or its first (alpha), which is
+cached.  Only the nonzero point entries branch, which keeps sparse points
+(diagonal, single-entry) cheap.  The definitional composite, and the
+two-fold coproduct conjugated by the antipode, survive in the tests as
+oracles.
 
 Truncations: kernels, ideal spans, and images of the co-orbit map restricted
 to monomials of bounded degree, as :class:`TruncatedSubspace` values over
@@ -33,7 +41,7 @@ from itertools import product
 
 from . import xla
 from .hopf import GlqElement, HopfContext
-from .mq import Monomial, MqElement, _compositions
+from .mq import Monomial, MqElement, _compositions, accumulate
 from .scalars import Frozen, Scalar
 
 
@@ -198,6 +206,20 @@ class TruncatedSubspace(Frozen):
         return f"TruncatedSubspace(dim={self.dim}, ambient={len(self.keys)})"
 
 
+def _product(alg, a: dict, b: dict) -> dict:
+    """Normal form of the product of two ``{monomial: coeff}`` sums; a
+    factor that is the algebra's unit object is not multiplied by."""
+    one = alg.one
+    out = {}
+    for am, ac in a.items():
+        for bm, bc in b.items():
+            c = ac if bc is one else bc if ac is one else ac * bc
+            for m, mc in alg._mul_monos(am, bm).items():
+                accumulate(out, m, c if mc is one else mc if c is one
+                           else c * mc)
+    return out
+
+
 def _span(vectors) -> TruncatedSubspace:
     """Span of ``{monomial: coeff}`` vectors over the monomials they use."""
     keys = sorted({m for v in vectors for m in v}, key=Monomial.sort_key)
@@ -221,18 +243,64 @@ class CoorbitMap:
         self.point = point
         self.which = which
         self.xi = validate_point(point, hopf.alg)
-        self._middle = hopf._evaluating(self.xi)
-        self._mono_cache = {}
+        n, one = hopf.n, hopf.alg.one
+        unit = Monomial.one(n)
+        self._letters = [{unit.bumped(k): one} for k in range(n * n)]
+        self._mono_cache = {unit: ({unit: one}, 0)}
 
     def of_monomial(self, m: Monomial):
-        """Image of an ordered monomial: (numerator terms, det power = degree)."""
-        out = self._mono_cache.get(m)
-        if out is None:
-            hopf = self.hopf
-            folded = hopf._fold(m, self._middle)
-            out = ({pm: c for (_v, pm), c
-                    in hopf._conjugate(folded, self.which).items()}, m.deg)
-            self._mono_cache[m] = out
+        """Image of an ordered monomial: (numerator terms, det power = degree).
+
+        Built by a loop from the cached image of the longest part of ``m``
+        that leaves out its last letters (beta) or its first ones (alpha),
+        one letter at a time by :meth:`_extend`, caching every image on the
+        way; the loop keeps the stack depth independent of the degree.
+        """
+        cache = self._mono_cache
+        out = cache.get(m)
+        if out is not None:
+            return out
+        strip = Monomial.last_letter if self.which == "beta" \
+            else Monomial.first_letter
+        letters = []
+        part = m
+        while part not in cache:
+            k = strip(part)
+            letters.append(k)
+            part = part.stripped(k)
+        num = cache[part][0]
+        for k in reversed(letters):
+            part = part.bumped(k)
+            num = self._extend(num, k)
+            cache[part] = (num, part.deg)
+        return cache[m]
+
+    def _extend(self, num, k: int):
+        """The image numerator of a monomial one letter x_k = x_ij longer
+        than the monomial ``a`` of image numerator ``num``:
+
+            beta:  psi(a x_ij) = sum_{s,t} xi_st S(x_is) psi(a) x_tj,
+            alpha: phi(x_ij a) = sum_{s,t} xi_st x_tj phi(a) S(x_is).
+
+        S(x_is) is a numerator over det, so the det power grows by one.
+        """
+        hopf = self.hopf
+        alg, n, one = hopf.alg, hopf.n, hopf.alg.one
+        i, j = divmod(k, n)
+        out = {}
+        for s in range(n):
+            for t in range(n):
+                x = self.xi[s][t]
+                if not x:
+                    continue
+                anti = hopf._s_letter(i * n + s)
+                letter = self._letters[t * n + j]
+                left, right = (anti, letter) if self.which == "beta" \
+                    else (letter, anti)
+                for pm, pc in _product(alg, _product(alg, left, num),
+                                       right).items():
+                    accumulate(out, pm, x if pc is one
+                               else pc if x is one else x * pc)
         return out
 
     def __call__(self, a: MqElement) -> GlqElement:

@@ -15,12 +15,15 @@ The two adjoint coactions are
     alpha(h) = h_2 (x) h_3 S(h_1)
 computed by homogeneous part: the part's two-fold coproducts are summed,
 then conjugated once (much of the sum cancels).  One fold computes that
-coproduct with the middle leg either kept (the coactions) or evaluated at a
-point: at the identity, where evaluation is the counit, it gives the
-coproduct, and at a classical point the co-orbit map.  A :class:`HopfContext`
-memoizes the tables that are read again: the two-fold coproduct of each
-monomial (beta and alpha fold the same monomials), the antipode of each
-monomial and of each letter.  Build one context per algebra and reuse it.
+coproduct with the middle leg either kept (the coactions) or evaluated by
+the counit (the coproduct itself).  The co-orbit maps of
+:mod:`qcoorbit.coorbit` need neither: since S is anti-multiplicative and
+evaluation at a point is an algebra map, they extend an image by one letter
+at a time, from the antipode of that letter (:meth:`HopfContext._s_letter`).
+A :class:`HopfContext` memoizes the tables that are read again: the two-fold
+coproduct of each monomial (beta and alpha fold the same monomials), the
+antipode of each monomial and of each letter.  Build one context per algebra
+and reuse it.
 
 The coinvariant families are sums of principal quantum minors, and
 :class:`Minors` computes their coactions on minors instead of monomials,
@@ -244,10 +247,12 @@ class HopfContext:
         self._delta2_cache = {}
         self._anti_cache = {}
         self._s_letter_cache = {}
-        n, zero = self.n, algebra.zero
-        self._counit_middle = self._evaluating(
-            [[self._one if i == j else zero for j in range(n)]
-             for i in range(n)])
+        # the middle-leg rule of _fold that evaluates by the counit: the
+        # middle key stays the empty monomial
+        n, unit = self.n, Monomial.one(self.n)
+        counit = [{unit: self._one} if i == j else {}
+                  for i in range(n) for j in range(n)]
+        self._counit_middle = lambda v, k: counit[k]
 
     # -- constructors -------------------------------------------------------------
 
@@ -282,10 +287,9 @@ class HopfContext:
         Delta^2(x_ij) = sum_{s,t} x_is (x) x_st (x) x_tj.  The outer legs are
         straightened; ``middle(v, k)`` gives the middle leg ``v`` times the
         letter ``x_k`` as ``{key: coeff}``.  Straightening it keeps the leg
-        (the coactions); an entry table evaluates it (the co-orbit maps, and
-        the coproduct itself with the counit), and an empty result skips the
-        branch.  A factor that is the unit object is not multiplied by.
-        Returns ``{(u, v, w): coeff}``.
+        (the coactions); the counit evaluates it (the coproduct), and an
+        empty result skips the branch.  A factor that is the unit object is
+        not multiplied by.  Returns ``{(u, v, w): coeff}``.
         """
         n = self.n
         alg = self.alg
@@ -315,13 +319,6 @@ class HopfContext:
                                                cuv if wc is one else cuv * wc)
             acc = nxt
         return acc
-
-    def _evaluating(self, xi):
-        """The middle-leg rule of :meth:`_fold` that evaluates at the point
-        with entry table ``xi``; the middle key stays the empty monomial."""
-        unit = Monomial.one(self.n)
-        table = [{unit: x} if x else {} for row in xi for x in row]
-        return lambda v, k: table[k]
 
     def _delta_mono(self, m: Monomial):
         """Coproduct of an ordered monomial, {(u, v): coeff}: the two-fold

@@ -70,6 +70,12 @@ class Monomial(Frozen):
             out.extend([k] * e)
         return tuple(out)
 
+    def first_letter(self) -> int:
+        for k, e in enumerate(self.exps):
+            if e:
+                return k
+        raise ValueError("the empty monomial has no letters")
+
     def last_letter(self) -> int:
         for k in range(len(self.exps) - 1, -1, -1):
             if self.exps[k]:

@@ -1,6 +1,8 @@
 """Tests for co-orbit maps: points, truncated kernels/ideals/images."""
 
+import json
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -8,6 +10,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcoorbit.cli import main
 from qcoorbit.coorbit import (CoorbitMap, Point, TruncatedSubspace,
                               diag_coinv_keys, evaluate, psi_power_check,
                               sphere_span, validate_point)
@@ -115,18 +118,19 @@ def slow_coorbit(H, point, a, which):
 
 @pytest.mark.parametrize("which", ["beta", "alpha"])
 def test_fast_path_matches_definition(H2, H3, which):
-    """The fold with the middle leg evaluated at the point agrees with the
-    coaction followed by evaluation, on every monomial of degree <= 3 at
-    size 2 and of degree <= 1 at size 3."""
+    """The co-orbit map agrees with the coaction followed by evaluation, on
+    every monomial of degree <= 3 at size 2, of degree <= 1 at size 3 and,
+    where the one-letter step runs on images that are themselves built by
+    it, of degree 2 at one size-3 diagonal point."""
     q = H2.alg.q
     x = H2.alg.generator
     cases = [
         (H2, 3, [Point.diagonal([2, 3]), Point([[0, 1], [0, 0]]),
                  Point.diagonal([q ** 2, 1])],
          [H2.alg.tau(2), x(1, 1) + x(2, 1) ** 2]),
-        (H3, 1, [Point.diagonal([2, 3, 5]),
-                 Point([[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
+        (H3, 1, [Point([[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
                  Point.diagonal([q ** 2, 1, q ** -2])], []),
+        (H3, 2, [Point.diagonal([2, 3, 5])], []),
     ]
     for H, d, points, extra in cases:
         samples = [H.alg.monomial_element(m) for m in H.alg.monomial_basis(d)]
@@ -134,6 +138,55 @@ def test_fast_path_matches_definition(H2, H3, which):
             cm = CoorbitMap(H, pt, which)
             for a in samples + extra:
                 assert cm(a) == slow_coorbit(H, pt, a, which)
+
+
+def _folded_image(H, xi, m, which):
+    """The image of m by the two-fold coproduct with its middle leg
+    evaluated at the entry table xi, then conjugated by the antipode: the
+    fold and conjugation that the coactions use."""
+    unit = Monomial.one(H.n)
+    table = [{unit: x} if x else {} for row in xi for x in row]
+    folded = H._fold(m, lambda v, k: table[k])
+    return {pm: c for (_v, pm), c in H._conjugate(folded, which).items()}
+
+
+def _recursion_points(rng, n, q):
+    """A seeded generic diagonal point, a resonant one, the single-entry
+    nilpotent one and one with entries outside Q[q, 1/q]."""
+    c = rng.choice([2, 3, -5, 7])
+    single = [[int((i, j) == (0, 1)) for j in range(n)] for i in range(n)]
+    if n == 2:
+        resonant = [c * q ** 2, c]
+        rational = [(q + 1) / (q - 1), 3 * q ** 2 + 2]
+    else:
+        resonant = [c * q ** 2, c, c * q ** -2]
+        rational = [(q + 1) / (q - 1), 2, q + 3]
+    return [Point.diagonal(_generic_diagonals(rng, n, 1)[0]),
+            Point.diagonal(resonant), Point(single),
+            Point.diagonal(rational)]
+
+
+@pytest.mark.parametrize("which", ["beta", "alpha"])
+@pytest.mark.parametrize("q1", [None, Fraction(-3, 2)],
+                         ids=["symbolic", "rational"])
+def test_one_letter_step_matches_fold_then_conjugate(which, q1):
+    """Each image, built one letter at a time from the image of a shorter
+    monomial, equals the fold of its two-fold coproduct evaluated at the
+    point and then conjugated: on every monomial of degree <= 4 at size 2
+    and of degree <= 2 at size 3, at seeded points, under symbolic q and at
+    a rational q."""
+    rng = random.Random(19)
+    for n, dmax in ((2, 4), (3, 2)):
+        H = HopfContext(MatrixAlgebra(n, q1))
+        points = _recursion_points(rng, n, MatrixAlgebra(n).q)
+        if q1 is not None:
+            points = [pt.specialize(q1) for pt in points]
+        for pt in points:
+            cm = CoorbitMap(H, pt, which)
+            for m in H.alg.monomial_basis(dmax):
+                num, p = cm.of_monomial(m)
+                assert p == m.deg
+                assert num == _folded_image(H, cm.xi, m, which), (pt, m)
 
 
 def test_coinvariants_map_to_their_values(H2, generic):
@@ -190,7 +243,7 @@ def test_generic_point_dimensions(H2, H3, generic):
     truncation: at diag(2, 3), whose image dimensions are checked too, at
     four seeded size-2 points up to degree 3 and at two size-3 points up to
     degree 2, and at one point of each size with entries in Q(q) that are
-    not Laurent polynomials."""
+    not Laurent polynomials, where elimination divides."""
     for d, im in ((1, 4), (2, 9), (3, 16)):
         assert generic.image_data(d).dim == im
     maps = [(2, 3, generic)]
@@ -198,10 +251,10 @@ def test_generic_point_dimensions(H2, H3, generic):
              for diag in _generic_diagonals(random.Random(2), 2, 4)]
     maps += [(3, 2, CoorbitMap(H3, Point.diagonal(diag)))
              for diag in _generic_diagonals(random.Random(3), 3, 2)]
-    q = H2.alg.q  # entries outside Q[q, 1/q], so elimination divides
+    q = H2.alg.q
     maps += [(2, 3, CoorbitMap(H2, Point.diagonal([(q + 1) / (q - 1),
                                                    3 * q ** 2 + 2]))),
-             (3, 2, CoorbitMap(H3, Point.diagonal([(q ** 2 - 1) / q, 2,
+             (3, 2, CoorbitMap(H3, Point.diagonal([(q + 1) / (q - 1), 2,
                                                    q + 3])))]
     for n, dmax, bmap in maps:
         for d in range(1, dmax + 1):
@@ -243,6 +296,72 @@ def test_kernel_gcd_calls_stay_under_ceiling(monkeypatch):
     cm = CoorbitMap(HopfContext(MatrixAlgebra(3)), Point.diagonal([2, 3, 5]))
     assert cm.kernel_basis(2).dim == _complete_intersection_dim(3, 2)
     assert 0 < len(calls) <= KERNEL_GCD_CEILING
+
+
+# MatrixAlgebra._mul_mono_letter calls made by the beta images of every
+# monomial of degree <= 2 at diag(2, 3, 5) from a fresh context, as counted
+# when each image became one letter-step from a shorter one; the two-fold
+# coproduct fold conjugated by the antipode made 10,195.
+LETTER_CALL_CEILING = 6055
+
+
+def test_image_letter_calls_stay_under_ceiling(monkeypatch):
+    """A timing-free guard on the co-orbit images: building those of
+    degree <= 2 at a generic size-3 point straightens no more letters than
+    the ceiling."""
+    cm = CoorbitMap(HopfContext(MatrixAlgebra(3)), Point.diagonal([2, 3, 5]))
+    calls = []
+    real = MatrixAlgebra._mul_mono_letter
+
+    def counting(alg, m, k):
+        calls.append(None)
+        return real(alg, m, k)
+
+    monkeypatch.setattr(MatrixAlgebra, "_mul_mono_letter", counting)
+    cm._lifted_images(2)
+    assert 0 < len(calls) <= LETTER_CALL_CEILING
+
+
+@pytest.mark.parametrize("command", ["kernel", "image"])
+@pytest.mark.parametrize("which", ["beta", "alpha"])
+def test_truncations_skip_the_coproduct_fold(monkeypatch, capsys, command,
+                                              which):
+    """kernel and image form no two-fold coproduct and conjugate nothing by
+    the antipode: their images are built one letter at a time."""
+    def refuse(*args):
+        raise AssertionError("the co-orbit path folded or conjugated")
+
+    for name in ("_fold", "_conjugate", "_antipode_mono"):
+        monkeypatch.setattr(HopfContext, name, refuse)
+    point = ('{"entries": [["2", "0", "0"], ["0", "3", "0"], '
+             '["0", "0", "5"]]}')
+    assert main([command, "--point", point, "--degree", "2",
+                 "--coaction", which]) == 0
+    assert json.loads(capsys.readouterr().out)["all_pass"] is True
+
+
+@pytest.mark.parametrize("which", ["beta", "alpha"])
+def test_deep_monomial_image_is_one_call(monkeypatch, which):
+    """The image of x21^100 is built by a loop, not by recursion: it raises
+    no RecursionError, takes seconds at most, and of_monomial is entered
+    once."""
+    H = HopfContext(MatrixAlgebra(2))
+    cm = CoorbitMap(H, Point.diagonal([2, 3]), which)
+    calls = []
+    real = CoorbitMap.of_monomial
+
+    def counting(self, m):
+        calls.append(m)
+        return real(self, m)
+
+    monkeypatch.setattr(CoorbitMap, "of_monomial", counting)
+    started = time.monotonic()
+    num, p = cm.of_monomial(Monomial(2, (0, 0, 100, 0)))
+    assert time.monotonic() - started < 5
+    assert p == 100 and num and len(calls) == 1
+    # the closed form at degree 1 and 2 still holds on the cached images
+    side = f"{which}-diag"
+    assert all(cm.power_check(k, side) for k in (1, 2))
 
 
 def test_nilpotent_point_dimensions(nilpotent):
