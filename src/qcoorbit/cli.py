@@ -39,9 +39,9 @@ CONVENTIONS = {
 # degree 1).
 DEGREE_CEILING = {1: 1, 2: 4, 3: 2, 4: 1}
 # The largest --n of verify-coinvariants and identities, and the largest
-# --max-n of identities (about 1 s at 14, 33 s at 30).  On minors both
-# commands take about 1.5 s at size 4; at size 5 the Cauchy-Binet and
-# cofactor checks of the 4-minors alone take about 41 s.
+# --max-n of identities (about 0.1 s at 14, 0.4 s at 30).  On minors both
+# commands take about 0.5 s at size 4; at size 5 the Cauchy-Binet and
+# cofactor checks of the 4-minors alone take about 10-14 s.
 SIZE_CEILING = 4
 POWER_CEILING = 14
 

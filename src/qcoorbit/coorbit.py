@@ -19,9 +19,9 @@ algebra map and S anti-multiplicative, S(a_1 x_is) = S(x_is) S(a_1) gives
 so the image of an ordered monomial is one step from the image of the
 monomial without its last letter (beta) or its first (alpha), which is
 cached.  Only the nonzero point entries branch, which keeps sparse points
-(diagonal, single-entry) cheap.  The definitional composite, and the
-two-fold coproduct conjugated by the antipode, survive in the tests as
-oracles.
+(diagonal, single-entry) cheap.  The definition (ev (x) id) beta, the
+coaction with its first leg evaluated, survives in the tests as the
+oracle.
 
 Truncations: kernels, ideal spans, and images of the co-orbit map restricted
 to monomials of bounded degree, as :class:`TruncatedSubspace` values over
@@ -206,20 +206,6 @@ class TruncatedSubspace(Frozen):
         return f"TruncatedSubspace(dim={self.dim}, ambient={len(self.keys)})"
 
 
-def _product(alg, a: dict, b: dict) -> dict:
-    """Normal form of the product of two ``{monomial: coeff}`` sums; a
-    factor that is the algebra's unit object is not multiplied by."""
-    one = alg.one
-    out = {}
-    for am, ac in a.items():
-        for bm, bc in b.items():
-            c = ac if bc is one else bc if ac is one else ac * bc
-            for m, mc in alg._mul_monos(am, bm).items():
-                accumulate(out, m, c if mc is one else mc if c is one
-                           else c * mc)
-    return out
-
-
 def _span(vectors) -> TruncatedSubspace:
     """Span of ``{monomial: coeff}`` vectors over the monomials they use."""
     keys = sorted({m for v in vectors for m in v}, key=Monomial.sort_key)
@@ -245,7 +231,10 @@ class CoorbitMap:
         self.xi = validate_point(point, hopf.alg)
         n, one = hopf.n, hopf.alg.one
         unit = Monomial.one(n)
-        self._letters = [{unit.bumped(k): one} for k in range(n * n)]
+        # at s * n + j: sum_t xi_st x_tj, the letters that x_is meets
+        self._rows = [{unit.bumped(t * n + j): x
+                       for t, x in enumerate(self.xi[s]) if x}
+                      for s in range(n) for j in range(n)]
         self._mono_cache = {unit: ({unit: one}, 0)}
 
     def of_monomial(self, m: Monomial):
@@ -279,28 +268,23 @@ class CoorbitMap:
         """The image numerator of a monomial one letter x_k = x_ij longer
         than the monomial ``a`` of image numerator ``num``:
 
-            beta:  psi(a x_ij) = sum_{s,t} xi_st S(x_is) psi(a) x_tj,
-            alpha: phi(x_ij a) = sum_{s,t} xi_st x_tj phi(a) S(x_is).
+            beta:  psi(a x_ij) = sum_s S(x_is) psi(a) (sum_t xi_st x_tj),
+            alpha: phi(x_ij a) = sum_s (sum_t xi_st x_tj) phi(a) S(x_is).
 
         S(x_is) is a numerator over det, so the det power grows by one.
         """
         hopf = self.hopf
-        alg, n, one = hopf.alg, hopf.n, hopf.alg.one
+        alg, n = hopf.alg, hopf.n
         i, j = divmod(k, n)
         out = {}
         for s in range(n):
-            for t in range(n):
-                x = self.xi[s][t]
-                if not x:
-                    continue
-                anti = hopf._s_letter(i * n + s)
-                letter = self._letters[t * n + j]
-                left, right = (anti, letter) if self.which == "beta" \
-                    else (letter, anti)
-                for pm, pc in _product(alg, _product(alg, left, num),
-                                       right).items():
-                    accumulate(out, pm, x if pc is one
-                               else pc if x is one else x * pc)
+            row = self._rows[s * n + j]
+            if not row:
+                continue
+            anti = hopf._s_letter(i * n + s)
+            left, right = (anti, row) if self.which == "beta" else (row, anti)
+            for pm, pc in alg._product(alg._product(left, num), right).items():
+                accumulate(out, pm, pc)
         return out
 
     def __call__(self, a: MqElement) -> GlqElement:

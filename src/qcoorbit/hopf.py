@@ -14,16 +14,19 @@ The two adjoint coactions are
     beta(h) = h_2 (x) S(h_1) h_3      (one-sided "conjugation" from the right)
     alpha(h) = h_2 (x) h_3 S(h_1)
 computed by homogeneous part: the part's two-fold coproducts are summed,
-then conjugated once (much of the sum cancels).  One fold computes that
-coproduct with the middle leg either kept (the coactions) or evaluated by
-the counit (the coproduct itself).  The co-orbit maps of
-:mod:`qcoorbit.coorbit` need neither: since S is anti-multiplicative and
-evaluation at a point is an algebra map, they extend an image by one letter
-at a time, from the antipode of that letter (:meth:`HopfContext._s_letter`).
-A :class:`HopfContext` memoizes the tables that are read again: the two-fold
-coproduct of each monomial (beta and alpha fold the same monomials), the
-antipode of each monomial and of each letter.  Build one context per algebra
-and reuse it.
+then conjugated once (much of the sum cancels).  One fold builds the
+coproduct of a monomial from that of the monomial one letter shorter,
+Delta(a x_ij) = sum_s a_1 x_is (x) a_2 x_sj, and the two-fold coproduct is
+(id (x) Delta) Delta, read off the same table.  Products of two sums of
+monomials, in the antipode, the conjugation and the lift by det powers, are
+:meth:`MatrixAlgebra._product`.  The co-orbit maps of
+:mod:`qcoorbit.coorbit` need no coproduct: since S is anti-multiplicative
+and evaluation at a point is an algebra map, they extend an image by one
+letter at a time, from the antipode of that letter
+(:meth:`HopfContext._s_letter`).  A :class:`HopfContext` memoizes the tables
+that are read again: the coproduct and the two-fold coproduct of each
+monomial (beta and alpha fold the same monomials), the antipode of each
+monomial and of each letter.  Build one context per algebra and reuse it.
 
 The coinvariant families are sums of principal quantum minors, and
 :class:`Minors` computes their coactions on minors instead of monomials,
@@ -244,15 +247,10 @@ class HopfContext:
         self.alg = algebra
         self.n = algebra.n
         self._one = algebra.one
+        self._delta_cache = {}
         self._delta2_cache = {}
         self._anti_cache = {}
         self._s_letter_cache = {}
-        # the middle-leg rule of _fold that evaluates by the counit: the
-        # middle key stays the empty monomial
-        n, unit = self.n, Monomial.one(self.n)
-        counit = [{unit: self._one} if i == j else {}
-                  for i in range(n) for j in range(n)]
-        self._counit_middle = lambda v, k: counit[k]
 
     # -- constructors -------------------------------------------------------------
 
@@ -268,69 +266,52 @@ class HopfContext:
     def _lift(self, out: dict, num: dict, k: int, c=None) -> None:
         """Accumulate c * num * det^k into ``out`` (c = 1 when None): the
         one product by a determinant power."""
-        alg = self.alg
-        det_k = alg.det_power(k).terms
-        for nm, nc in num.items():
-            cnc = nc if c is None else c * nc
-            if not k:
-                accumulate(out, nm, cnc)
-                continue
-            for lm, lc in det_k.items():
-                for mm, mc in alg._mul_monos(nm, lm).items():
-                    accumulate(out, mm, cnc * lc * mc)
+        if k:
+            num = self.alg._product(num, self.alg.det_power(k).terms)
+        for m, cm in num.items():
+            accumulate(out, m, cm if c is None else c * cm)
 
     # -- coproduct ------------------------------------------------------------------
 
-    def _fold(self, m: Monomial, middle):
-        """The two-fold coproduct of an ordered monomial, letter by letter.
-
-        Delta^2(x_ij) = sum_{s,t} x_is (x) x_st (x) x_tj.  The outer legs are
-        straightened; ``middle(v, k)`` gives the middle leg ``v`` times the
-        letter ``x_k`` as ``{key: coeff}``.  Straightening it keeps the leg
-        (the coactions); the counit evaluates it (the coproduct), and an
-        empty result skips the branch.  A factor that is the unit object is
-        not multiplied by.  Returns ``{(u, v, w): coeff}``.
-        """
-        n = self.n
-        alg = self.alg
-        one = self._one
-        unit = Monomial.one(n)
-        acc = {(unit, unit, unit): one}
-        for k in m.word():
-            i, j = divmod(k, n)
-            nxt = {}
-            for (u, v, w), c in acc.items():
-                for s in range(n):
-                    left = None
-                    for t in range(n):
-                        mid = middle(v, s * n + t)
-                        if not mid:
-                            continue
-                        if left is None:
-                            left = alg._mul_mono_letter(u, i * n + s)
-                        right = alg._mul_mono_letter(w, t * n + j)
-                        for um, uc in left.items():
-                            cu = c if uc is one else c * uc
-                            for vm, vc in mid.items():
-                                cuv = (cu if vc is one
-                                       else vc if cu is one else cu * vc)
-                                for wm, wc in right.items():
-                                    accumulate(nxt, (um, vm, wm),
-                                               cuv if wc is one else cuv * wc)
-            acc = nxt
-        return acc
-
     def _delta_mono(self, m: Monomial):
-        """Coproduct of an ordered monomial, {(u, v): coeff}: the two-fold
-        coproduct with the counit (evaluation at the identity) in the middle."""
-        return {(u, w): c for (u, _v, w), c
-                in self._fold(m, self._counit_middle).items()}
+        """Coproduct of an ordered monomial, {(u, w): coeff}, from the cached
+        coproduct of ``a``, the monomial without its last letter x_ij:
+
+            Delta(a x_ij) = sum_s a_1 x_is (x) a_2 x_sj,
+
+        each leg straightened; a factor that is the unit object is not
+        multiplied by."""
+        out = self._delta_cache.get(m)
+        if out is not None:
+            return out
+        alg, n, one = self.alg, self.n, self._one
+        if m.deg == 0:
+            out = {(m, m): one}
+        else:
+            last = m.last_letter()
+            i, j = divmod(last, n)
+            out = {}
+            for (u, w), c in self._delta_mono(m.stripped(last)).items():
+                for s in range(n):
+                    right = alg._mul_mono_letter(w, s * n + j)
+                    for um, uc in alg._mul_mono_letter(u, i * n + s).items():
+                        cu = c if uc is one else uc if c is one else c * uc
+                        for wm, wc in right.items():
+                            accumulate(out, (um, wm), cu if wc is one else
+                                       wc if cu is one else cu * wc)
+        self._delta_cache[m] = out
+        return out
 
     def _delta2_mono(self, m: Monomial):
-        """Two-fold coproduct: {(u, v, w): coeff}."""
+        """Two-fold coproduct (id (x) Delta) Delta: {(u, v, w): coeff}."""
         out = self._delta2_cache.get(m)
         if out is None:
-            out = self._fold(m, self.alg._mul_mono_letter)
+            one = self._one
+            out = {}
+            for (u, r), c in self._delta_mono(m).items():
+                for (v, w), cr in self._delta_mono(r).items():
+                    accumulate(out, (u, v, w), c if cr is one else
+                               cr if c is one else c * cr)
             self._delta2_cache[m] = out
         return out
 
@@ -382,15 +363,8 @@ class HopfContext:
             out = {m: self._one}
         else:
             last = m.last_letter()
-            rest = self._antipode_mono(m.stripped(last))
-            head = self._s_letter(last)
-            alg = self.alg
-            out = {}
-            for hm, hc in head.items():
-                for rm, rc in rest.items():
-                    c = hc * rc
-                    for mm, mc in alg._mul_monos(hm, rm).items():
-                        accumulate(out, mm, c * mc)
+            out = self.alg._product(self._s_letter(last),
+                                    self._antipode_mono(m.stripped(last)))
         self._anti_cache[m] = out
         return out
 
@@ -419,15 +393,13 @@ class HopfContext:
         """Send the first leg of ``{(u, v, w): coeff}`` through the antipode
         and multiply it into the last: S(u) w for beta, w S(u) for alpha.
         Returns ``{(v, numerator monomial): coeff}`` over det^deg(u)."""
-        alg = self.alg
         out = {}
         for (u, v, w), c in folded.items():
-            for sm, sc in self._antipode_mono(u).items():
-                csc = c * sc
-                pair = alg._mul_monos(sm, w) if which == "beta" \
-                    else alg._mul_monos(w, sm)
-                for pm, pc in pair.items():
-                    accumulate(out, (v, pm), csc * pc)
+            s = self._antipode_mono(u)
+            pair = self.alg._product(s, {w: c}) if which == "beta" \
+                else self.alg._product({w: c}, s)
+            for pm, pc in pair.items():
+                accumulate(out, (v, pm), pc)
         return out
 
     def _coaction_mono(self, part, which: str):

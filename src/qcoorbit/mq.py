@@ -10,7 +10,9 @@ A :class:`MatrixAlgebra` is a context object: it fixes the size N and the
 coefficient q (a symbolic Scalar by default, or a Fraction to run the whole
 engine with q specialized *before* any computation), and memoizes the
 straightening tables so repeated products are cheap.  Most rules carry the
-unit object ``one`` as coefficient; straightening skips products by it.
+unit object ``one`` as coefficient; straightening, and
+:meth:`MatrixAlgebra._product`, the one product of two straightened sums,
+skip products by it.
 """
 
 from __future__ import annotations
@@ -192,10 +194,11 @@ class SparseTerms(Frozen):
     ``_like(terms)``, a new element with the same parent (and the same
     shape); ``_coerce(other)``, which turns ``other`` into an element with
     the same parent or raises; ``_coeff(c)``, the coefficient coercion used
-    by :meth:`scale` (by default none); ``_mul_keys(k1, k2)``, the product
-    of two basis keys as ``{key: coefficient}``; and ``_rendered()``, the
-    ``(coefficient, word)`` pairs in display order.  Powers need
-    ``_coerce(1)`` to be the unit.
+    by :meth:`scale` (by default none); ``_rendered()``, the
+    ``(coefficient, word)`` pairs in display order; and ``__mul__``, which
+    scales by a coefficient and multiplies two elements of its own type
+    (sums of monomials by :meth:`MatrixAlgebra._product`) or refuses to.
+    Powers need ``_coerce(1)`` to be the unit.
     """
 
     __slots__ = ()
@@ -226,18 +229,6 @@ class SparseTerms(Frozen):
 
     def __rsub__(self, other):
         return self._coerce(other) + (-self)
-
-    def __mul__(self, other):
-        if not isinstance(other, type(self)):
-            return self.scale(other)
-        other = self._coerce(other)
-        out = {}
-        for k2, c2 in other.terms.items():
-            for k1, c1 in self.terms.items():
-                c12 = c1 * c2
-                for k, c in self._mul_keys(k1, k2).items():
-                    accumulate(out, k, c12 * c)
-        return self._like(out)
 
     def __rmul__(self, other):
         # coefficients commute with everything, so scaling from the left
@@ -301,8 +292,11 @@ class MqElement(SparseTerms):
     def _coeff(self, c):
         return self.algebra.coerce(c)
 
-    def _mul_keys(self, m1, m2):
-        return self.algebra._mul_monos(m1, m2)
+    def __mul__(self, other):
+        if not isinstance(other, MqElement):
+            return self.scale(other)
+        return MqElement(self.algebra, self.algebra._product(
+            self.terms, self._coerce(other).terms))
 
     def _rendered(self):
         return [(self.terms[m], str(m))
@@ -441,6 +435,19 @@ class MatrixAlgebra:
             acc = _times_letter(acc, k, self._mul_mono_letter, self.one)
         self._mm_cache[(m1, m2)] = acc
         return acc
+
+    def _product(self, a: dict, b: dict) -> dict:
+        """Normal form of the product of two ``{monomial: coeff}`` sums; a
+        factor that is the unit object ``one`` is not multiplied by."""
+        one = self.one
+        out = {}
+        for am, ac in a.items():
+            for bm, bc in b.items():
+                c = ac if bc is one else bc if ac is one else ac * bc
+                for m, mc in self._mul_monos(am, bm).items():
+                    accumulate(out, m, c if mc is one else mc if c is one
+                               else c * mc)
+        return out
 
     def normal_form(self, word, prefactor=None) -> MqElement:
         """Expand a word of (i, j) generator indices into the monomial basis.

@@ -15,12 +15,14 @@ columns and the rows are merged back in pivot order.
 
 Within a block the rule is plain Gauss-Jordan elimination in the entry
 field: each pivot row is scaled to 1 and clears the rows below it, then the
-rows are cleared upward from the bottom one.  A row operation visits only
-the pivot row's entries and drops those that cancel.  Every field operation
-returns a reduced element (``Scalar`` and ``Fraction`` keep themselves in
-lowest terms), so rows need no separate clearing of denominators or
-content.  The result is the unique RREF, so row-set equality of RREFs is
-subspace equality.
+rows are cleared upward from the bottom one.  The pivot entry becomes
+``pv ** 0``, the entry's own 1, with no division.  A row operation drops
+the pivot column, which always cancels, with no arithmetic, visits only the
+pivot row's other entries and drops those that cancel.  Every field
+operation returns a reduced element (``Scalar`` and ``Fraction`` keep
+themselves in lowest terms), so rows need no separate clearing of
+denominators or content.  The result is the unique RREF, so row-set
+equality of RREFs is subspace equality.
 
 Columns are taken in ``order``.  For each column the pivot row is the
 candidate whose entry there is a unit of Q[q, 1/q], c*q^k, if one exists,
@@ -39,13 +41,20 @@ column, so the vectors are already the kernel's RREF.
 from __future__ import annotations
 
 
-def _subtract(row, c, other):
-    """``row -= c * other`` in place; entries that cancel are dropped."""
-    for col, b in other.items():
-        a = row.pop(col, None)
-        a = -(c * b) if a is None else a - c * b
-        if a:
-            row[col] = a
+def _clear(row, col, prow):
+    """Clear column ``col`` of ``row`` in place by the pivot row ``prow``,
+    whose entry there is 1: ``row -= c * prow`` for the entry c of ``row``
+    at ``col``.  That column always cancels, so it is dropped without
+    arithmetic; the other entries that cancel are dropped too."""
+    c = row.pop(col, None)
+    if c is None:
+        return
+    for k, b in prow.items():
+        if k != col:
+            a = row.pop(k, None)
+            a = -(c * b) if a is None else a - c * b
+            if a:
+                row[k] = a
 
 
 def _pivot_rank(row, col):
@@ -71,11 +80,10 @@ def _eliminate(rows, cols):
         src = min(candidates, key=lambda i: _pivot_rank(work[i], col))
         work[r], work[src] = work[src], work[r]
         pv = work[r][col]
-        work[r] = prow = {k: a / pv for k, a in work[r].items()}
+        work[r] = prow = {k: pv ** 0 if k == col else a / pv
+                          for k, a in work[r].items()}
         for i in range(r + 1, len(work)):
-            c = work[i].get(col)
-            if c is not None:
-                _subtract(work[i], c, prow)
+            _clear(work[i], col, prow)
         pivots.append(col)
         r += 1
         if r == len(work):
@@ -83,11 +91,8 @@ def _eliminate(rows, cols):
     work = work[:r]
     # clear upward from the bottom row
     for k in range(r - 1, 0, -1):
-        col = pivots[k]
         for j in range(k):
-            c = work[j].get(col)
-            if c is not None:
-                _subtract(work[j], c, work[k])
+            _clear(work[j], pivots[k], work[k])
     return work, pivots
 
 
@@ -164,7 +169,5 @@ def member(vector, rref_rows, pivots) -> bool:
     """Is ``vector`` in the row space described by an RREF?"""
     v = dict(vector)
     for row, p in zip(rref_rows, pivots):
-        c = v.get(p)
-        if c is not None:
-            _subtract(v, c, row)
+        _clear(v, p, row)
     return not v

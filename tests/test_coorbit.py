@@ -15,7 +15,7 @@ from qcoorbit.coorbit import (CoorbitMap, Point, TruncatedSubspace,
                               diag_coinv_keys, evaluate, psi_power_check,
                               sphere_span, validate_point)
 from qcoorbit.hopf import GlqElement, HopfContext
-from qcoorbit.mq import MatrixAlgebra, Monomial, MqElement
+from qcoorbit.mq import MatrixAlgebra, Monomial, MqElement, accumulate
 from qcoorbit.scalars import Poly
 
 
@@ -140,14 +140,16 @@ def test_fast_path_matches_definition(H2, H3, which):
                 assert cm(a) == slow_coorbit(H, pt, a, which)
 
 
-def _folded_image(H, xi, m, which):
-    """The image of m by the two-fold coproduct with its middle leg
-    evaluated at the entry table xi, then conjugated by the antipode: the
-    fold and conjugation that the coactions use."""
-    unit = Monomial.one(H.n)
-    table = [{unit: x} if x else {} for row in xi for x in row]
-    folded = H._fold(m, lambda v, k: table[k])
-    return {pm: c for (_v, pm), c in H._conjugate(folded, which).items()}
+def _evaluated_first_leg(H, coaction, point, values):
+    """The paper's psi = (ev (x) id) beta (or alpha): the first leg of
+    ``{(v, numerator monomial): coeff}`` evaluated at the point, whose
+    value at each monomial v is memoized in ``values``."""
+    out = {}
+    for (v, pm), c in coaction.items():
+        if v not in values:
+            values[v] = evaluate(H.alg.monomial_element(v), point)
+        accumulate(out, pm, c * values[v])
+    return out
 
 
 def _recursion_points(rng, n, q):
@@ -171,22 +173,24 @@ def _recursion_points(rng, n, q):
                          ids=["symbolic", "rational"])
 def test_one_letter_step_matches_fold_then_conjugate(which, q1):
     """Each image, built one letter at a time from the image of a shorter
-    monomial, equals the fold of its two-fold coproduct evaluated at the
-    point and then conjugated: on every monomial of degree <= 4 at size 2
-    and of degree <= 2 at size 3, at seeded points, under symbolic q and at
-    a rational q."""
+    monomial, equals the coaction of the monomial (its two-fold coproduct
+    conjugated by the antipode) with the first leg evaluated at the point:
+    on every monomial of degree <= 4 at size 2 and of degree <= 2 at size
+    3, at seeded points, under symbolic q and at a rational q."""
     rng = random.Random(19)
     for n, dmax in ((2, 4), (3, 2)):
         H = HopfContext(MatrixAlgebra(n, q1))
         points = _recursion_points(rng, n, MatrixAlgebra(n).q)
         if q1 is not None:
             points = [pt.specialize(q1) for pt in points]
-        for pt in points:
-            cm = CoorbitMap(H, pt, which)
-            for m in H.alg.monomial_basis(dmax):
+        maps = [(CoorbitMap(H, pt, which), {}) for pt in points]
+        for m in H.alg.monomial_basis(dmax):
+            coaction = H._coaction_mono([(m, H.alg.one)], which)
+            for cm, values in maps:
                 num, p = cm.of_monomial(m)
                 assert p == m.deg
-                assert num == _folded_image(H, cm.xi, m, which), (pt, m)
+                assert num == _evaluated_first_leg(H, coaction, cm.point,
+                                                   values), (cm.point, m)
 
 
 def test_coinvariants_map_to_their_values(H2, generic):
@@ -326,12 +330,13 @@ def test_image_letter_calls_stay_under_ceiling(monkeypatch):
 @pytest.mark.parametrize("which", ["beta", "alpha"])
 def test_truncations_skip_the_coproduct_fold(monkeypatch, capsys, command,
                                               which):
-    """kernel and image form no two-fold coproduct and conjugate nothing by
-    the antipode: their images are built one letter at a time."""
+    """kernel and image form no coproduct, one- or two-fold, and conjugate
+    nothing by the antipode: their images are built one letter at a time."""
     def refuse(*args):
         raise AssertionError("the co-orbit path folded or conjugated")
 
-    for name in ("_fold", "_conjugate", "_antipode_mono"):
+    for name in ("_delta_mono", "_delta2_mono", "_conjugate",
+                 "_antipode_mono"):
         monkeypatch.setattr(HopfContext, name, refuse)
     point = ('{"entries": [["2", "0", "0"], ["0", "3", "0"], '
              '["0", "0", "5"]]}')

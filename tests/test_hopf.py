@@ -65,6 +65,26 @@ def test_coproduct_multiplicative(H2):
     assert H2.comultiply(a * b) == H2.comultiply(a) * H2.comultiply(b)
 
 
+def test_coproduct_is_the_product_of_its_letters(H2, H3):
+    """Delta is an algebra map, so the coproduct of an ordered monomial is
+    the legwise product, in the tensor algebra, of its letters' coproducts
+    Delta(x_ij) = sum_k x_ik (x) x_kj, which no fold computes: on every
+    monomial of degree <= 3 at size 2 and of degree <= 2 at size 3."""
+    for H, dmax in ((H2, 3), (H3, 2)):
+        A, n = H.alg, H.n
+        gen = Monomial.generator
+        letters = [TensorElement(H, ("mq", "mq"),
+                                 {(gen(n, i, k), gen(n, k, j)): A.one
+                                  for k in range(1, n + 1)})
+                   for i in range(1, n + 1) for j in range(1, n + 1)]
+        unit = Monomial.one(n)
+        for m in A.monomial_basis(dmax):
+            want = TensorElement(H, ("mq", "mq"), {(unit, unit): A.one})
+            for k in m.word():
+                want = want * letters[k]
+            assert H.comultiply(A.monomial_element(m)) == want, m
+
+
 def test_coproduct_of_determinant_is_grouplike(H2, H3):
     for H in (H2, H3):
         det = H.alg.quantum_determinant()

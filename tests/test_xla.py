@@ -461,3 +461,22 @@ def test_laurent_block_needs_no_gcd(monkeypatch):
     assert calls == []
     assert (pivots, rk) == (list(range(ncols)), ncols)
     assert all(e.den.is_monomial() for r in rows for e in r if e)
+
+
+def test_pivot_entry_is_the_unit_with_no_gcd(monkeypatch):
+    """Scaling a pivot row sets its pivot entry to pv ** 0, the shared unit
+    q**0, instead of dividing pv by itself, which for a pivot such as 2 + q
+    costs a polynomial gcd; q / (2 + q) needs none."""
+    calls = []
+    gcd = Poly.gcd
+
+    def counting(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(Poly, "gcd", staticmethod(counting))
+    rows, pivots, rk = xla.echelon([{"a": 2 + q, "b": q}], {"a": 0, "b": 1})
+    assert calls == []
+    assert (pivots, rk) == (["a"], 1)
+    assert rows[0]["a"] is q ** 0
+    assert rows[0]["b"] == q / (2 + q)
