@@ -191,7 +191,7 @@ def cmd_kernel(args):
     for d in range(1, dmax + 1):
         ker = cm.kernel_basis(d)
         ideal = cm.ideal_truncation(d)
-        inside = ideal.is_subspace_of(ker)
+        inside = cm.ideal_inside_kernel(d)
         ok = ok and inside
         degrees.append({
             "degree": d,

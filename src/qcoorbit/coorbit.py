@@ -25,8 +25,11 @@ oracle.
 
 Truncations: kernels, ideal spans, and images of the co-orbit map restricted
 to monomials of bounded degree, as :class:`TruncatedSubspace` values over
-explicit key lists, computed by exact echelon reduction.  Every vector, from
-a co-orbit image to a stored basis row, is a sparse ``{monomial: coeff}``
+explicit key lists, computed by exact echelon reduction.  The kernel is
+reduced modulo the ideal spanned by the shifted coinvariants, which the map
+kills: only the monomials that are no pivot of the ideal's echelon basis are
+eliminated (see :meth:`CoorbitMap.kernel_basis`).  Every vector, from a
+co-orbit image to a stored basis row, is a sparse ``{monomial: coeff}``
 dict; the kernel's matrix rows are the images read by codomain monomial.
 
 The size-2 closed forms and quantum sphere spans, stated in quantum SL_2,
@@ -236,6 +239,8 @@ class CoorbitMap:
                        for t, x in enumerate(self.xi[s]) if x}
                       for s in range(n) for j in range(n)]
         self._mono_cache = {unit: ({unit: one}, 0)}
+        self._ideals = {}   # degree -> (spanners, their span I_d)
+        self._inside = {}   # degree -> whether the map kills I_d
 
     def of_monomial(self, m: Monomial):
         """Image of an ordered monomial: (numerator terms, det power = degree).
@@ -314,39 +319,105 @@ class CoorbitMap:
         return domain, lifted
 
     def kernel_basis(self, d: int) -> TruncatedSubspace:
-        """Kernel of the co-orbit map on the span of monomials of degree <= d,
-        over those monomials as keys."""
+        """Kernel K_d of the co-orbit map on the span of monomials of degree
+        <= d, over those monomials as keys.
+
+        The kernel is taken modulo the ideal truncation I_d of
+        :meth:`ideal_truncation`: for beta the right ideal of the
+        tau_i - tau_i(xi), spanned by the (tau_i - tau_i(xi)) m, for alpha
+        the left ideal of the sigma_i - sigma_i(xi), spanned by the
+        m (sigma_i - sigma_i(xi)).  Each spanner's image is read off the
+        images of the monomials as a linear combination; if every one
+        vanishes, then I_d lies in K_d and
+
+            K_d = I_d (+) (K_d cap span F),
+
+        F the monomials that are no pivot of I_d's reduced echelon basis:
+        reducing a kernel vector by I_d's basis rows leaves a vector in
+        span F, and still in K_d.  So only the columns F are eliminated, and
+        the vectors found there are merged with I_d's rows.  If a spanner
+        survives, every column is eliminated.  Either way the result is the
+        unique reduced echelon basis of K_d.
+
+        >>> from qcoorbit.mq import MatrixAlgebra
+        >>> cm = CoorbitMap(HopfContext(MatrixAlgebra(2)),
+        ...                 Point.diagonal([2, 3]))
+        >>> cm.kernel_basis(2) == cm.ideal_truncation(2)
+        True
+        """
         domain, lifted = self._lifted_images(d)
-        # one row per codomain monomial, one column per domain monomial
+        ideal = self.ideal_truncation(d)
+        images = dict(zip(domain, lifted))
+        inside = self._inside[d] = all(
+            not self._image_of(spanner, images)
+            for spanner in self._ideals[d][0])
+        pivots = set(ideal.pivots) if inside else set()
+        columns = [m for m in domain if m not in pivots]
+        # one row per codomain monomial, one column per free domain monomial
         rows = {}
-        for m, num in zip(domain, lifted):
-            for k, c in num.items():
+        for m in columns:
+            for k, c in images[m].items():
                 rows.setdefault(k, {})[m] = c
         # Any row order gives the same RREF, but it breaks the pivot rule's
         # ties and so decides how large the rational functions met on the
         # way get: rows in insertion order, unsorted, made a `truncations`
         # benchmark pass about 5 % slower (270-279 loops against 254-264).
         rows = [rows[k] for k in sorted(rows, key=Monomial.sort_key)]
-        kernel_vectors = xla.kernel(rows, domain, self.hopf.alg.one)
-        return TruncatedSubspace._of_rref(domain, kernel_vectors)
+        vectors = xla.kernel(rows, columns, self.hopf.alg.one)
+        if not inside:
+            return TruncatedSubspace._of_rref(domain, vectors)
+        if not vectors:
+            return ideal
+        # each vector has a 1 at its free column and no entry at another
+        # one or at a pivot of I_d: clearing those columns from I_d's rows
+        # leaves the reduced echelon basis of the sum
+        order = {m: i for i, m in enumerate(domain)}
+        free = [min(v, key=order.__getitem__) for v in vectors]
+        merged = [xla.reduce(r, vectors, free) for r in ideal.rows] + vectors
+        merged.sort(key=lambda r: order[min(r, key=order.__getitem__)])
+        return TruncatedSubspace._of_rref(domain, merged)
+
+    def ideal_inside_kernel(self, d: int) -> bool:
+        """Does the co-orbit map kill the ideal truncation at degree d?
+        Exact, since its spanners span it: the spanner check of
+        :meth:`kernel_basis`, which runs here if it has not run at d."""
+        if d not in self._inside:
+            self.kernel_basis(d)
+        return self._inside[d]
+
+    @staticmethod
+    def _image_of(vector, images):
+        """The image of a ``{monomial: coeff}`` vector, from the images of
+        its monomials."""
+        out = {}
+        for m, c in vector.items():
+            for k, v in images[m].items():
+                accumulate(out, k, c * v)
+        return out
 
     def ideal_truncation(self, d: int) -> TruncatedSubspace:
         """Truncated span of the coinvariant-generated ideal, over the
-        monomials of degree <= d.
+        monomials of degree <= d; built once per degree.
 
         For beta this is the span of (tau_i - tau_i(point)) m, for alpha the
-        span of m (sigma_i - sigma_i(point)); the co-orbit map kills both.
+        span of m (sigma_i - sigma_i(point)); the co-orbit map kills both,
+        which :meth:`kernel_basis` checks on these spanners.
         """
+        cached = self._ideals.get(d)
+        if cached is not None:
+            return cached[1]
         alg = self.hopf.alg
-        products = []
+        spanners = []
         for i in range(1, min(alg.n, d) + 1):
             fam = alg.family(i, self.which)
             g = fam - alg.scalar_element(evaluate(fam, self.point))
             for m in alg.monomial_basis(d - i):
                 me = alg.monomial_element(m)
                 prod = g * me if self.which == "beta" else me * g
-                products.append(prod.terms)
-        return TruncatedSubspace(alg.monomial_basis(d), products)
+                spanners.append(prod.terms)
+        ideal = TruncatedSubspace(alg.monomial_basis(d), spanners)
+        self._ideals[d] = (spanners, ideal)
+        return ideal
 
     def image_data(self, d: int) -> TruncatedSubspace:
         """Image of the degree <= d truncation, over the numerator monomials

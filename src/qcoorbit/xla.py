@@ -165,9 +165,15 @@ def kernel(rows, columns, one):
     return basis
 
 
-def member(vector, rref_rows, pivots) -> bool:
-    """Is ``vector`` in the row space described by an RREF?"""
+def reduce(vector, rref_rows, pivots):
+    """``vector`` with its entries at the pivot columns cleared by the rows
+    of an RREF, as a new dict: the part of it outside their row space."""
     v = dict(vector)
     for row, p in zip(rref_rows, pivots):
         _clear(v, p, row)
-    return not v
+    return v
+
+
+def member(vector, rref_rows, pivots) -> bool:
+    """Is ``vector`` in the row space described by an RREF?"""
+    return not reduce(vector, rref_rows, pivots)

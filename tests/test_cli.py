@@ -373,6 +373,30 @@ def test_gcd_budget_is_scoped_to_the_command(capsys, monkeypatch):
     assert len(spent) == 4
 
 
+def test_in_ceiling_kernel_at_a_large_entry_is_admitted():
+    """kernel --degree 4 at diag(((q+2)/(q+3))^4, 1), inside every ceiling,
+    exits 0 with the complete-intersection dimensions, in a subprocess under
+    a time limit.  It takes about 1.5 s and a third of the gcd budget; when
+    the kernel eliminated every column, the budget refused it after about
+    2 s."""
+    script = ("import sys, time\n"
+              "from qcoorbit.cli import main\n"
+              "start = time.perf_counter()\n"
+              "code = main(sys.argv[1:])\n"
+              "print(time.perf_counter() - start, file=sys.stderr)\n"
+              "raise SystemExit(code)\n")
+    src = Path(qcoorbit.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    point = '{"entries": [["((q+2)/(q+3))^4", "0"], ["0", "1"]]}'
+    done = subprocess.run([sys.executable, "-c", script, "kernel", "--point",
+                           point, "--degree", "4"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr[-500:]
+    assert float(done.stderr) < 8
+    report = json.loads(done.stdout)
+    assert [row["kernel_dim"] for row in report["degrees"]] == [1, 6, 19, 45]
+
+
 # Kernels at rational diagonal points at the top degree of their size, which
 # spent 6.4 % and 4.4 % of the gcd budget when it came to span the command.
 RATIONAL_KERNELS = [

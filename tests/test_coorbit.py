@@ -10,6 +10,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcoorbit import coorbit, xla
 from qcoorbit.cli import main
 from qcoorbit.coorbit import (CoorbitMap, Point, TruncatedSubspace,
                               diag_coinv_keys, evaluate, psi_power_check,
@@ -280,10 +281,95 @@ def test_kernel_basis_is_already_canonical(H2, generic):
             assert kernel.pivots == again.pivots, (cm.point, d)
 
 
+def _full_kernel(cm, d):
+    """The kernel by eliminating every domain column of the matrix whose
+    columns are the lifted images: the route that ignores the ideal."""
+    domain, lifted = cm._lifted_images(d)
+    rows = {}
+    for m, num in zip(domain, lifted):
+        for k, c in num.items():
+            rows.setdefault(k, {})[m] = c
+    vectors = xla.kernel(list(rows.values()), domain, cm.hopf.alg.one)
+    return TruncatedSubspace._of_rref(domain, vectors)
+
+
+def _recording_kernel_columns(monkeypatch):
+    """The column list of each later xla.kernel call."""
+    columns = []
+    kernel = xla.kernel
+
+    def recording(rows, cols, one):
+        columns.append(list(cols))
+        return kernel(rows, cols, one)
+
+    monkeypatch.setattr(xla, "kernel", recording)
+    return columns
+
+
+@pytest.mark.parametrize("which", ["beta", "alpha"])
+def test_kernel_modulo_ideal_matches_full_elimination(monkeypatch, which):
+    """kernel_basis eliminates only the columns that are no pivot of the
+    ideal truncation, and its reduced echelon basis, rows and pivots, equals
+    the one of the full elimination: at seeded generic, resonant,
+    single-entry and rational-entry points, up to degree 4 at size 2 and
+    degree 2 at size 3."""
+    columns = _recording_kernel_columns(monkeypatch)
+    rng = random.Random(21)
+    for n, dmax in ((2, 4), (3, 2)):
+        H = HopfContext(MatrixAlgebra(n))
+        for point in _recursion_points(rng, n, H.alg.q):
+            cm = CoorbitMap(H, point, which)
+            for d in range(1, dmax + 1):
+                kernel = cm.kernel_basis(d)
+                ideal = cm.ideal_truncation(d)
+                assert cm.ideal_inside_kernel(d), (point, d)
+                assert columns[-1] == [m for m in kernel.keys
+                                       if m not in ideal.pivots]
+                full = _full_kernel(cm, d)
+                assert kernel.rows == full.rows, (point, d)
+                assert kernel.pivots == full.pivots, (point, d)
+
+
+def test_wrong_constant_falls_back_to_full_elimination(monkeypatch, capsys):
+    """With tau_1's value at the point off by one, some spanner of the ideal
+    survives, so kernel_basis eliminates every column and equals the full
+    elimination, and the kernel report says the ideal is not inside the
+    kernel and prints that same basis."""
+    real = coorbit.evaluate
+
+    def off_by_one(a, point):
+        value = real(a, point)
+        return value + 1 if all(m.deg == 1 for m in a.terms) else value
+
+    monkeypatch.setattr(coorbit, "evaluate", off_by_one)
+    columns = _recording_kernel_columns(monkeypatch)
+    H = HopfContext(MatrixAlgebra(2))
+    point = Point.diagonal([2, 3])
+    for which in ("beta", "alpha"):
+        cm = CoorbitMap(H, point, which)
+        for d in range(1, 4):
+            kernel = cm.kernel_basis(d)
+            assert not cm.ideal_inside_kernel(d), (which, d)
+            assert columns[-1] == list(kernel.keys)
+            full = _full_kernel(cm, d)
+            assert (kernel.rows, kernel.pivots) == (full.rows, full.pivots)
+    code = main(["kernel", "--point",
+                 '{"entries": [["2", "0"], ["0", "3"]]}', "--degree", "3"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1 and report["all_pass"] is False
+    cm = CoorbitMap(H, point)
+    for row in report["degrees"]:
+        full = _full_kernel(cm, row["degree"])
+        assert row["ideal_inside_kernel"] is False
+        assert row["kernel_basis"] == [str(MqElement(H.alg, r))
+                                       for r in full.rows]
+
+
 # Poly.gcd calls made by kernel_basis(2) at diag(2, 3, 5) from a fresh
-# context, as counted when elimination began to pivot on c*q^k entries and
-# short rows; taking the first row with the pivot column made 1,552.
-KERNEL_GCD_CEILING = 426
+# context, ideal truncation included, as counted when the kernel came to be
+# taken modulo that ideal (326 when every column was eliminated; taking the
+# first row with the pivot column, before the pivot rule, made 1,552).
+KERNEL_GCD_CEILING = 125
 
 
 def test_kernel_gcd_calls_stay_under_ceiling(monkeypatch):
@@ -531,3 +617,4 @@ def test_ideal_always_inside_kernel(a, b):
     H = HopfContext(MatrixAlgebra(2))
     cm = CoorbitMap(H, Point.diagonal([a, b]))
     assert cm.ideal_truncation(2).is_subspace_of(cm.kernel_basis(2))
+    assert cm.ideal_inside_kernel(2)
