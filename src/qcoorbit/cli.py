@@ -16,8 +16,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .chars import (character_of, compare_at_q1, decompose_sl2,
-                    difference_identity)
+from .chars import (Character, character_of, compare_at_q1,
+                    decompose_sl2, difference_identity)
 from .coorbit import CoorbitMap, Point, evaluate, sphere_span, validate_point
 from .hopf import HopfContext
 from .mq import MatrixAlgebra, MqElement
@@ -204,23 +204,35 @@ def cmd_kernel(args):
     return _degrees_report("kernel", cm, degrees), ok
 
 
+def _image_at(cm: CoorbitMap, d: int):
+    """Dimension, t character and diagonal coinvariance of the image at
+    degree d: read off the ideal where the certificate proves that it is the
+    kernel (:meth:`CoorbitMap.image_weights`), else off the image's reduced
+    echelon basis."""
+    read = cm.image_weights(d)
+    if read is not None:
+        weights, coinv = read
+        return sum(weights.values()), Character("t", weights), coinv
+    img = cm.image_data(d)
+    coinv = all(set(m.rowdeg()) <= {d} for m in img.keys)
+    return img.dim, character_of(img, "t"), coinv
+
+
 def cmd_image(args):
     cm, dmax = _point_setup(args)
     degrees = []
     ok = True
     for d in range(1, dmax + 1):
-        img = cm.image_data(d)
-        tchar = character_of(img, "t")
+        dim, tchar, coinv = _image_at(cm, d)
         zchar = tchar.z_picture()
         try:
             decomp = {str(m): k for m, k in decompose_sl2(zchar).items()}
         except ValueError:
             decomp = None
-        coinv = all(set(m.rowdeg()) <= {d} for m in img.keys)
         ok = ok and coinv
         degrees.append({
             "degree": d,
-            "image_dim": img.dim,
+            "image_dim": dim,
             "det_power": d,
             "t_character": str(tchar),
             "z_character": str(zchar),
@@ -235,13 +247,12 @@ def cmd_character(args):
     degrees = []
     zchars = []
     for d in range(1, dmax + 1):
-        img = cm.image_data(d)
-        tchar = character_of(img, "t")
+        dim, tchar, _coinv = _image_at(cm, d)
         zchar = tchar.z_picture()
         zchars.append(zchar)
         degrees.append({
             "degree": d,
-            "dim": img.dim,
+            "dim": dim,
             "z_character": str(zchar),
             "t_character": str(tchar),
         })

@@ -28,7 +28,10 @@ to monomials of bounded degree, as :class:`TruncatedSubspace` values over
 explicit key lists, computed by exact echelon reduction.  The kernel is
 reduced modulo the ideal spanned by the shifted coinvariants, which the map
 kills: only the monomials that are no pivot of the ideal's echelon basis are
-eliminated (see :meth:`CoorbitMap.kernel_basis`).  Every vector, from a
+left, and where a rank mod p of their images proves them independent, the
+kernel is the ideal and no exact image is built (see
+:meth:`CoorbitMap.kernel_basis`); at a diagonal point the image's dimension
+and weights are then read off the ideal too.  Every vector, from a
 co-orbit image to a stored basis row, is a sparse ``{monomial: coeff}``
 dict; the kernel's matrix rows are the images read by codomain monomial.
 
@@ -39,13 +42,14 @@ onto SL_2 is injective.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 from . import xla
 from .hopf import GlqElement, HopfContext
-from .mq import Monomial, MqElement, _compositions, accumulate
-from .scalars import Frozen, Scalar
+from .mq import MatrixAlgebra, Monomial, MqElement, _compositions, accumulate
+from .scalars import Fp, Frozen, PoleError, Scalar
 
 
 class Point(Frozen):
@@ -228,19 +232,28 @@ class CoorbitMap:
     def __init__(self, hopf: HopfContext, point: Point, which: str = "beta"):
         if which not in ("beta", "alpha"):
             raise ValueError("co-orbit side must be 'beta' or 'alpha'")
+        self._start(hopf, point, which, validate_point(point, hopf.alg))
+
+    def _start(self, hopf: HopfContext, point: Point, which: str, xi):
+        """Set up the map at the entry table ``xi``, already validated."""
         self.hopf = hopf
         self.point = point
         self.which = which
-        self.xi = validate_point(point, hopf.alg)
+        self.xi = xi
         n, one = hopf.n, hopf.alg.one
         unit = Monomial.one(n)
         # at s * n + j: sum_t xi_st x_tj, the letters that x_is meets
         self._rows = [{unit.bumped(t * n + j): x
-                       for t, x in enumerate(self.xi[s]) if x}
+                       for t, x in enumerate(xi[s]) if x}
                       for s in range(n) for j in range(n)]
         self._mono_cache = {unit: ({unit: one}, 0)}
-        self._ideals = {}   # degree -> (spanners, their span I_d)
-        self._inside = {}   # degree -> whether the map kills I_d
+        self._families = {}   # i -> (tau_i or sigma_i, its value at xi)
+        self._fixes = {}      # i -> whether the map sends the family to it
+        self._ideals = {}     # degree -> I_d
+        # the twin over F_p, built on first use and kept while the
+        # certificate holds; it is tried at symbolic q only
+        self._twin = None
+        self._certify = isinstance(hopf.alg.q, Scalar)
 
     def of_monomial(self, m: Monomial):
         """Image of an ordered monomial: (numerator terms, det power = degree).
@@ -305,9 +318,11 @@ class CoorbitMap:
 
     # -- truncations ----------------------------------------------------------
 
-    def _lifted_images(self, d: int):
-        """Images of all monomials of degree <= d at det power d."""
-        domain = self.hopf.alg.monomial_basis(d)
+    def _lifted_images(self, d: int, domain=None):
+        """Images of all monomials of degree <= d, or of those in
+        ``domain``, at det power d."""
+        if domain is None:
+            domain = self.hopf.alg.monomial_basis(d)
         lifted = []
         for m in domain:
             num, p = self.of_monomial(m)
@@ -326,18 +341,34 @@ class CoorbitMap:
         :meth:`ideal_truncation`: for beta the right ideal of the
         tau_i - tau_i(xi), spanned by the (tau_i - tau_i(xi)) m, for alpha
         the left ideal of the sigma_i - sigma_i(xi), spanned by the
-        m (sigma_i - sigma_i(xi)).  Each spanner's image is read off the
-        images of the monomials as a linear combination; if every one
-        vanishes, then I_d lies in K_d and
+        m (sigma_i - sigma_i(xi)).  The map kills I_d as soon as it sends
+        each tau_i (sigma_i) to its value, since
+        psi(a b) = sum ev(b_2) S(b_1) psi(a) b_3 and
+        phi(b a) = sum ev(b_2) b_3 phi(a) S(b_1); :meth:`ideal_inside_kernel`
+        checks that exactly.  Then
 
             K_d = I_d (+) (K_d cap span F),
 
         F the monomials that are no pivot of I_d's reduced echelon basis:
         reducing a kernel vector by I_d's basis rows leaves a vector in
-        span F, and still in K_d.  So only the columns F are eliminated, and
-        the vectors found there are merged with I_d's rows.  If a spanner
-        survives, every column is eliminated.  Either way the result is the
-        unique reduced echelon basis of K_d.
+        span F, and still in K_d.  So K_d = I_d exactly when the images of
+        F are linearly independent, and three routes follow.
+
+        * Certified.  At symbolic q the images of F are taken over F_p,
+          p = 2^61 - 1, at q = q0 = 3141592653589793 (``scalars.FP_PRIME``
+          and ``FP_Q0``), by the same map over ``Fp`` (:meth:`_certificate`).
+          Their entries reduce from the exact ones, so every minor does, and
+          a rank mod p is at most the rank over Q(q) (J. T. Schwartz,
+          J. ACM 27, 1980): rank |F| mod p proves K_d = I_d, and I_d is
+          returned with no exact image and no exact elimination.
+        * Reduced.  If the rank mod p is lower, or a point entry has a pole
+          mod p at q0, or q is a rational, the exact images of F are
+          eliminated and the vectors found are merged with I_d's rows.
+          After the first degree at which the certificate fails, the map
+          does not try it again; that saves work and changes no result.
+        * Full.  If I_d is not inside K_d, every column is eliminated.
+
+        Each route gives the unique reduced echelon basis of K_d.
 
         >>> from qcoorbit.mq import MatrixAlgebra
         >>> cm = CoorbitMap(HopfContext(MatrixAlgebra(2)),
@@ -345,18 +376,18 @@ class CoorbitMap:
         >>> cm.kernel_basis(2) == cm.ideal_truncation(2)
         True
         """
-        domain, lifted = self._lifted_images(d)
         ideal = self.ideal_truncation(d)
-        images = dict(zip(domain, lifted))
-        inside = self._inside[d] = all(
-            not self._image_of(spanner, images)
-            for spanner in self._ideals[d][0])
+        inside = self.ideal_inside_kernel(d)
+        if inside and self._certificate(d) is not None:
+            return ideal
+        domain = ideal.keys
         pivots = set(ideal.pivots) if inside else set()
-        columns = [m for m in domain if m not in pivots]
+        columns, lifted = self._lifted_images(
+            d, [m for m in domain if m not in pivots])
         # one row per codomain monomial, one column per free domain monomial
         rows = {}
-        for m in columns:
-            for k, c in images[m].items():
+        for m, image in zip(columns, lifted):
+            for k, c in image.items():
                 rows.setdefault(k, {})[m] = c
         # Any row order gives the same RREF, but it breaks the pivot rule's
         # ties and so decides how large the rational functions met on the
@@ -379,20 +410,36 @@ class CoorbitMap:
 
     def ideal_inside_kernel(self, d: int) -> bool:
         """Does the co-orbit map kill the ideal truncation at degree d?
-        Exact, since its spanners span it: the spanner check of
-        :meth:`kernel_basis`, which runs here if it has not run at d."""
-        if d not in self._inside:
-            self.kernel_basis(d)
-        return self._inside[d]
 
-    @staticmethod
-    def _image_of(vector, images):
-        """The image of a ``{monomial: coeff}`` vector, from the images of
-        its monomials."""
-        out = {}
-        for m, c in vector.items():
-            for k, v in images[m].items():
-                accumulate(out, k, c * v)
+        Since evaluation at xi is an algebra map and S is
+        anti-multiplicative,
+
+            psi(a b) = sum ev(b_2) S(b_1) psi(a) b_3,
+            phi(b a) = sum ev(b_2) b_3 phi(a) S(b_1),
+
+        so psi(tau_i) = tau_i(xi) gives psi((tau_i - tau_i(xi)) b) =
+        tau_i(xi) psi(b) - tau_i(xi) psi(b) = 0, and phi(sigma_i) =
+        sigma_i(xi) gives phi(b (sigma_i - sigma_i(xi))) = 0.  The spanners
+        with b = 1 are among those of I_d, so the check that each family
+        with i <= min(n, d) maps to its value, made exactly once per i, is
+        equivalent to the check that every spanner maps to 0.
+        """
+        for i in range(1, min(self.hopf.n, d) + 1):
+            fixed = self._fixes.get(i)
+            if fixed is None:
+                fam, value = self._family(i)
+                fixed = self(fam) == self.hopf.scalar_gl(value)
+                self._fixes[i] = fixed
+            if not fixed:
+                return False
+        return True
+
+    def _family(self, i: int):
+        """tau_i (beta) or sigma_i (alpha), and its value at the point."""
+        out = self._families.get(i)
+        if out is None:
+            fam = self.hopf.alg.family(i, self.which)
+            out = self._families[i] = (fam, evaluate(fam, self.point))
         return out
 
     def ideal_truncation(self, d: int) -> TruncatedSubspace:
@@ -400,24 +447,91 @@ class CoorbitMap:
         monomials of degree <= d; built once per degree.
 
         For beta this is the span of (tau_i - tau_i(point)) m, for alpha the
-        span of m (sigma_i - sigma_i(point)); the co-orbit map kills both,
-        which :meth:`kernel_basis` checks on these spanners.
+        span of m (sigma_i - sigma_i(point)); the co-orbit map kills both
+        when it sends each family to its value (see
+        :meth:`ideal_inside_kernel`).
         """
-        cached = self._ideals.get(d)
-        if cached is not None:
-            return cached[1]
+        ideal = self._ideals.get(d)
+        if ideal is not None:
+            return ideal
         alg = self.hopf.alg
         spanners = []
         for i in range(1, min(alg.n, d) + 1):
-            fam = alg.family(i, self.which)
-            g = fam - alg.scalar_element(evaluate(fam, self.point))
+            fam, value = self._family(i)
+            g = fam - alg.scalar_element(value)
             for m in alg.monomial_basis(d - i):
                 me = alg.monomial_element(m)
                 prod = g * me if self.which == "beta" else me * g
                 spanners.append(prod.terms)
-        ideal = TruncatedSubspace(alg.monomial_basis(d), spanners)
-        self._ideals[d] = (spanners, ideal)
+        ideal = self._ideals[d] = TruncatedSubspace(alg.monomial_basis(d),
+                                                    spanners)
         return ideal
+
+    def _certificate(self, d: int):
+        """The images mod p, at det^d, of the monomials F that are no pivot
+        of I_d, when their rank mod p is |F|, which proves K_d = I_d (see
+        :meth:`kernel_basis`).  None when q is not symbolic, when a point
+        entry has a pole mod p, when the rank is lower, and at every degree
+        after the first failure, which also drops the twin.
+        """
+        if not self._certify:
+            return None
+        if self._twin is None:
+            try:
+                self._twin = self._twin_map()
+            except PoleError:
+                self._certify = False
+                return None
+        ideal = self.ideal_truncation(d)
+        pivots = set(ideal.pivots)
+        free = [m for m in ideal.keys if m not in pivots]
+        _free, images = self._twin._lifted_images(d, free)
+        order = {}
+        for v in images:
+            for k in v:
+                order.setdefault(k, len(order))
+        if xla.echelon(images, order)[2] < len(free):
+            self._certify, self._twin = False, None
+            return None
+        return images
+
+    def _twin_map(self) -> "CoorbitMap":
+        """The twin: this map over the algebra whose q is q0 in F_p, at the
+        point reduced mod p (:meth:`Fp.of`, which raises PoleError at a
+        pole).  Reduction mod p is a ring map, so the reduced point is valid
+        and is not checked again."""
+        xi = [[Fp.of(x) for x in row] for row in self.xi]
+        twin = CoorbitMap.__new__(CoorbitMap)
+        alg = MatrixAlgebra(self.hopf.n, Fp.of(self.hopf.alg.q))
+        twin._start(HopfContext(alg), Point(xi), self.which, xi)
+        return twin
+
+    def image_weights(self, d: int):
+        """The torus weights of the image of the degree <= d truncation,
+        read off I_d where the certificate proves K_d = I_d at a diagonal
+        point; None elsewhere.
+
+        There every image psi(m) and every spanner of I_d is pure in the
+        weight coldeg(m) - rowdeg(m), so the image has the domain's weights
+        less those of I_d's basis rows.  Returns ``(weights, coinvariant)``:
+        a Counter over weight tuples, and whether every monomial of the
+        images mod p has row degree (d, ..., d).
+        """
+        if not self._certify or not self.point.is_diagonal() \
+                or not self.ideal_inside_kernel(d):
+            return None
+        images = self._certificate(d)
+        if images is None:
+            return None
+        ideal = self.ideal_truncation(d)
+
+        def weight(m):
+            return tuple(c - r for c, r in zip(m.coldeg(), m.rowdeg()))
+
+        weights = Counter(weight(m) for m in ideal.keys)
+        weights.subtract(ideal.row_weights(weight))
+        coinvariant = all(set(k.rowdeg()) <= {d} for v in images for k in v)
+        return weights, coinvariant
 
     def image_data(self, d: int) -> TruncatedSubspace:
         """Image of the degree <= d truncation, over the numerator monomials

@@ -30,6 +30,10 @@ with a ValueError.  A library parse closes its budget when it returns.
 Scalars are immutable and hashable.  The whole engine is generic over the
 coefficient type: run it with Scalars for symbolic q, or with plain Fractions
 after specializing q to a rational number (see :meth:`Scalar.specialize`).
+:class:`Fp` is the third type: the prime field F_p, p = 2^61 - 1, into
+which :meth:`Fp.of` reduces a scalar at the fixed q = FP_Q0.  The co-orbit
+maps use it to certify ranks (see ``CoorbitMap.kernel_basis``); it needs no
+gcd and is not metered.
 """
 
 from __future__ import annotations
@@ -605,6 +609,124 @@ def _laurent(coeffs, den: int, k: int) -> Scalar:
 _S_ONE = _new(_P_ONE, _P_ONE, 0)
 _S_ZERO = _new(_P_ZERO, _P_ONE, 0)
 _S_Q = _new(_P_Q, _P_ONE, 0)
+
+
+# The prime of Fp (a Mersenne prime) and the value of q there.  Both are
+# fixed: a rank mod p never exceeds the rank over Q(q), at any q0.
+FP_PRIME = 2 ** 61 - 1
+FP_Q0 = 3_141_592_653_589_793
+
+
+class Fp(Frozen):
+    """An element of the prime field F_p, p = FP_PRIME, as an int in
+    0..p-1; ints and Fractions are coerced in arithmetic.
+
+    :meth:`of` reduces a rational function at q = FP_Q0 mod p.  On the
+    scalars with no pole there that is a ring map onto F_p, so the engine
+    run over ``MatrixAlgebra(n, Fp(FP_Q0))`` computes the reductions of the
+    exact results, and a minor that is nonzero mod p is nonzero over Q(q).
+    """
+
+    __slots__ = ("v",)
+
+    def __init__(self, v: int):
+        object.__setattr__(self, "v", v % FP_PRIME)
+
+    @classmethod
+    def of(cls, x) -> "Fp":
+        """Reduce an int, Fraction, Scalar or Fp; raises PoleError where the
+        denominator vanishes mod p at q = FP_Q0."""
+        if isinstance(x, Fp):
+            return x
+        if isinstance(x, Scalar):
+            top = _fp_value(x.num.coeffs) * x.den.den
+            bottom = _fp_value(x.den.coeffs) * x.num.den
+        else:
+            x = Fraction(x)
+            top, bottom = x.numerator, x.denominator
+        if bottom % FP_PRIME == 0:
+            raise PoleError(f"pole mod {FP_PRIME} at q = {FP_Q0}")
+        return _fp(top * pow(bottom, -1, FP_PRIME) % FP_PRIME)
+
+    @staticmethod
+    def _coerce(other):
+        if isinstance(other, Fp):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return Fp.of(other)
+        return None
+
+    def __bool__(self) -> bool:
+        return self.v != 0
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return _fp((self.v + o.v) % FP_PRIME)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _fp(-self.v % FP_PRIME)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return _fp((self.v - o.v) % FP_PRIME)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return _fp(self.v * o.v % FP_PRIME)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if not o.v:
+            raise ZeroDivisionError("division by zero mod p")
+        return _fp(self.v * pow(o.v, -1, FP_PRIME) % FP_PRIME)
+
+    def __pow__(self, k: int):
+        if k < 0 and not self.v:
+            raise ZeroDivisionError("negative power of zero")
+        return _fp(pow(self.v, k, FP_PRIME))
+
+    def __eq__(self, other):
+        return isinstance(other, Fp) and self.v == other.v
+
+    def __hash__(self):
+        return hash(self.v)
+
+    def __repr__(self):
+        return f"Fp({self.v})"
+
+
+def _fp(v: int) -> Fp:
+    """An Fp from an int already in 0..p-1."""
+    s = object.__new__(Fp)
+    object.__setattr__(s, "v", v)
+    return s
+
+
+def _fp_value(coeffs) -> int:
+    """An integer polynomial at q = FP_Q0, mod p (Horner)."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * FP_Q0 + c) % FP_PRIME
+    return acc
+
 
 _TOKEN_RE = re.compile(r"\s*(\d+|q|\*|/|\+|-|\^|\(|\))")
 

@@ -360,8 +360,10 @@ def test_gcd_budget_is_scoped_to_the_command(capsys, monkeypatch):
     code, _, _ = run(capsys, "kernel", "--point", RATIONAL, "--degree", "1")
     assert code == 0 and spent[-1] > reading
     assert scalars._gcd_work is None
-    slow = '{"entries": [["((q+2)/(q+3))^100", "0"], ["0", "1"]]}'
-    code, _, err = run(capsys, "kernel", "--point", slow, "--degree", "1")
+    # resonant, so the certificate fails and the exact folds run
+    slow = ('{"entries": [["q^2*((q+2)/(q+3))^40", "0"], '
+            '["0", "((q+2)/(q+3))^40"]]}')
+    code, _, err = run(capsys, "kernel", "--point", slow, "--degree", "2")
     assert code == 2 and "gcd work" in err
     assert scalars._gcd_work is None
     code, _, _ = run(capsys, "eval", "x11", "--point", "{}")

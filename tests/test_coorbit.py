@@ -1,5 +1,6 @@
 """Tests for co-orbit maps: points, truncated kernels/ideals/images."""
 
+import hashlib
 import json
 import random
 import time
@@ -10,14 +11,14 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcoorbit import coorbit, xla
+from qcoorbit import coorbit, scalars, xla
 from qcoorbit.cli import main
 from qcoorbit.coorbit import (CoorbitMap, Point, TruncatedSubspace,
                               diag_coinv_keys, evaluate, psi_power_check,
                               sphere_span, validate_point)
 from qcoorbit.hopf import GlqElement, HopfContext
 from qcoorbit.mq import MatrixAlgebra, Monomial, MqElement, accumulate
-from qcoorbit.scalars import Poly
+from qcoorbit.scalars import Fp, Poly
 
 
 @pytest.fixture(scope="module")
@@ -308,26 +309,179 @@ def _recording_kernel_columns(monkeypatch):
 
 @pytest.mark.parametrize("which", ["beta", "alpha"])
 def test_kernel_modulo_ideal_matches_full_elimination(monkeypatch, which):
-    """kernel_basis eliminates only the columns that are no pivot of the
-    ideal truncation, and its reduced echelon basis, rows and pivots, equals
-    the one of the full elimination: at seeded generic, resonant,
-    single-entry and rational-entry points, up to degree 4 at size 2 and
-    degree 2 at size 3."""
+    """Once the ideal truncation lies in the kernel, kernel_basis either
+    certifies K_d = I_d mod p and returns the ideal with no xla.kernel call,
+    or eliminates only the columns that are no pivot of the ideal.  Either
+    way its reduced echelon basis, rows and pivots, equals the one of the
+    full elimination: at seeded generic, resonant, single-entry and
+    rational-entry points, up to degree 4 at size 2 and degree 2 at size 3.
+    Both routes are taken."""
     columns = _recording_kernel_columns(monkeypatch)
     rng = random.Random(21)
+    routes = set()
     for n, dmax in ((2, 4), (3, 2)):
         H = HopfContext(MatrixAlgebra(n))
         for point in _recursion_points(rng, n, H.alg.q):
             cm = CoorbitMap(H, point, which)
             for d in range(1, dmax + 1):
+                calls = len(columns)
                 kernel = cm.kernel_basis(d)
                 ideal = cm.ideal_truncation(d)
                 assert cm.ideal_inside_kernel(d), (point, d)
-                assert columns[-1] == [m for m in kernel.keys
-                                       if m not in ideal.pivots]
+                if len(columns) == calls:
+                    routes.add("certified")
+                    assert kernel is ideal
+                else:
+                    routes.add("reduced")
+                    assert columns[-1] == [m for m in kernel.keys
+                                           if m not in ideal.pivots]
                 full = _full_kernel(cm, d)
                 assert kernel.rows == full.rows, (point, d)
                 assert kernel.pivots == full.pivots, (point, d)
+    assert routes == {"certified", "reduced"}
+
+
+def test_certificate_needs_the_full_rank(monkeypatch):
+    """With the image mod p of one free monomial replaced by the sum of two
+    others, the rank mod p is one short of |F|: the certificate fails, and
+    kernel_basis takes the exact route, which still finds the kernel."""
+    real = CoorbitMap._lifted_images
+
+    def dependent(self, d, domain=None):
+        domain, lifted = real(self, d, domain)
+        if isinstance(self.hopf.alg.q, Fp):
+            last = dict(lifted[0])
+            for k, c in lifted[1].items():
+                accumulate(last, k, c)
+            lifted[-1] = last
+        return domain, lifted
+
+    monkeypatch.setattr(CoorbitMap, "_lifted_images", dependent)
+    H = HopfContext(MatrixAlgebra(2))
+    for which in ("beta", "alpha"):
+        cm = CoorbitMap(H, Point.diagonal([2, 3]), which)
+        assert cm._certificate(2) is None
+        kernel, full = cm.kernel_basis(2), _full_kernel(cm, 2)
+        assert (kernel.rows, kernel.pivots) == (full.rows, full.pivots)
+        assert kernel == cm.ideal_truncation(2)
+
+
+def _point_spec(point):
+    return json.dumps({"entries": [[str(e) for e in row]
+                                   for row in point.entries]})
+
+
+@pytest.mark.parametrize("which", ["beta", "alpha"])
+def test_certified_and_exact_routes_agree(monkeypatch, capsys, which):
+    """With the certificate and with the exact route alone (the certificate
+    patched to fail), kernel_basis gives the same rows and pivots, and the
+    image and character commands the same bytes: at seeded generic,
+    resonant, single-entry and rational-entry points, up to degree 4 at
+    size 2 and degree 2 at size 3.  The images are read off the ideal at
+    some of them."""
+    read = []
+    image_weights = CoorbitMap.image_weights
+
+    def recording(self, d):
+        out = image_weights(self, d)
+        read.append(out is not None)
+        return out
+
+    monkeypatch.setattr(CoorbitMap, "image_weights", recording)
+    rng = random.Random(22)
+    for n, dmax in ((2, 4), (3, 2)):
+        H = HopfContext(MatrixAlgebra(n))
+        for point in _recursion_points(rng, n, H.alg.q):
+            runs = []
+            for exact in (False, True):
+                with monkeypatch.context() as patch:
+                    if exact:
+                        patch.setattr(CoorbitMap, "_certificate",
+                                      lambda self, d: None)
+                    cm = CoorbitMap(H, point, which)
+                    kernels = [cm.kernel_basis(d) for d in range(1, dmax + 1)]
+                    reports = []
+                    for command in ("image", "character"):
+                        code = main([command, "--point", _point_spec(point),
+                                     "--degree", str(dmax),
+                                     "--coaction", which])
+                        reports.append((code, capsys.readouterr().out))
+                runs.append(([(k.rows, k.pivots) for k in kernels], reports))
+            assert runs[0] == runs[1], point
+    assert any(read) and not all(read)
+
+
+# sha256 prefixes of the kernel, image and character reports at the point
+# and degree below, as printed by the exact route before the certificate
+# existed
+FALLBACK_POINTS = {
+    "pole": ('{"entries": [["1/(q - 3141592653589793)", "0"], ["0", "3"]]}',
+             "3", {"beta": ("bda9e4713848b778", "74a34f17adf14a09",
+                            "cd10e1e0146ef334"),
+                   "alpha": ("85d3591e27a9e2a0", "50dc4d9896ece87b",
+                             "b4ef02ccc8f1a330")}),
+    "pivot": (None, "4", {"beta": ("05b98968450eb9bc", "692afead7e891308",
+                                   "6b08848f7181daae"),
+                          "alpha": ("a597ce66dc5ba58b", "44e52b73dd3cea8e",
+                                    "22644b35b55c3772")}),
+}
+
+
+@pytest.mark.parametrize("case", FALLBACK_POINTS)
+@pytest.mark.parametrize("which", ["beta", "alpha"])
+def test_forced_fallback_keeps_the_report_bytes(monkeypatch, capsys, case,
+                                                 which):
+    """Where the certificate fails, the exact route prints the bytes it
+    printed before there was a certificate: at a point entry with a pole at
+    q0 mod p, where it is never tried, and with q0 patched to 2 at
+    diag(4, 1) for beta and diag(1, 4) for alpha, where q0^2 is the ratio
+    of the entries, so a pivot vanishes mod p at some degree."""
+    spec, degree, digests = FALLBACK_POINTS[case]
+    if spec is None:
+        monkeypatch.setattr(scalars, "FP_Q0", 2)
+        entries = ("4", "1") if which == "beta" else ("1", "4")
+        spec = '{"entries": [["%s", "0"], ["0", "%s"]]}' % entries
+    results = []
+    certificate = CoorbitMap._certificate
+
+    def recording(self, d):
+        out = certificate(self, d)
+        results.append(out is not None)
+        return out
+
+    monkeypatch.setattr(CoorbitMap, "_certificate", recording)
+    for command, digest in zip(("kernel", "image", "character"),
+                               digests[which]):
+        assert main([command, "--point", spec, "--degree", degree,
+                     "--coaction", which]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest()[:16] == digest, command
+    assert results and not all(results)
+    if case == "pole":
+        assert not any(results)
+
+
+def test_twin_images_are_the_exact_images_mod_p():
+    """The twin over F_p builds each image of degree <= 2 as the exact image
+    with every coefficient reduced mod p at q0 (zeros dropped): at sizes 1
+    to 3, for beta and alpha, at seeded generic, resonant, single-entry and
+    rational-entry points."""
+    rng = random.Random(23)
+    for n in (1, 2, 3):
+        H = HopfContext(MatrixAlgebra(n))
+        q = H.alg.q
+        points = (_recursion_points(rng, n, q) if n > 1 else
+                  [Point([[5]]), Point([[(q + 1) / (q - 1)]])])
+        for point in points:
+            for which in ("beta", "alpha"):
+                cm = CoorbitMap(H, point, which)
+                twin = cm._twin_map()
+                assert twin.hopf.alg.q == Fp(scalars.FP_Q0)
+                for m in H.alg.monomial_basis(2):
+                    num, p = cm.of_monomial(m)
+                    reduced = {k: Fp.of(c) for k, c in num.items()}
+                    assert twin.of_monomial(m) == (
+                        {k: c for k, c in reduced.items() if c}, p), m
 
 
 def test_wrong_constant_falls_back_to_full_elimination(monkeypatch, capsys):
