@@ -6,6 +6,10 @@ t1..tn ("t" picture).  Image truncations of co-orbit maps decompose under
 the torus weight grading; in the z picture (size 2) they decompose further
 into the irreducible sl_2 characters chi(m) = z^m + z^(m-2) + ... + z^-m.
 
+One read of an image's dimension, character and coinvariance,
+:func:`image_at`, serves the ``image`` and ``character`` commands and both
+sides of the q = 1 check.
+
 Also here: the combinatorial character of the degree <= r coordinate-space
 truncation and its difference identity, and the end-to-end consistency check
 that re-runs a whole image computation with q specialized to a rational
@@ -176,16 +180,29 @@ class SpecializationReport(NamedTuple):
     specialized: Character
 
 
+def image_at(cm: CoorbitMap, d: int):
+    """Dimension, t character and diagonal coinvariance of the image of the
+    degree <= d truncation: read off a certificate mod p at a diagonal point
+    (:meth:`CoorbitMap.image_weights`), else off the image's echelon basis."""
+    read = cm.image_weights(d)
+    if read is not None:
+        weights, coinv = read
+        return sum(weights.values()), Character("t", weights), coinv
+    img = cm.image_data(d)
+    coinv = all(set(m.rowdeg()) <= {d} for m in img.keys)
+    return img.dim, character_of(img, "t"), coinv
+
+
 def compare_at_q1(hopf: HopfContext, point: Point, d: int,
                   q0=Fraction(1)) -> SpecializationReport:
     """Re-run the beta image computation with q specialized to q0 before
-    any linear algebra, and compare torus characters with the symbolic run.
+    any linear algebra, and compare torus characters with the symbolic run,
+    both read by :func:`image_at` like the ``image`` command's.
 
     Point entries that are symbolic scalars are specialized too (a pole at
     q0 raises).  The default q0 = 1 lands in the commutative world.
     """
-    sym = character_of(CoorbitMap(hopf, point).image_data(d), "t")
+    sym = image_at(CoorbitMap(hopf, point), d)[1]
     alg0 = MatrixAlgebra(hopf.alg.n, q0)
-    cm0 = CoorbitMap(HopfContext(alg0), point.specialize(q0))
-    spec = character_of(cm0.image_data(d), "t")
+    spec = image_at(CoorbitMap(HopfContext(alg0), point.specialize(q0)), d)[1]
     return SpecializationReport(sym == spec, sym, spec)

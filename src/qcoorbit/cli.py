@@ -16,8 +16,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .chars import (Character, character_of, compare_at_q1,
-                    decompose_sl2, difference_identity)
+from .chars import (compare_at_q1, decompose_sl2, difference_identity,
+                    image_at)
 from .coorbit import CoorbitMap, Point, evaluate, sphere_span, validate_point
 from .hopf import HopfContext
 from .mq import MatrixAlgebra, MqElement
@@ -204,26 +204,12 @@ def cmd_kernel(args):
     return _degrees_report("kernel", cm, degrees), ok
 
 
-def _image_at(cm: CoorbitMap, d: int):
-    """Dimension, t character and diagonal coinvariance of the image at
-    degree d: read off the ideal where the certificate proves that it is the
-    kernel (:meth:`CoorbitMap.image_weights`), else off the image's reduced
-    echelon basis."""
-    read = cm.image_weights(d)
-    if read is not None:
-        weights, coinv = read
-        return sum(weights.values()), Character("t", weights), coinv
-    img = cm.image_data(d)
-    coinv = all(set(m.rowdeg()) <= {d} for m in img.keys)
-    return img.dim, character_of(img, "t"), coinv
-
-
 def cmd_image(args):
     cm, dmax = _point_setup(args)
     degrees = []
     ok = True
     for d in range(1, dmax + 1):
-        dim, tchar, coinv = _image_at(cm, d)
+        dim, tchar, coinv = image_at(cm, d)
         zchar = tchar.z_picture()
         try:
             decomp = {str(m): k for m, k in decompose_sl2(zchar).items()}
@@ -247,7 +233,7 @@ def cmd_character(args):
     degrees = []
     zchars = []
     for d in range(1, dmax + 1):
-        dim, tchar, _coinv = _image_at(cm, d)
+        dim, tchar, _coinv = image_at(cm, d)
         zchar = tchar.z_picture()
         zchars.append(zchar)
         degrees.append({

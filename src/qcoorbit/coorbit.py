@@ -30,8 +30,9 @@ reduced modulo the ideal spanned by the shifted coinvariants, which the map
 kills: only the monomials that are no pivot of the ideal's echelon basis are
 left, and where a rank mod p of their images proves them independent, the
 kernel is the ideal and no exact image is built (see
-:meth:`CoorbitMap.kernel_basis`); at a diagonal point the image's dimension
-and weights are then read off the ideal too.  Every vector, from a
+:meth:`CoorbitMap.kernel_basis`).  At a diagonal point the image's dimension
+and weights are read off such monomials of the ideal taken mod p, with no
+exact ideal at all (:meth:`CoorbitMap.image_weights`).  Every vector, from a
 co-orbit image to a stored basis row, is a sparse ``{monomial: coeff}``
 dict; the kernel's matrix rows are the images read by codomain monomial.
 
@@ -175,7 +176,8 @@ class TruncatedSubspace(Frozen):
     def _of_rref(cls, keys, rref):
         """The subspace whose reduced echelon basis is ``rref``, unchecked."""
         self = cls.__new__(cls)
-        self._store(keys, rref, [min(r, key=keys.index) for r in rref])
+        order = {k: i for i, k in enumerate(keys)}
+        self._store(keys, rref, [min(r, key=order.__getitem__) for r in rref])
         return self
 
     def _store(self, keys, rref, pivots):
@@ -232,14 +234,10 @@ class CoorbitMap:
     def __init__(self, hopf: HopfContext, point: Point, which: str = "beta"):
         if which not in ("beta", "alpha"):
             raise ValueError("co-orbit side must be 'beta' or 'alpha'")
-        self._start(hopf, point, which, validate_point(point, hopf.alg))
-
-    def _start(self, hopf: HopfContext, point: Point, which: str, xi):
-        """Set up the map at the entry table ``xi``, already validated."""
+        self.xi = xi = validate_point(point, hopf.alg)
         self.hopf = hopf
         self.point = point
         self.which = which
-        self.xi = xi
         n, one = hopf.n, hopf.alg.one
         unit = Monomial.one(n)
         # at s * n + j: sum_t xi_st x_tj, the letters that x_is meets
@@ -250,10 +248,10 @@ class CoorbitMap:
         self._families = {}   # i -> (tau_i or sigma_i, its value at xi)
         self._fixes = {}      # i -> whether the map sends the family to it
         self._ideals = {}     # degree -> I_d
-        # the twin over F_p, built on first use and kept while the
-        # certificate holds; it is tried at symbolic q only
-        self._twin = None
-        self._certify = isinstance(hopf.alg.q, Scalar)
+        # the twin over F_p: None until built, then kept while the
+        # certificate holds; False at rational q, at a pole mod p and after
+        # the first failed certificate
+        self._twin = None if isinstance(hopf.alg.q, Scalar) else False
 
     def of_monomial(self, m: Monomial):
         """Image of an ordered monomial: (numerator terms, det power = degree).
@@ -342,10 +340,8 @@ class CoorbitMap:
         tau_i - tau_i(xi), spanned by the (tau_i - tau_i(xi)) m, for alpha
         the left ideal of the sigma_i - sigma_i(xi), spanned by the
         m (sigma_i - sigma_i(xi)).  The map kills I_d as soon as it sends
-        each tau_i (sigma_i) to its value, since
-        psi(a b) = sum ev(b_2) S(b_1) psi(a) b_3 and
-        phi(b a) = sum ev(b_2) b_3 phi(a) S(b_1); :meth:`ideal_inside_kernel`
-        checks that exactly.  Then
+        each tau_i (sigma_i) to its value, which
+        :meth:`ideal_inside_kernel` checks exactly.  Then
 
             K_d = I_d (+) (K_d cap span F),
 
@@ -356,11 +352,9 @@ class CoorbitMap:
 
         * Certified.  At symbolic q the images of F are taken over F_p,
           p = 2^61 - 1, at q = q0 = 3141592653589793 (``scalars.FP_PRIME``
-          and ``FP_Q0``), by the same map over ``Fp`` (:meth:`_certificate`).
-          Their entries reduce from the exact ones, so every minor does, and
-          a rank mod p is at most the rank over Q(q) (J. T. Schwartz,
-          J. ACM 27, 1980): rank |F| mod p proves K_d = I_d, and I_d is
-          returned with no exact image and no exact elimination.
+          and ``FP_Q0``), by the same map over ``Fp``.  Rank |F| mod p
+          proves K_d = I_d (:meth:`_certificate`), and I_d is returned
+          with no exact image and no exact elimination.
         * Reduced.  If the rank mod p is lower, or a point entry has a pole
           mod p at q0, or q is a rational, the exact images of F are
           eliminated and the vectors found are merged with I_d's rows.
@@ -378,7 +372,7 @@ class CoorbitMap:
         """
         ideal = self.ideal_truncation(d)
         inside = self.ideal_inside_kernel(d)
-        if inside and self._certificate(d) is not None:
+        if inside and self._certificate(d, ideal) is not None:
             return ideal
         domain = ideal.keys
         pivots = set(ideal.pivots) if inside else set()
@@ -467,69 +461,71 @@ class CoorbitMap:
                                                     spanners)
         return ideal
 
-    def _certificate(self, d: int):
-        """The images mod p, at det^d, of the monomials F that are no pivot
-        of I_d, when their rank mod p is |F|, which proves K_d = I_d (see
-        :meth:`kernel_basis`).  None when q is not symbolic, when a point
-        entry has a pole mod p, when the rank is lower, and at every degree
-        after the first failure, which also drops the twin.
+    def _certificate(self, d: int, ideal=None):
+        """The monomials F that are no pivot of ``ideal`` and their images
+        mod p at det^d, when those have rank |F| mod p; None when q is not
+        symbolic, when a point entry has a pole mod p, when the rank is
+        lower, and at every degree after the first failure, which also
+        drops the twin.
+
+        ``ideal`` is I_d or its reduction J mod p, by default the twin's
+        own ``ideal_truncation(d)``.  Once I_d is checked to lie in K_d,
+        rank |F| proves K_d = I_d.  The images mod p reduce from the exact
+        ones, and a rank can only drop mod p (J. T. Schwartz, J. ACM 27,
+        1980).  So, D the monomials of degree <= d,
+        |D| - |F| = rank J <= dim I_d <= dim K_d = |D| - rank psi and
+        rank psi >= |F|: all are equal.
         """
-        if not self._certify:
-            return None
-        if self._twin is None:
+        twin = self._twin
+        if twin is None:
             try:
-                self._twin = self._twin_map()
+                twin = self._twin = self._twin_map()
             except PoleError:
-                self._certify = False
-                return None
-        ideal = self.ideal_truncation(d)
-        pivots = set(ideal.pivots)
-        free = [m for m in ideal.keys if m not in pivots]
-        _free, images = self._twin._lifted_images(d, free)
-        order = {}
-        for v in images:
-            for k in v:
-                order.setdefault(k, len(order))
-        if xla.echelon(images, order)[2] < len(free):
-            self._certify, self._twin = False, None
+                twin = self._twin = False
+        if twin is False:
             return None
-        return images
+        if ideal is None:
+            ideal = twin.ideal_truncation(d)
+        pivots = set(ideal.pivots)
+        free, images = twin._lifted_images(
+            d, [m for m in ideal.keys if m not in pivots])
+        keys = dict.fromkeys(k for v in images for k in v)
+        order = {k: i for i, k in enumerate(keys)}
+        if xla.echelon(images, order)[2] < len(free):
+            self._twin = False
+            return None
+        return free, images
 
     def _twin_map(self) -> "CoorbitMap":
         """The twin: this map over the algebra whose q is q0 in F_p, at the
         point reduced mod p (:meth:`Fp.of`, which raises PoleError at a
-        pole).  Reduction mod p is a ring map, so the reduced point is valid
-        and is not checked again."""
-        xi = [[Fp.of(x) for x in row] for row in self.xi]
-        twin = CoorbitMap.__new__(CoorbitMap)
+        pole).  Reduction mod p is a ring map, so the reduced point is
+        valid; the constructor checks it again, in microseconds."""
         alg = MatrixAlgebra(self.hopf.n, Fp.of(self.hopf.alg.q))
-        twin._start(HopfContext(alg), Point(xi), self.which, xi)
-        return twin
+        point = Point([[Fp.of(x) for x in row] for row in self.xi])
+        return CoorbitMap(HopfContext(alg), point, self.which)
 
     def image_weights(self, d: int):
         """The torus weights of the image of the degree <= d truncation,
-        read off I_d where the certificate proves K_d = I_d at a diagonal
-        point; None elsewhere.
+        read off the monomials F of a certificate on the twin's I_d mod p
+        at a diagonal point; None elsewhere.  No exact ideal is built.
 
-        There every image psi(m) and every spanner of I_d is pure in the
-        weight coldeg(m) - rowdeg(m), so the image has the domain's weights
-        less those of I_d's basis rows.  Returns ``(weights, coinvariant)``:
-        a Counter over weight tuples, and whether every monomial of the
-        images mod p has row degree (d, ..., d).
+        The certified images of F are a basis of the image (see
+        :meth:`_certificate`), and at a diagonal point each psi(m) is pure
+        in the weight coldeg(m) - rowdeg(m), so the image has the weights
+        of F.  Returns ``(weights, coinvariant)``: a Counter over weight
+        tuples, and whether every monomial of the images of F mod p has row
+        degree (d, ..., d), a check that proves nothing at other points.
         """
-        if not self._certify or not self.point.is_diagonal() \
+        if self._twin is False or not self.point.is_diagonal() \
                 or not self.ideal_inside_kernel(d):
             return None
-        images = self._certificate(d)
-        if images is None:
+        read = self._certificate(d)
+        if read is None:
             return None
-        ideal = self.ideal_truncation(d)
-
-        def weight(m):
-            return tuple(c - r for c, r in zip(m.coldeg(), m.rowdeg()))
-
-        weights = Counter(weight(m) for m in ideal.keys)
-        weights.subtract(ideal.row_weights(weight))
+        free, images = read
+        weights = Counter(tuple(c - r for c, r in zip(m.coldeg(), m.rowdeg()))
+                          for m in free)
         coinvariant = all(set(k.rowdeg()) <= {d} for v in images for k in v)
         return weights, coinvariant
 

@@ -10,7 +10,7 @@ from qcoorbit.chars import (Character, SpecializationReport, chi_irreducible,
                             character_of, compare_at_q1,
                             coordinate_truncation_character,
                             coordinate_truncation_dimension,
-                            decompose_sl2, difference_identity)
+                            decompose_sl2, difference_identity, image_at)
 from qcoorbit.coorbit import CoorbitMap, Point, sphere_span
 from qcoorbit.hopf import HopfContext
 from qcoorbit.mq import MatrixAlgebra
@@ -153,6 +153,28 @@ def test_torus_grading_checks_characters_read_off_keys(H2, H3, which, n, d,
 def test_character_of_rejects_other_types():
     with pytest.raises(TypeError):
         character_of([1, 2, 3])
+
+
+@pytest.mark.parametrize("entries, d", [([2, 3], 4), ([2, 3, 5], 2),
+                                        ([[0, 1], [0, 0]], 3)],
+                         ids=["diag(2,3)", "diag(2,3,5)", "single-entry"])
+def test_image_at_reads_the_certificate(entries, d):
+    """At symbolic q and a diagonal point, image_at reads the image off a
+    certificate mod p and builds no exact ideal truncation; at the
+    single-entry point it takes the exact route.  Either way it gives the
+    dimension, t character and coinvariance of the image's reduced echelon
+    basis, which lies in the diagonal coinvariants at the diagonal points
+    only."""
+    point = Point(entries) if isinstance(entries[0], list) \
+        else Point.diagonal(entries)
+    cm = CoorbitMap(HopfContext(MatrixAlgebra(point.n)), point)
+    dim, tchar, coinv = image_at(cm, d)
+    assert (cm.image_weights(d) is not None) == point.is_diagonal()
+    assert not cm._ideals
+    exact = cm.image_data(d)
+    assert (dim, tchar) == (exact.dim, character_of(exact, "t"))
+    assert coinv == all(set(m.rowdeg()) <= {d} for m in exact.keys) \
+        == point.is_diagonal()
 
 
 def test_compare_at_q1(H2):

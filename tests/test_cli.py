@@ -132,24 +132,32 @@ def test_bad_point_exits_2(capsys):
 
 
 def test_point_validated_once_per_command(capsys, monkeypatch):
+    """A command validates its point once.  At symbolic q, a kernel or
+    image command also validates the point reduced mod p once, when it
+    builds the twin of its co-orbit map; at --q1 and in eval there is no
+    twin."""
     real = coorbit.validate_point
     calls = []
 
     def counted(point, algebra):
-        calls.append(point)
+        calls.append(isinstance(point.entries[0][0], scalars.Fp))
         return real(point, algebra)
 
     for mod in (cli, coorbit):
         monkeypatch.setattr(mod, "validate_point", counted)
-    for argv in (("kernel", "--point", GENERIC, "--degree", "1"),
-                 ("eval", "x11", "--point", GENERIC)):
+    for argv, twins in ((("kernel", "--point", GENERIC, "--degree", "1"), 1),
+                        (("image", "--point", GENERIC, "--degree", "3"), 1),
+                        (("kernel", "--point", GENERIC, "--degree", "2",
+                          "--q1=5/2"), 0),
+                        (("eval", "x11", "--point", GENERIC), 0)):
         calls.clear()
         code, _, _ = run(capsys, *argv)
-        assert code == 0 and len(calls) == 1
+        assert code == 0, argv
+        assert (calls.count(False), calls.count(True)) == (1, twins), argv
     bad = '{"n": 2, "entries": [["1", "1"], ["0", "0"]]}'
     calls.clear()
     code, out, err = run(capsys, "eval", "x11", "--point", bad)
-    assert code == 2 and not out and len(calls) == 1
+    assert code == 2 and not out and calls == [False]
     assert err == "error: entries (1,1) and (1,2) violate the same-row " \
         "vanishing condition\n"
 

@@ -377,8 +377,8 @@ def test_certified_and_exact_routes_agree(monkeypatch, capsys, which):
     patched to fail), kernel_basis gives the same rows and pivots, and the
     image and character commands the same bytes: at seeded generic,
     resonant, single-entry and rational-entry points, up to degree 4 at
-    size 2 and degree 2 at size 3.  The images are read off the ideal at
-    some of them."""
+    size 2 and degree 2 at size 3.  The images are read off a certificate
+    mod p at some of them, not at all."""
     read = []
     image_weights = CoorbitMap.image_weights
 
@@ -397,7 +397,7 @@ def test_certified_and_exact_routes_agree(monkeypatch, capsys, which):
                 with monkeypatch.context() as patch:
                     if exact:
                         patch.setattr(CoorbitMap, "_certificate",
-                                      lambda self, d: None)
+                                      lambda self, d, ideal=None: None)
                     cm = CoorbitMap(H, point, which)
                     kernels = [cm.kernel_basis(d) for d in range(1, dmax + 1)]
                     reports = []
@@ -444,8 +444,8 @@ def test_forced_fallback_keeps_the_report_bytes(monkeypatch, capsys, case,
     results = []
     certificate = CoorbitMap._certificate
 
-    def recording(self, d):
-        out = certificate(self, d)
+    def recording(self, d, ideal=None):
+        out = certificate(self, d, ideal)
         results.append(out is not None)
         return out
 
@@ -487,8 +487,8 @@ def test_twin_images_are_the_exact_images_mod_p():
 def test_wrong_constant_falls_back_to_full_elimination(monkeypatch, capsys):
     """With tau_1's value at the point off by one, some spanner of the ideal
     survives, so kernel_basis eliminates every column and equals the full
-    elimination, and the kernel report says the ideal is not inside the
-    kernel and prints that same basis."""
+    elimination, no image is read off a certificate, and the kernel report
+    says the ideal is not inside the kernel and prints that same basis."""
     real = coorbit.evaluate
 
     def off_by_one(a, point):
@@ -504,6 +504,7 @@ def test_wrong_constant_falls_back_to_full_elimination(monkeypatch, capsys):
         for d in range(1, 4):
             kernel = cm.kernel_basis(d)
             assert not cm.ideal_inside_kernel(d), (which, d)
+            assert cm.image_weights(d) is None
             assert columns[-1] == list(kernel.keys)
             full = _full_kernel(cm, d)
             assert (kernel.rows, kernel.pivots) == (full.rows, full.pivots)

@@ -284,6 +284,12 @@ METERED = {
                          POINT % (f"({T})^4", 1)], 2, 3),
     "r_10_kernel_d4": (["kernel", "--degree", "4", "--point",          # 47 s
                         POINT % (f"({R})^10", 1)], 2, 3),
+    # the image and character at degree 4 were refused after 1.1-1.7 s in
+    # the exact ideal truncation's elimination; their certificate builds
+    # the ideal mod p only
+    **{f"r_{k}_{command}_d4": ([command, "--degree", "4", "--point",
+                                POINT % (f"({R})^{k}", 1)], 0, 0.5)
+       for k in (8, 20) for command in ("image", "character")},
 }
 # Entries that a bound of their own refused as point entries, in about
 # 0.25 s, before the command's folds were metered: evaluating x11 at them
