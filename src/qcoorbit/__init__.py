@@ -8,7 +8,7 @@ from .chars import (Character, chi_irreducible, character_of, compare_at_q1,
                     coordinate_truncation_dimension, decompose_sl2,
                     difference_identity)
 from .coorbit import (CoorbitMap, Point, TruncatedSubspace, diag_coinv_keys,
-                      evaluate, psi_power_check, sphere_span, validate_point)
+                      evaluate, sphere_span, validate_point)
 from .hopf import GlqElement, HopfContext, TensorElement
 from .mq import MatrixAlgebra, Monomial, MqElement
 from .scalars import PoleError, Scalar
@@ -20,8 +20,7 @@ __all__ = [
     "coordinate_truncation_character", "coordinate_truncation_dimension",
     "decompose_sl2", "difference_identity",
     "CoorbitMap", "Point", "TruncatedSubspace",
-    "diag_coinv_keys", "evaluate", "psi_power_check", "sphere_span",
-    "validate_point",
+    "diag_coinv_keys", "evaluate", "sphere_span", "validate_point",
     "GlqElement", "HopfContext", "TensorElement",
     "MatrixAlgebra", "Monomial", "MqElement",
     "PoleError", "Scalar",

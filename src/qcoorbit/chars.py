@@ -12,8 +12,8 @@ sides of the q = 1 check.
 
 Also here: the combinatorial character of the degree <= r coordinate-space
 truncation and its difference identity, and the end-to-end consistency check
-that re-runs a whole image computation with q specialized to a rational
-number before any linear algebra happens.
+that re-runs a whole image computation with q specialized to 1 before any
+linear algebra happens.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from .coorbit import CoorbitMap, Point, TruncatedSubspace
+from .coorbit import CoorbitMap, TruncatedSubspace
 from .hopf import HopfContext
 from .mq import MatrixAlgebra, SparseTerms, laurent_word
 
@@ -189,20 +189,21 @@ def image_at(cm: CoorbitMap, d: int):
         weights, coinv = read
         return sum(weights.values()), Character("t", weights), coinv
     img = cm.image_data(d)
-    coinv = all(set(m.rowdeg()) <= {d} for m in img.keys)
+    coinv = all(m.is_diag_coinvariant(d) for m in img.keys)
     return img.dim, character_of(img, "t"), coinv
 
 
-def compare_at_q1(hopf: HopfContext, point: Point, d: int,
-                  q0=Fraction(1)) -> SpecializationReport:
-    """Re-run the beta image computation with q specialized to q0 before
-    any linear algebra, and compare torus characters with the symbolic run,
-    both read by :func:`image_at` like the ``image`` command's.
-
-    Point entries that are symbolic scalars are specialized too (a pole at
-    q0 raises).  The default q0 = 1 lands in the commutative world.
-    """
-    sym = image_at(CoorbitMap(hopf, point), d)[1]
-    alg0 = MatrixAlgebra(hopf.alg.n, q0)
-    spec = image_at(CoorbitMap(HopfContext(alg0), point.specialize(q0)), d)[1]
-    return SpecializationReport(sym == spec, sym, spec)
+def compare_at_q1(cm: CoorbitMap, dmax: int) -> list:
+    """One :class:`SpecializationReport` per degree d = 1..dmax: the torus
+    character of the image of ``cm`` against that of the same map rebuilt
+    once, for every degree, at q = 1 before any linear algebra, both read
+    by :func:`image_at` like the ``image`` command's.  Point entries that
+    are symbolic scalars are specialized too (a pole at q = 1 raises)."""
+    alg1 = MatrixAlgebra(cm.hopf.n, Fraction(1))
+    one = CoorbitMap(HopfContext(alg1), cm.point.specialize(alg1.q),
+                     cm.which)
+    out = []
+    for d in range(1, dmax + 1):
+        sym, spec = image_at(cm, d)[1], image_at(one, d)[1]
+        out.append(SpecializationReport(sym == spec, sym, spec))
+    return out

@@ -39,9 +39,9 @@ CONVENTIONS = {
 # degree 1).
 DEGREE_CEILING = {1: 1, 2: 4, 3: 2, 4: 1}
 # The largest --n of verify-coinvariants and identities, and the largest
-# --max-n of identities (about 0.1 s at 14, 0.4 s at 30).  On minors both
-# commands take about 0.5 s at size 4; at size 5 the Cauchy-Binet and
-# cofactor checks of the 4-minors alone take about 10-14 s.
+# --max-n of identities (about 0.05 s at 14, 0.3 s at 30 and 6 s at 60).  On
+# minors both commands take about 0.5 s at size 4; at size 5 the
+# Cauchy-Binet and cofactor checks of the 4-minors alone take about 10-14 s.
 SIZE_CEILING = 4
 POWER_CEILING = 14
 
@@ -293,23 +293,19 @@ def cmd_identities(args):
     # power closed forms and sphere data live in the size-2 world
     if alg.n == 2:
         gen = Point.diagonal([2, 3])
-        nil = Point([[0, 1], [0, 0]])
-        beta = CoorbitMap(hopf, gen, "beta")
-        alpha = CoorbitMap(hopf, gen, "alpha")
-        bnil = CoorbitMap(hopf, nil, "beta")
+        beta = CoorbitMap(hopf, gen)
+        maps = [("beta-diag", beta),
+                ("alpha-diag", CoorbitMap(hopf, gen, "alpha")),
+                ("beta-nilpotent", CoorbitMap(hopf, Point([[0, 1], [0, 0]])))]
         for n in range(1, nmax + 1):
-            add(f"power closed form beta-diag n={n}",
-                beta.power_check(n, "beta-diag"))
-            add(f"power closed form alpha-diag n={n}",
-                alpha.power_check(n, "alpha-diag"))
-            add(f"power closed form beta-nilpotent n={n}",
-                bnil.power_check(n, "beta-nilpotent"))
+            for label, cm in maps:
+                add(f"power closed form {label} n={n}", cm.power_check(n))
         for r in range(1, 5):
             add(f"sphere span dim at length {r} is {(r + 1) ** 2}",
                 sphere_span(hopf, r).dim == (r + 1) ** 2)
-        for d in range(1, dmax + 1):
+        for d, rep in enumerate(compare_at_q1(beta, dmax), 1):
             add(f"specialize-first image character agrees at degree {d}",
-                compare_at_q1(hopf, gen, d).match)
+                rep.match)
     for r in range(1, 6):
         add(f"difference identity at r={r}", difference_identity(r))
 

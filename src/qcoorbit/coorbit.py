@@ -245,13 +245,16 @@ class CoorbitMap:
                        for t, x in enumerate(xi[s]) if x}
                       for s in range(n) for j in range(n)]
         self._mono_cache = {unit: ({unit: one}, 0)}
-        self._families = {}   # i -> (tau_i or sigma_i, its value at xi)
-        self._fixes = {}      # i -> whether the map sends the family to it
+        self._families = {}   # i -> (tau_i or sigma_i, value at xi, verdict)
         self._ideals = {}     # degree -> I_d
-        # the twin over F_p: None until built, then kept while the
-        # certificate holds; False at rational q, at a pole mod p and after
-        # the first failed certificate
-        self._twin = None if isinstance(hopf.alg.q, Scalar) else False
+        # the twin over F_p, kept while the certificate holds; None at
+        # rational q, at a pole mod p and after the first failed certificate
+        self._twin = None
+        if isinstance(hopf.alg.q, Scalar):
+            try:
+                self._twin = self._twin_map()
+            except PoleError:
+                pass
 
     def of_monomial(self, m: Monomial):
         """Image of an ordered monomial: (numerator terms, det power = degree).
@@ -348,21 +351,23 @@ class CoorbitMap:
         F the monomials that are no pivot of I_d's reduced echelon basis:
         reducing a kernel vector by I_d's basis rows leaves a vector in
         span F, and still in K_d.  So K_d = I_d exactly when the images of
-        F are linearly independent, and three routes follow.
+        F are linearly independent, and two routes follow.
 
         * Certified.  At symbolic q the images of F are taken over F_p,
           p = 2^61 - 1, at q = q0 = 3141592653589793 (``scalars.FP_PRIME``
           and ``FP_Q0``), by the same map over ``Fp``.  Rank |F| mod p
           proves K_d = I_d (:meth:`_certificate`), and I_d is returned
           with no exact image and no exact elimination.
-        * Reduced.  If the rank mod p is lower, or a point entry has a pole
-          mod p at q0, or q is a rational, the exact images of F are
-          eliminated and the vectors found are merged with I_d's rows.
-          After the first degree at which the certificate fails, the map
-          does not try it again; that saves work and changes no result.
-        * Full.  If I_d is not inside K_d, every column is eliminated.
+        * Reduced.  If the rank mod p is lower, or the map has no twin (a
+          point entry has a pole mod p at q0, or q is a rational), the
+          exact images of F are eliminated and the vectors found are
+          merged with I_d's rows.  After the first degree at which the
+          certificate fails, the map does not try it again; that saves
+          work and changes no result.
 
-        Each route gives the unique reduced echelon basis of K_d.
+        If I_d is not inside K_d, the zero subspace takes its place in the
+        reduced route: every monomial is in F, and the merge adds nothing.
+        Either route gives the unique reduced echelon basis of K_d.
 
         >>> from qcoorbit.mq import MatrixAlgebra
         >>> cm = CoorbitMap(HopfContext(MatrixAlgebra(2)),
@@ -371,11 +376,12 @@ class CoorbitMap:
         True
         """
         ideal = self.ideal_truncation(d)
-        inside = self.ideal_inside_kernel(d)
-        if inside and self._certificate(d, ideal) is not None:
+        if not self.ideal_inside_kernel(d):
+            ideal = TruncatedSubspace._of_rref(ideal.keys, ())
+        elif self._certificate(d, ideal) is not None:
             return ideal
         domain = ideal.keys
-        pivots = set(ideal.pivots) if inside else set()
+        pivots = set(ideal.pivots)
         columns, lifted = self._lifted_images(
             d, [m for m in domain if m not in pivots])
         # one row per codomain monomial, one column per free domain monomial
@@ -389,8 +395,6 @@ class CoorbitMap:
         # benchmark pass about 5 % slower (270-279 loops against 254-264).
         rows = [rows[k] for k in sorted(rows, key=Monomial.sort_key)]
         vectors = xla.kernel(rows, columns, self.hopf.alg.one)
-        if not inside:
-            return TruncatedSubspace._of_rref(domain, vectors)
         if not vectors:
             return ideal
         # each vector has a 1 at its free column and no entry at another
@@ -419,21 +423,21 @@ class CoorbitMap:
         equivalent to the check that every spanner maps to 0.
         """
         for i in range(1, min(self.hopf.n, d) + 1):
-            fixed = self._fixes.get(i)
+            fam, value, fixed = self._family(i)
             if fixed is None:
-                fam, value = self._family(i)
                 fixed = self(fam) == self.hopf.scalar_gl(value)
-                self._fixes[i] = fixed
+                self._families[i] = (fam, value, fixed)
             if not fixed:
                 return False
         return True
 
     def _family(self, i: int):
-        """tau_i (beta) or sigma_i (alpha), and its value at the point."""
+        """tau_i (beta) or sigma_i (alpha), its value at the point, and
+        whether the map sends it to that value (None until checked)."""
         out = self._families.get(i)
         if out is None:
             fam = self.hopf.alg.family(i, self.which)
-            out = self._families[i] = (fam, evaluate(fam, self.point))
+            out = self._families[i] = (fam, evaluate(fam, self.point), None)
         return out
 
     def ideal_truncation(self, d: int) -> TruncatedSubspace:
@@ -451,7 +455,7 @@ class CoorbitMap:
         alg = self.hopf.alg
         spanners = []
         for i in range(1, min(alg.n, d) + 1):
-            fam, value = self._family(i)
+            fam, value, _fixed = self._family(i)
             g = fam - alg.scalar_element(value)
             for m in alg.monomial_basis(d - i):
                 me = alg.monomial_element(m)
@@ -463,10 +467,9 @@ class CoorbitMap:
 
     def _certificate(self, d: int, ideal=None):
         """The monomials F that are no pivot of ``ideal`` and their images
-        mod p at det^d, when those have rank |F| mod p; None when q is not
-        symbolic, when a point entry has a pole mod p, when the rank is
-        lower, and at every degree after the first failure, which also
-        drops the twin.
+        mod p at det^d, when those have rank |F| mod p; None when the map
+        has no twin (see :meth:`_twin_map`) and when the rank is lower,
+        which drops the twin, so that no later degree tries again.
 
         ``ideal`` is I_d or its reduction J mod p, by default the twin's
         own ``ideal_truncation(d)``.  Once I_d is checked to lie in K_d,
@@ -478,11 +481,6 @@ class CoorbitMap:
         """
         twin = self._twin
         if twin is None:
-            try:
-                twin = self._twin = self._twin_map()
-            except PoleError:
-                twin = self._twin = False
-        if twin is False:
             return None
         if ideal is None:
             ideal = twin.ideal_truncation(d)
@@ -492,15 +490,17 @@ class CoorbitMap:
         keys = dict.fromkeys(k for v in images for k in v)
         order = {k: i for i, k in enumerate(keys)}
         if xla.echelon(images, order)[2] < len(free):
-            self._twin = False
+            self._twin = None
             return None
         return free, images
 
     def _twin_map(self) -> "CoorbitMap":
-        """The twin: this map over the algebra whose q is q0 in F_p, at the
-        point reduced mod p (:meth:`Fp.of`, which raises PoleError at a
-        pole).  Reduction mod p is a ring map, so the reduced point is
-        valid; the constructor checks it again, in microseconds."""
+        """The twin, built by the constructor at symbolic q: this map over
+        the algebra whose q is q0 in F_p, at the point reduced mod p
+        (:meth:`Fp.of`, which raises PoleError at a pole, where the map
+        keeps no twin).  Reduction mod p is a ring map, so the reduced
+        point is valid; the constructor checks it again, in microseconds.
+        The twin's q is no Scalar, so it has no twin of its own."""
         alg = MatrixAlgebra(self.hopf.n, Fp.of(self.hopf.alg.q))
         point = Point([[Fp.of(x) for x in row] for row in self.xi])
         return CoorbitMap(HopfContext(alg), point, self.which)
@@ -517,7 +517,7 @@ class CoorbitMap:
         tuples, and whether every monomial of the images of F mod p has row
         degree (d, ..., d), a check that proves nothing at other points.
         """
-        if self._twin is False or not self.point.is_diagonal() \
+        if self._twin is None or not self.point.is_diagonal() \
                 or not self.ideal_inside_kernel(d):
             return None
         read = self._certificate(d)
@@ -526,7 +526,7 @@ class CoorbitMap:
         free, images = read
         weights = Counter(tuple(c - r for c, r in zip(m.coldeg(), m.rowdeg()))
                           for m in free)
-        coinvariant = all(set(k.rowdeg()) <= {d} for v in images for k in v)
+        coinvariant = all(k.is_diag_coinvariant(d) for v in images for k in v)
         return weights, coinvariant
 
     def image_data(self, d: int) -> TruncatedSubspace:
@@ -536,17 +536,18 @@ class CoorbitMap:
 
     # -- closed-form checks ------------------------------------------------------
 
-    def power_check(self, power: int, variant: str) -> bool:
-        """Compare the image of x21^power against its closed form.
+    def power_check(self, power: int) -> bool:
+        """Compare the image of x21^power against its closed form, which
+        the map's side and point fix: with a = x11 and c = x21, c^n a^n
+        for beta and a^n c^n for alpha at a diagonal point (the zero point
+        included), and c^(2n) for beta at the point whose only nonzero
+        entry is x12.  Any other map has no closed form (ValueError).
 
-        Variants: "beta-diag" and "alpha-diag" need a diagonal point;
-        "beta-nilpotent" needs the single-entry point at position (1, 2).
-        The closed form, c^n a^n, a^n c^n or c^(2n) with a = x11 and
-        c = x21, is stated in quantum SL_2 and compared here over det^n.
-        Both sides have degree 0 (deg x_ij = 1, deg det^-1 = -2), and the
-        quotient onto SL_2 is injective on each homogeneous component: if
-        a = (det - 1) b is homogeneous, the lowest- and highest-degree parts
-        of b vanish, O(M_q(2)) being a domain.
+        The closed form is stated in quantum SL_2 and compared here over
+        det^n.  Both sides have degree 0 (deg x_ij = 1, deg det^-1 = -2),
+        and the quotient onto SL_2 is injective on each homogeneous
+        component: if a = (det - 1) b is homogeneous, the lowest- and
+        highest-degree parts of b vanish, O(M_q(2)) being a domain.
         """
         hopf = self.hopf
         alg = hopf.alg
@@ -556,15 +557,10 @@ class CoorbitMap:
             raise ValueError("negative power")
         q = alg.q
         a, c = alg.generator(1, 1), alg.generator(2, 1)
-        if variant in ("beta-diag", "alpha-diag"):
-            side = variant.split("-")[0]
-            if self.which != side:
-                raise ValueError(f"variant {variant!r} needs a {side} map")
-            if not self.point.is_diagonal():
-                raise ValueError(f"variant {variant!r} needs a diagonal point")
-            x1, x2 = self.xi[0][0], self.xi[1][1]
+        (x1, x12), (x21, x2) = self.xi
+        if self.point.is_diagonal():
             coeff = (-q) ** power
-            if side == "beta":
+            if self.which == "beta":
                 for i in range(power):
                     coeff = coeff * (x1 - q ** (2 * i) * x2)
                 rhs = (c ** power * a ** power).scale(coeff)
@@ -572,28 +568,14 @@ class CoorbitMap:
                 for i in range(1, power + 1):
                     coeff = coeff * (x1 - q ** (-2 * i) * x2)
                 rhs = (a ** power * c ** power).scale(coeff)
-        elif variant == "beta-nilpotent":
-            if self.which != "beta":
-                raise ValueError("variant 'beta-nilpotent' needs a beta map")
-            ok = all(not self.xi[i][j] for i in range(2) for j in range(2)
-                     if (i, j) != (0, 1))
-            if not ok:
-                raise ValueError("variant 'beta-nilpotent' needs the point "
-                                 "with only the (1,2) entry")
-            x1 = self.xi[0][1]
-            coeff = (-alg.one) ** power * q ** power * x1 ** power
+        elif self.which == "beta" and not (x1 or x21 or x2):
+            coeff = (-alg.one) ** power * q ** power * x12 ** power
             rhs = (c ** (2 * power)).scale(coeff)
         else:
-            raise ValueError(f"unknown power-check variant {variant!r}")
+            raise ValueError(f"no closed form of x21^n for the {self.which} "
+                             f"map at {self.point}")
         num, p = self.of_monomial(Monomial(2, (0, 0, power, 0)))
         return GlqElement(hopf, num, p) == hopf.embed(rhs, power)
-
-
-def psi_power_check(hopf: HopfContext, point: Point, power: int,
-                    variant: str) -> bool:
-    """Convenience wrapper building the right co-orbit map for the variant."""
-    which = "alpha" if variant.startswith("alpha") else "beta"
-    return CoorbitMap(hopf, point, which).power_check(power, variant)
 
 
 def diag_coinv_keys(n: int, d: int):

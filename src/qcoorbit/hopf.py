@@ -467,8 +467,7 @@ class HopfContext:
 
     def is_diag_coinvariant(self, a: GlqElement) -> bool:
         """True when every numerator monomial has row degree (p, ..., p)."""
-        p = a.detpow
-        return all(set(m.rowdeg()) <= {p} for m in a.terms)
+        return all(m.is_diag_coinvariant(a.detpow) for m in a.terms)
 
 
 class Minors:

@@ -65,6 +65,11 @@ class Monomial(Frozen):
         n = self.n
         return tuple(sum(self.exps[c::n]) for c in range(n))
 
+    def is_diag_coinvariant(self, p: int) -> bool:
+        """Is every row degree p?  Over det^p the monomial is then
+        coinvariant for the diagonal coaction."""
+        return set(self.rowdeg()) <= {p}
+
     def word(self):
         """Flat letter indices in increasing order, with multiplicity."""
         out = []

@@ -14,7 +14,7 @@ import pytest
 
 from qcoorbit.chars import (Character, character_of, chi_irreducible,
                             compare_at_q1, difference_identity)
-from qcoorbit.coorbit import CoorbitMap, Point, psi_power_check, sphere_span
+from qcoorbit.coorbit import CoorbitMap, Point, sphere_span
 from qcoorbit.hopf import HopfContext, TensorElement
 from qcoorbit.mq import MatrixAlgebra
 from qcoorbit.scalars import Scalar
@@ -136,16 +136,18 @@ def test_3_power_closed_forms(hopf2):
                    ("diag(q^2,1)", Point.diagonal([q ** 2, 1]), 4),
                    ("diag(q^4,1)", Point.diagonal([q ** 4, 1]), 4)]
     for name, point, max_n in diag_points:
+        beta = CoorbitMap(hopf2, point)
         for n in range(max_n + 1):
-            if not psi_power_check(hopf2, point, n, "beta-diag"):
+            if not beta.power_check(n):
                 failures.append(f"beta-diag closed form fails at {name}, "
                                 f"power {n}")
+    alpha = CoorbitMap(hopf2, Point.diagonal([2, 3]), "alpha")
     for n in range(4):
-        if not psi_power_check(hopf2, Point.diagonal([2, 3]), n, "alpha-diag"):
+        if not alpha.power_check(n):
             failures.append(f"alpha-diag closed form fails at power {n}")
-    nilpotent = Point([[0, 1], [0, 0]])
+    nilpotent = CoorbitMap(hopf2, Point([[0, 1], [0, 0]]))
     for n in range(5):
-        if not psi_power_check(hopf2, nilpotent, n, "beta-nilpotent"):
+        if not nilpotent.power_check(n):
             failures.append(f"beta-nilpotent closed form fails at power {n}")
     _report(3, "power closed forms", failures, started, budget=120)
 
@@ -209,8 +211,10 @@ def test_6_character_matches_classical_specialization(hopf2):
     """Truncated image characters agree with the q = 1 recomputation."""
     started = time.monotonic()
     failures = []
-    for d in (1, 2, 3):
-        outcome = compare_at_q1(hopf2, Point.diagonal([2, 3]), d)
+    reports = compare_at_q1(CoorbitMap(hopf2, Point.diagonal([2, 3])), 3)
+    if len(reports) != 3:
+        failures.append(f"{len(reports)} reports for degrees 1..3")
+    for d, outcome in enumerate(reports, 1):
         if not outcome.match:
             failures.append(
                 f"degree {d}: symbolic character {outcome.symbolic} != "

@@ -178,27 +178,41 @@ def test_image_at_reads_the_certificate(entries, d):
 
 
 def test_compare_at_q1(H2):
-    rep = compare_at_q1(H2, Point.diagonal([2, 3]), 2)
+    reps = compare_at_q1(CoorbitMap(H2, Point.diagonal([2, 3])), 2)
+    assert len(reps) == 2
+    rep = reps[-1]
     assert isinstance(rep, SpecializationReport)
     assert rep.match
     assert rep.symbolic == rep.specialized
     assert sum(rep.symbolic.mults.values()) == 9
 
 
-def test_compare_at_other_rationals(H2):
-    rep = compare_at_q1(H2, Point.diagonal([2, 3]), 2, q0=Fraction(5, 2))
-    assert rep.match
-
-
 def test_compare_at_q1_specializes_scalar_entries(H2):
     pt = Point.diagonal([H2.alg.q ** 2, 1])
-    rep = compare_at_q1(H2, pt, 1)
+    rep, = compare_at_q1(CoorbitMap(H2, pt), 1)
     # at q = 1 the resonance collapses to the scalar matrix diag(1, 1)
     assert sum(rep.specialized.mults.values()) == 1
     assert not rep.match
     pole = Point.diagonal([Scalar.q() / (Scalar.q() - 1), 1])
     with pytest.raises(PoleError):
-        compare_at_q1(H2, pole, 1)
+        compare_at_q1(CoorbitMap(H2, pole), 1)
+
+
+@pytest.mark.parametrize("entries", [[2, 3], ["q^2", 1]],
+                         ids=["diag(2,3)", "diag(q^2,1)"])
+def test_compare_at_q1_matches_fresh_maps_per_degree(entries):
+    """The two maps shared across degrees give, degree by degree, the
+    reports of a fresh symbolic and a fresh q = 1 map built for that degree
+    alone."""
+    H = HopfContext(MatrixAlgebra(2))
+    point = Point.diagonal([Scalar.parse(str(e)) for e in entries])
+    H1 = HopfContext(MatrixAlgebra(2, Fraction(1)))
+    fresh = []
+    for d in (1, 2, 3):
+        sym = image_at(CoorbitMap(H, point), d)[1]
+        spec = image_at(CoorbitMap(H1, point.specialize(Fraction(1))), d)[1]
+        fresh.append(SpecializationReport(sym == spec, sym, spec))
+    assert compare_at_q1(CoorbitMap(H, point), 3) == fresh
 
 
 @settings(max_examples=30, deadline=None)

@@ -101,6 +101,26 @@ def test_identities_fast_path(capsys):
     assert any("specialize-first" in n for n in names)
 
 
+def test_identities_builds_one_map_per_point_and_side(capsys, monkeypatch):
+    """The default identities command builds four co-orbit maps over Q(q)
+    or Q: beta and alpha at diag(2, 3), beta at the single (1,2) entry,
+    and one map at q = 1 that serves every degree of the q = 1 check.  The
+    twins over F_p are not counted."""
+    built = []
+    init = coorbit.CoorbitMap.__init__
+
+    def counting(self, hopf, point, which="beta"):
+        init(self, hopf, point, which)
+        if not isinstance(hopf.alg.q, scalars.Fp):
+            built.append((str(hopf.alg.q), which))
+
+    monkeypatch.setattr(coorbit.CoorbitMap, "__init__", counting)
+    code, _, _ = run(capsys, "identities")
+    assert code == 0
+    assert sorted(built) == [("1", "beta"), ("q", "alpha"), ("q", "beta"),
+                             ("q", "beta")]
+
+
 def test_reports_are_byte_identical(capsys):
     _, first, _ = run(capsys, "kernel", "--point", GENERIC, "--degree", "1")
     _, second, _ = run(capsys, "kernel", "--point", GENERIC, "--degree", "1")
@@ -484,6 +504,9 @@ GOLDEN = [
      "a10e24c9a733cbe7dd80ef60b4851da80fb15869074b45ac8cf1df1e9eeb63b3"),
     ("identities-size3", ("identities", "--n", "3"), 1962,
      "445b2393887731f7e196c33b7159217a89b2ca7b4a3f4316d7f02ce13b7061b3"),
+    # taken at 6e278ab, the benchmark's own identities command (no flags)
+    ("identities-default", ("identities",), 3089,
+     "b969ecf644d7a8b4e05e887fbb50e3c398856f321e442fc43480aeda8d0d63fd"),
 ]
 
 

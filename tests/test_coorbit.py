@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 from qcoorbit import coorbit, scalars, xla
 from qcoorbit.cli import main
 from qcoorbit.coorbit import (CoorbitMap, Point, TruncatedSubspace,
-                              diag_coinv_keys, evaluate, psi_power_check,
-                              sphere_span, validate_point)
+                              diag_coinv_keys, evaluate, sphere_span,
+                              validate_point)
 from qcoorbit.hopf import GlqElement, HopfContext
 from qcoorbit.mq import MatrixAlgebra, Monomial, MqElement, accumulate
 from qcoorbit.scalars import Fp, Poly
@@ -484,6 +484,32 @@ def test_twin_images_are_the_exact_images_mod_p():
                         {k: c for k, c in reduced.items() if c}, p), m
 
 
+@pytest.mark.parametrize("which", ["beta", "alpha"])
+def test_twin_states(monkeypatch, which):
+    """At symbolic q a map builds its twin at construction, and keeps it
+    while the certificate holds; there is no twin at a rational q or at a
+    pole mod p, and none after the first failed certificate."""
+    H = HopfContext(MatrixAlgebra(2))
+    q = H.alg.q
+    cm = CoorbitMap(H, Point.diagonal([2, 3]), which)
+    assert isinstance(cm._twin, CoorbitMap)
+    assert cm._twin.hopf.alg.q == Fp(scalars.FP_Q0)
+    assert cm._twin._twin is None
+    assert cm._certificate(2) is not None and cm._twin is not None
+    H1 = HopfContext(MatrixAlgebra(2, Fraction(1)))
+    assert CoorbitMap(H1, Point.diagonal([2, 3]), which)._twin is None
+    monkeypatch.setattr(scalars, "FP_Q0", 2)
+    pole = Point.diagonal([1 / (q - 2), 3])
+    assert CoorbitMap(H, pole, which)._twin is None
+    # at q0 = 2 the point diag(4, 1) (diag(1, 4) for alpha) is resonant
+    # mod p, so the degree-2 certificate fails and the twin is dropped
+    entries = [4, 1] if which == "beta" else [1, 4]
+    resonant = CoorbitMap(H, Point.diagonal(entries), which)
+    assert resonant._twin is not None
+    assert resonant._certificate(2) is None and resonant._twin is None
+    assert resonant.kernel_basis(2) == _full_kernel(resonant, 2)
+
+
 def test_wrong_constant_falls_back_to_full_elimination(monkeypatch, capsys):
     """With tau_1's value at the point off by one, some spanner of the ideal
     survives, so kernel_basis eliminates every column and equals the full
@@ -606,8 +632,7 @@ def test_deep_monomial_image_is_one_call(monkeypatch, which):
     assert time.monotonic() - started < 5
     assert p == 100 and num and len(calls) == 1
     # the closed form at degree 1 and 2 still holds on the cached images
-    side = f"{which}-diag"
-    assert all(cm.power_check(k, side) for k in (1, 2))
+    assert all(cm.power_check(k) for k in (1, 2))
 
 
 def test_nilpotent_point_dimensions(nilpotent):
@@ -683,26 +708,30 @@ def test_image_lies_in_diag_coinv_truncation(generic):
 
 
 def test_power_checks(H2, generic, nilpotent):
-    for n in (0, 1, 2, 3):
-        assert generic.power_check(n, "beta-diag")
-        assert nilpotent.power_check(n, "beta-nilpotent")
-    alpha = CoorbitMap(H2, generic.point, "alpha")
-    for n in (0, 1, 2, 3):
-        assert alpha.power_check(n, "alpha-diag")
+    """The map fixes the closed form: c^n a^n for beta and a^n c^n for
+    alpha at a diagonal point (the zero point included), c^(2n) for beta at
+    the single (1,2) entry."""
+    zero = Point([[0, 0], [0, 0]])
+    maps = [generic, nilpotent, CoorbitMap(H2, generic.point, "alpha"),
+            CoorbitMap(H2, zero), CoorbitMap(H2, zero, "alpha")]
+    for cm in maps:
+        for n in (0, 1, 2, 3):
+            assert cm.power_check(n), (cm.which, cm.point, n)
 
 
-def test_power_check_wrapper(H2):
-    assert psi_power_check(H2, Point.diagonal([2, 3]), 2, "beta-diag")
-    assert psi_power_check(H2, Point.diagonal([2, 3]), 2, "alpha-diag")
-
-
-def test_power_check_validation(generic, nilpotent):
-    with pytest.raises(ValueError, match="variant"):
-        generic.power_check(1, "alpha-diag")
-    with pytest.raises(ValueError, match="diagonal"):
-        nilpotent.power_check(1, "beta-diag")
-    with pytest.raises(ValueError, match="unknown"):
-        generic.power_check(1, "gamma-diag")
+def test_power_check_validation(H2, H3, nilpotent):
+    """No closed form for alpha at the single (1,2) entry, nor at the
+    single (2,1) entry for either side; power checks are for size 2 and
+    nonnegative powers."""
+    low = Point([[0, 0], [5, 0]])
+    for cm in (CoorbitMap(H2, nilpotent.point, "alpha"), CoorbitMap(H2, low),
+               CoorbitMap(H2, low, "alpha")):
+        with pytest.raises(ValueError, match="no closed form"):
+            cm.power_check(1)
+    with pytest.raises(ValueError, match="size 2"):
+        CoorbitMap(H3, Point.diagonal([2, 3, 5])).power_check(1)
+    with pytest.raises(ValueError, match="negative"):
+        nilpotent.power_check(-1)
 
 
 def test_resonant_kills_second_power(resonant):
