@@ -354,10 +354,13 @@ class CoorbitMap:
         F are linearly independent, and two routes follow.
 
         * Certified.  At symbolic q the images of F are taken over F_p,
-          p = 2^61 - 1, at q = q0 = 3141592653589793 (``scalars.FP_PRIME``
-          and ``FP_Q0``), by the same map over ``Fp``.  Rank |F| mod p
-          proves K_d = I_d (:meth:`_certificate`), and I_d is returned
-          with no exact image and no exact elimination.
+          p = 2^61 - 1 (``scalars.FP_PRIME``), by the same map over
+          ``Fp`` at q = q0: q0 = 1 at a regular point with rational
+          entries, where straightening is coefficient-free, and
+          q0 = 3141592653589793 (``FP_Q0``) elsewhere (see
+          :meth:`_twin_map`).  Rank |F| mod p proves K_d = I_d
+          (:meth:`_certificate`), and I_d is returned with no exact image
+          and no exact elimination.
         * Reduced.  If the rank mod p is lower, or the map has no twin (a
           point entry has a pole mod p at q0, or q is a rational), the
           exact images of F are eliminated and the vectors found are
@@ -474,8 +477,12 @@ class CoorbitMap:
         ``ideal`` is I_d or its reduction J mod p, by default the twin's
         own ``ideal_truncation(d)``.  Once I_d is checked to lie in K_d,
         rank |F| proves K_d = I_d.  The images mod p reduce from the exact
-        ones, and a rank can only drop mod p (J. T. Schwartz, J. ACM 27,
-        1980).  So, D the monomials of degree <= d,
+        ones: sending q to the twin's q0 and reducing mod p is a ring map
+        on the scalars with no pole at q0, for any q0, q0 = 1 included
+        (at a point with rational entries every coefficient of a spanner
+        or an image is a Laurent polynomial in q).  A rank can only drop
+        under it (J. T. Schwartz, J. ACM 27, 1980).  So, D the monomials
+        of degree <= d,
         |D| - |F| = rank J <= dim I_d <= dim K_d = |D| - rank psi and
         rank psi >= |F|: all are equal.
         """
@@ -496,14 +503,33 @@ class CoorbitMap:
 
     def _twin_map(self) -> "CoorbitMap":
         """The twin, built by the constructor at symbolic q: this map over
-        the algebra whose q is q0 in F_p, at the point reduced mod p
-        (:meth:`Fp.of`, which raises PoleError at a pole, where the map
-        keeps no twin).  Reduction mod p is a ring map, so the reduced
+        the algebra whose q is an element q0 of F_p, at the point reduced
+        mod p (:meth:`Fp.of`, which raises PoleError at a pole, where the
+        map keeps no twin).  Reduction mod p is a ring map, so the reduced
         point is valid; the constructor checks it again, in microseconds.
-        The twin's q is no Scalar, so it has no twin of its own."""
-        alg = MatrixAlgebra(self.hopf.n, Fp.of(self.hopf.alg.q))
+        The twin's q is no Scalar, so it has no twin of its own.
+
+        q0 is 1 at a regular point whose entries are rational numbers.
+        There the rules carry no q - 1/q term and every product of two
+        monomials straightens to one monomial (see :class:`MatrixAlgebra`),
+        and the classical adjoint orbit is maximal, so by Kostant's theorem
+        (Amer. J. Math. 85, 1963) the classical kernel is the ideal of the
+        shifted invariants at every degree: at q = 1 the certificate can
+        hold at every degree, as it does at a generic q by the paper's
+        kernel theorem.  The proof of :meth:`_certificate` holds at any
+        q0.  Any other point takes q0 = FP_Q0: an entry such as c*q^2
+        would collapse at q = 1 and one such as (q + 1)/(q - 1) has a pole
+        there, and at a point that is not regular the classical kernel
+        outgrows the ideal while the quantum one need not (at diag(c, c)
+        the alpha certificate holds at FP_Q0 up to degree 4 and fails at
+        q = 1 at degree 1).
+        """
         point = Point([[Fp.of(x) for x in row] for row in self.xi])
-        return CoorbitMap(HopfContext(alg), point, self.which)
+        classical = all(x.is_constant() for row in self.xi for x in row) \
+            and _is_regular(point.entries)
+        q0 = Fp(1) if classical else Fp.of(self.hopf.alg.q)
+        return CoorbitMap(HopfContext(MatrixAlgebra(self.hopf.n, q0)), point,
+                          self.which)
 
     def image_weights(self, d: int):
         """The torus weights of the image of the degree <= d truncation,
@@ -576,6 +602,23 @@ class CoorbitMap:
                              f"map at {self.point}")
         num, p = self.of_monomial(Monomial(2, (0, 0, power, 0)))
         return GlqElement(hopf, num, p) == hopf.embed(rhs, power)
+
+
+def _is_regular(xi) -> bool:
+    """Are the powers 1, xi, ..., xi^(n-1) of the n x n matrix ``xi`` over
+    F_p linearly independent?  Then its minimal polynomial has degree n:
+    xi is regular, and its adjoint orbit has the largest dimension,
+    n^2 - n.  A rank n mod p proves it for the rational matrix too."""
+    n = len(xi)
+    one, zero = Fp(1), Fp(0)
+    power = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    vectors = []
+    for _ in range(n):
+        vectors.append({i * n + j: x for i, row in enumerate(power)
+                        for j, x in enumerate(row) if x})
+        power = [[sum((power[i][k] * xi[k][j] for k in range(n)), zero)
+                  for j in range(n)] for i in range(n)]
+    return xla.echelon(vectors, {k: k for k in range(n * n)})[2] == n
 
 
 def diag_coinv_keys(n: int, d: int):

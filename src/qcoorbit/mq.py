@@ -12,7 +12,9 @@ engine with q specialized *before* any computation), and memoizes the
 straightening tables so repeated products are cheap.  Most rules carry the
 unit object ``one`` as coefficient; straightening, and
 :meth:`MatrixAlgebra._product`, the one product of two straightened sums,
-skip products by it.
+skip products by it.  At q = +-1 no rule has a second term, and at q = 1
+every rule carries ``one``, so there a product of two monomials is the one
+monomial of the summed exponents, with coefficient ``one``.
 """
 
 from __future__ import annotations
@@ -342,7 +344,9 @@ class MatrixAlgebra:
         self.q = q
         self.one = q ** 0
         self.zero = self.one - self.one
-        self.qinv = self.one / q
+        qinv = self.one / q
+        # at q = 1 the same-row and same-column rules carry the unit object
+        self.qinv = self.one if qinv == self.one else qinv
         self._rule_cache = {}
         self._ml_cache = {}
         self._mm_cache = {}
@@ -392,7 +396,9 @@ class MatrixAlgebra:
             i2, j2 = divmod(small, n)
             if i1 == i2 or j1 == j2:
                 rule = ((self.qinv, (small, big)),)
-            elif j1 < j2:
+            elif j1 < j2 or self.q == self.qinv:
+                # at q = +-1 the term of the last rule, -(q - 1/q) x12 x21
+                # for x22 x11, is 0 and left out
                 rule = ((self.one, (small, big)),)
             else:
                 mid1 = i2 * n + j1

@@ -32,8 +32,9 @@ coefficient type: run it with Scalars for symbolic q, or with plain Fractions
 after specializing q to a rational number (see :meth:`Scalar.specialize`).
 :class:`Fp` is the third type: the prime field F_p, p = 2^61 - 1, into
 which :meth:`Fp.of` reduces a scalar at the fixed q = FP_Q0.  The co-orbit
-maps use it to certify ranks (see ``CoorbitMap.kernel_basis``); it needs no
-gcd and is not metered.
+maps use it to certify ranks, over an algebra whose q is FP_Q0 or, at a
+regular point with rational entries, 1 (see ``CoorbitMap.kernel_basis``);
+it needs no gcd and is not metered.
 """
 
 from __future__ import annotations
@@ -430,6 +431,10 @@ class Scalar(Frozen):
         dividing a Laurent scalar by one keeps it on the q-power fast path."""
         return self.qk >= 0 and self.num.is_monomial()
 
+    def is_constant(self) -> bool:
+        """True for a rational number, a scalar with no q in it."""
+        return self.qk == 0 and self.num.degree <= 0
+
     # -- arithmetic -----------------------------------------------------------
 
     @staticmethod
@@ -551,7 +556,7 @@ class Scalar(Frozen):
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        if self.qk == 0 and self.num.degree <= 0:
+        if self.is_constant():
             return hash(self.num.coefficient(0))   # as the equal Fraction
         return hash((self.num, self.den))
 
@@ -611,8 +616,11 @@ _S_ZERO = _new(_P_ZERO, _P_ONE, 0)
 _S_Q = _new(_P_Q, _P_ONE, 0)
 
 
-# The prime of Fp (a Mersenne prime) and the value of q there.  Both are
-# fixed: a rank mod p never exceeds the rank over Q(q), at any q0.
+# The prime of Fp (a Mersenne prime) and the value of q at which Fp.of
+# reduces a scalar.  Both are fixed: a rank mod p never exceeds the rank
+# over Q(q), at any q0.  A co-orbit map's twin takes q0 = 1 instead at a
+# regular point with rational entries, where every scalar it meets is a
+# Laurent polynomial in q (see CoorbitMap._twin_map).
 FP_PRIME = 2 ** 61 - 1
 FP_Q0 = 3_141_592_653_589_793
 
@@ -625,6 +633,9 @@ class Fp(Frozen):
     scalars with no pole there that is a ring map onto F_p, so the engine
     run over ``MatrixAlgebra(n, Fp(FP_Q0))`` computes the reductions of the
     exact results, and a minor that is nonzero mod p is nonzero over Q(q).
+    So does q -> 1 on Laurent polynomials, for the engine run over
+    ``MatrixAlgebra(n, Fp(1))``; :meth:`of` reduces a rational number, a
+    scalar with no q in it, to the same element at either q.
     """
 
     __slots__ = ("v",)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -18,7 +19,7 @@ from qcoorbit.coorbit import (CoorbitMap, Point, TruncatedSubspace,
                               validate_point)
 from qcoorbit.hopf import GlqElement, HopfContext
 from qcoorbit.mq import MatrixAlgebra, Monomial, MqElement, accumulate
-from qcoorbit.scalars import Fp, Poly
+from qcoorbit.scalars import Fp, Poly, Scalar
 
 
 @pytest.fixture(scope="module")
@@ -427,18 +428,28 @@ FALLBACK_POINTS = {
 }
 
 
+def _q_free_twin_at_two(monkeypatch):
+    """Build the twin of a q-free point, which the map builds at q = 1,
+    at q = 2 instead."""
+    def at_two(n, q):
+        assert q == Fp(1)
+        return MatrixAlgebra(n, Fp(2))
+
+    monkeypatch.setattr(coorbit, "MatrixAlgebra", at_two)
+
+
 @pytest.mark.parametrize("case", FALLBACK_POINTS)
 @pytest.mark.parametrize("which", ["beta", "alpha"])
 def test_forced_fallback_keeps_the_report_bytes(monkeypatch, capsys, case,
                                                  which):
     """Where the certificate fails, the exact route prints the bytes it
     printed before there was a certificate: at a point entry with a pole at
-    q0 mod p, where it is never tried, and with q0 patched to 2 at
-    diag(4, 1) for beta and diag(1, 4) for alpha, where q0^2 is the ratio
-    of the entries, so a pivot vanishes mod p at some degree."""
+    q0 mod p, where it is never tried, and with the q-free twin's q set to
+    2 at diag(4, 1) for beta and diag(1, 4) for alpha, where q^2 is the
+    ratio of the entries, so a pivot vanishes mod p at some degree."""
     spec, degree, digests = FALLBACK_POINTS[case]
     if spec is None:
-        monkeypatch.setattr(scalars, "FP_Q0", 2)
+        _q_free_twin_at_two(monkeypatch)
         entries = ("4", "1") if which == "beta" else ("1", "4")
         spec = '{"entries": [["%s", "0"], ["0", "%s"]]}' % entries
     results = []
@@ -461,12 +472,20 @@ def test_forced_fallback_keeps_the_report_bytes(monkeypatch, capsys, case,
         assert not any(results)
 
 
+def _q_free(point):
+    """Is every entry of the point a rational number?"""
+    return all(Scalar.of(e).is_constant() for row in point.entries
+               for e in row)
+
+
 def test_twin_images_are_the_exact_images_mod_p():
     """The twin over F_p builds each image of degree <= 2 as the exact image
-    with every coefficient reduced mod p at q0 (zeros dropped): at sizes 1
-    to 3, for beta and alpha, at seeded generic, resonant, single-entry and
-    rational-entry points."""
+    with every coefficient specialized at the twin's q and reduced mod p
+    (zeros dropped): at sizes 1 to 3, for beta and alpha, at seeded
+    generic, resonant, single-entry and rational-entry points.  The twin's
+    q is 1 at some q-free points and q0 at the others."""
     rng = random.Random(23)
+    twin_qs = set()
     for n in (1, 2, 3):
         H = HopfContext(MatrixAlgebra(n))
         q = H.alg.q
@@ -476,38 +495,105 @@ def test_twin_images_are_the_exact_images_mod_p():
             for which in ("beta", "alpha"):
                 cm = CoorbitMap(H, point, which)
                 twin = cm._twin_map()
-                assert twin.hopf.alg.q == Fp(scalars.FP_Q0)
+                q0 = twin.hopf.alg.q.v
+                assert q0 == scalars.FP_Q0 or q0 == 1 and _q_free(point)
+                twin_qs.add(q0)
                 for m in H.alg.monomial_basis(2):
                     num, p = cm.of_monomial(m)
-                    reduced = {k: Fp.of(c) for k, c in num.items()}
+                    reduced = {k: Fp.of(c.specialize(q0))
+                               for k, c in num.items()}
                     assert twin.of_monomial(m) == (
                         {k: c for k, c in reduced.items() if c}, p), m
+    assert twin_qs == {1, scalars.FP_Q0}
 
 
 @pytest.mark.parametrize("which", ["beta", "alpha"])
 def test_twin_states(monkeypatch, which):
-    """At symbolic q a map builds its twin at construction, and keeps it
+    """At symbolic q a map builds its twin at construction, at q = 1 at a
+    regular point with rational entries and at q0 elsewhere, and keeps it
     while the certificate holds; there is no twin at a rational q or at a
     pole mod p, and none after the first failed certificate."""
     H = HopfContext(MatrixAlgebra(2))
     q = H.alg.q
     cm = CoorbitMap(H, Point.diagonal([2, 3]), which)
     assert isinstance(cm._twin, CoorbitMap)
-    assert cm._twin.hopf.alg.q == Fp(scalars.FP_Q0)
+    assert cm._twin.hopf.alg.q == Fp(1)
     assert cm._twin._twin is None
     assert cm._certificate(2) is not None and cm._twin is not None
+    for entries in ([2 * q ** 2, 3], [2, 2]):
+        other = CoorbitMap(H, Point.diagonal(entries), which)
+        assert other._twin.hopf.alg.q == Fp(scalars.FP_Q0)
     H1 = HopfContext(MatrixAlgebra(2, Fraction(1)))
     assert CoorbitMap(H1, Point.diagonal([2, 3]), which)._twin is None
+    pole = Point.diagonal([Fraction(1, scalars.FP_PRIME), 3])
+    assert CoorbitMap(H, pole, which)._twin is None
     monkeypatch.setattr(scalars, "FP_Q0", 2)
     pole = Point.diagonal([1 / (q - 2), 3])
     assert CoorbitMap(H, pole, which)._twin is None
-    # at q0 = 2 the point diag(4, 1) (diag(1, 4) for alpha) is resonant
-    # mod p, so the degree-2 certificate fails and the twin is dropped
-    entries = [4, 1] if which == "beta" else [1, 4]
+    # at q0 = 2 the point diag(q + 2, 1) (diag(1, q + 2) for alpha) is
+    # resonant mod p, so the degree-2 certificate fails and the twin is
+    # dropped
+    entries = [q + 2, 1] if which == "beta" else [1, q + 2]
     resonant = CoorbitMap(H, Point.diagonal(entries), which)
-    assert resonant._twin is not None
+    assert resonant._twin.hopf.alg.q == Fp(2)
     assert resonant._certificate(2) is None and resonant._twin is None
     assert resonant.kernel_basis(2) == _full_kernel(resonant, 2)
+
+
+def _twin_at(cm, q0):
+    """The map's twin, built at q = q0 whatever the point."""
+    point = Point([[Fp.of(x) for x in row] for row in cm.xi])
+    return CoorbitMap(HopfContext(MatrixAlgebra(cm.hopf.n, Fp(q0))), point,
+                      cm.which)
+
+
+def _certified_weights(cm, dmax):
+    """Per degree d <= dmax up to the first failed certificate, the
+    weights coldeg - rowdeg of F, or None where the certificate fails."""
+    out = []
+    for d in range(1, dmax + 1):
+        read = cm._certificate(d)
+        if read is None:
+            return out + [None]
+        out.append(Counter(tuple(c - r for c, r in zip(m.coldeg(),
+                                                       m.rowdeg()))
+                           for m in read[0]))
+    return out
+
+
+@pytest.mark.parametrize("which", ["beta", "alpha"])
+def test_classical_twin_certifies_like_a_generic_q_twin(which):
+    """A map's own twin certifies a degree exactly when a twin at q0
+    does, with the same weights of F, at q-free points: a seeded generic
+    diagonal point, a point with equal eigenvalues and the regular
+    nilpotent one at size 2, up to degree 4, and a seeded generic diagonal
+    point and a single-entry one at size 3, up to degree 2.  The own twin
+    is at q = 1 exactly at the regular points among them.  At the others
+    a twin at q = 1 fails at some degree: at diag(c, c) for alpha at
+    degree 1, where the twin at q0 certifies every degree."""
+    rng = random.Random(25)
+    c = rng.choice([2, 3, -5, 7])
+    cases = [(2, 4, True, Point.diagonal(_generic_diagonals(rng, 2, 1)[0])),
+             (2, 4, False, Point.diagonal([c, c])),
+             (2, 4, True, Point([[0, 1], [0, 0]])),
+             (3, 2, True, Point.diagonal(_generic_diagonals(rng, 3, 1)[0])),
+             (3, 2, False, Point([[0, 0, 0], [0, 0, c], [0, 0, 0]]))]
+    outcomes = set()
+    for n, dmax, regular, point in cases:
+        H = HopfContext(MatrixAlgebra(n))
+        own, generic, classical = (CoorbitMap(H, point, which)
+                                   for _ in range(3))
+        assert own._twin.hopf.alg.q == Fp(1 if regular else scalars.FP_Q0)
+        generic._twin = _twin_at(generic, scalars.FP_Q0)
+        classical._twin = _twin_at(classical, 1)
+        weights = _certified_weights(own, dmax)
+        assert weights == _certified_weights(generic, dmax), point
+        outcomes.update(w is None for w in weights)
+        at_one = _certified_weights(classical, dmax)
+        assert (at_one == weights) if regular else at_one[-1] is None
+        if point == Point.diagonal([c, c]) and which == "alpha":
+            assert at_one == [None] and None not in weights
+    assert outcomes == {True, False}
 
 
 def test_wrong_constant_falls_back_to_full_elimination(monkeypatch, capsys):

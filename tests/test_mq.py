@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import qcoorbit
 from qcoorbit.mq import MatrixAlgebra, Monomial
-from qcoorbit.scalars import Scalar
+from qcoorbit.scalars import Fp, Scalar
 
 
 @pytest.fixture(scope="module")
@@ -233,3 +234,55 @@ def test_scalar_coefficient_interop(A2):
     assert (x(1, 1) ** 0) == A2.one_element()
     with pytest.raises(ValueError):
         x(1, 1) ** -1
+
+
+@pytest.mark.parametrize("q", [Fraction(1), Fraction(-1), Fp(1), Fp(-1)],
+                         ids=["1", "-1", "Fp(1)", "Fp(-1)"])
+def test_rules_at_q_plus_minus_one_have_one_term(q):
+    """At q = +-1 the q - 1/q term of the rules is 0 and is left out, so no
+    rule holds a zero coefficient; at q = 1, over Q and over F_p, 1/q is
+    the unit object, and so is every rule's coefficient."""
+    unit = q == q ** 0
+    for n in (1, 2, 3):
+        A = MatrixAlgebra(n, q)
+        assert (A.qinv is A.one) == unit
+        for big in range(n * n):
+            for small in range(big):
+                rule = A._letter_rule(big, small)
+                assert len(rule) == 1 and all(c for c, _ in rule)
+                assert not unit or rule[0][0] is A.one
+
+
+def _seeded_monomial_pairs(rng, n, dmax, count):
+    """Every pair of letters, then ``count`` seeded pairs of monomials of
+    degree <= dmax."""
+    letters = [Monomial(n, [int(k == i) for k in range(n * n)])
+               for i in range(n * n)]
+    pairs = list(product(letters, repeat=2))
+    for _ in range(count):
+        exps = []
+        for _ in range(2):
+            e = [0] * (n * n)
+            for _ in range(rng.randint(0, dmax)):
+                e[rng.randrange(n * n)] += 1
+            exps.append(Monomial(n, e))
+        pairs.append(tuple(exps))
+    return pairs
+
+
+def test_monomial_products_at_q_plus_minus_one_are_monomials():
+    """At q = 1 a product of two ordered monomials is the one monomial of
+    the summed exponents, with the unit object as coefficient; at q = -1 it
+    is that monomial times (-1)^N, N the pairs of a letter of the left
+    factor after a letter of the right one in the same row or column: for
+    every pair of letters and seeded pairs up to degree 4, at n <= 3."""
+    rng = random.Random(25)
+    for n in (1, 2, 3):
+        plus, minus = MatrixAlgebra(n, Fraction(1)), MatrixAlgebra(n, -1)
+        for m1, m2 in _seeded_monomial_pairs(rng, n, 4, 60):
+            total = Monomial(n, [a + b for a, b in zip(m1.exps, m2.exps)])
+            out = plus._mul_monos(m1, m2)
+            assert list(out) == [total] and out[total] is plus.one
+            swaps = sum(1 for a in m1.word() for b in m2.word()
+                        if a > b and (a // n == b // n or a % n == b % n))
+            assert minus._mul_monos(m1, m2) == {total: (-1) ** swaps}
