@@ -120,8 +120,13 @@ def character_of(space, picture: str = "z") -> Character:
         raise TypeError("expected a TruncatedSubspace")
     if picture not in ("z", "t"):
         raise ValueError("picture must be 'z' or 't'")
-    char = Character.from_weights("t", space.row_weights(
-        lambda m: tuple(c - m.deg // m.n for c in m.coldeg())))
+    weights = []
+    for row in space.rows:
+        ws = {tuple(c - m.deg // m.n for c in m.coldeg()) for m in row}
+        if len(ws) != 1:
+            raise ValueError("basis row mixes weights")
+        weights.append(ws.pop())
+    char = Character.from_weights("t", weights)
     return char.z_picture() if picture == "z" else char
 
 

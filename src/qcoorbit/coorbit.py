@@ -197,16 +197,6 @@ class TruncatedSubspace(Frozen):
             raise ValueError("subspaces over different key lists")
         return all(xla.member(r, other.rows, other.pivots) for r in self.rows)
 
-    def row_weights(self, weight_fn):
-        """One weight per basis row; every row must be weight-pure."""
-        out = []
-        for r in self.rows:
-            ws = {weight_fn(k) for k in r}
-            if len(ws) != 1:
-                raise ValueError("basis row mixes weights")
-            out.append(ws.pop())
-        return out
-
     def __eq__(self, other):
         return (isinstance(other, TruncatedSubspace)
                 and self.keys == other.keys and self.rows == other.rows)
@@ -244,8 +234,10 @@ class CoorbitMap:
         self._rows = [{unit.bumped(t * n + j): x
                        for t, x in enumerate(xi[s]) if x}
                       for s in range(n) for j in range(n)]
-        self._mono_cache = {unit: ({unit: one}, 0)}
-        self._families = {}   # i -> (tau_i or sigma_i, value at xi, verdict)
+        self._mono_cache = {unit: {unit: one}}
+        # i -> (tau_i - tau_i(xi) or sigma_i - sigma_i(xi), whether psi
+        # kills it, None until checked)
+        self._families = {}
         self._ideals = {}     # degree -> I_d
         # the twin over F_p, kept while the certificate holds; None at
         # rational q, at a pole mod p and after the first failed certificate
@@ -257,7 +249,8 @@ class CoorbitMap:
                 pass
 
     def of_monomial(self, m: Monomial):
-        """Image of an ordered monomial: (numerator terms, det power = degree).
+        """Image numerator of an ordered monomial, whose det power is its
+        degree.
 
         Built by a loop from the cached image of the longest part of ``m``
         that leaves out its last letters (beta) or its first ones (alpha),
@@ -276,12 +269,11 @@ class CoorbitMap:
             k = strip(part)
             letters.append(k)
             part = part.stripped(k)
-        num = cache[part][0]
+        num = cache[part]
         for k in reversed(letters):
             part = part.bumped(k)
-            num = self._extend(num, k)
-            cache[part] = (num, part.deg)
-        return cache[m]
+            num = cache[part] = self._extend(num, k)
+        return num
 
     def _extend(self, num, k: int):
         """The image numerator of a monomial one letter x_k = x_ij longer
@@ -313,26 +305,23 @@ class CoorbitMap:
         cap = max((m.deg for m in a.terms), default=0)
         total = {}
         for m, c in a.terms.items():
-            num, p = self.of_monomial(m)
-            self.hopf._lift(total, num, cap - p, c)
+            self.hopf._lift(total, self.of_monomial(m), cap - m.deg, c)
         return GlqElement(self.hopf, total, cap)
 
     # -- truncations ----------------------------------------------------------
 
-    def _lifted_images(self, d: int, domain=None):
-        """Images of all monomials of degree <= d, or of those in
-        ``domain``, at det power d."""
-        if domain is None:
-            domain = self.hopf.alg.monomial_basis(d)
+    def _lifted_images(self, d: int, domain):
+        """Image numerators of the monomials in ``domain``, of degree <= d,
+        at det power d."""
         lifted = []
         for m in domain:
-            num, p = self.of_monomial(m)
-            if p < d:
+            num = self.of_monomial(m)
+            if m.deg < d:
                 out = {}
-                self.hopf._lift(out, num, d - p)
+                self.hopf._lift(out, num, d - m.deg)
                 num = out
             lifted.append(num)
-        return domain, lifted
+        return lifted
 
     def kernel_basis(self, d: int) -> TruncatedSubspace:
         """Kernel K_d of the co-orbit map on the span of monomials of degree
@@ -385,8 +374,8 @@ class CoorbitMap:
             return ideal
         domain = ideal.keys
         pivots = set(ideal.pivots)
-        columns, lifted = self._lifted_images(
-            d, [m for m in domain if m not in pivots])
+        columns = [m for m in domain if m not in pivots]
+        lifted = self._lifted_images(d, columns)
         # one row per codomain monomial, one column per free domain monomial
         rows = {}
         for m, image in zip(columns, lifted):
@@ -422,25 +411,28 @@ class CoorbitMap:
         tau_i(xi) psi(b) - tau_i(xi) psi(b) = 0, and phi(sigma_i) =
         sigma_i(xi) gives phi(b (sigma_i - sigma_i(xi))) = 0.  The spanners
         with b = 1 are among those of I_d, so the check that each family
-        with i <= min(n, d) maps to its value, made exactly once per i, is
+        with i <= min(n, d) maps to its value, that is, kills the generator
+        g_i = tau_i - tau_i(xi) (psi(1) = 1), made exactly once per i, is
         equivalent to the check that every spanner maps to 0.
         """
         for i in range(1, min(self.hopf.n, d) + 1):
-            fam, value, fixed = self._family(i)
-            if fixed is None:
-                fixed = self(fam) == self.hopf.scalar_gl(value)
-                self._families[i] = (fam, value, fixed)
-            if not fixed:
+            g, killed = self._family(i)
+            if killed is None:
+                killed = self(g).is_zero()
+                self._families[i] = (g, killed)
+            if not killed:
                 return False
         return True
 
     def _family(self, i: int):
-        """tau_i (beta) or sigma_i (alpha), its value at the point, and
-        whether the map sends it to that value (None until checked)."""
+        """The generator g_i = tau_i - tau_i(xi) (beta) or sigma_i -
+        sigma_i(xi) (alpha), and whether the map kills it (None until
+        checked)."""
         out = self._families.get(i)
         if out is None:
             fam = self.hopf.alg.family(i, self.which)
-            out = self._families[i] = (fam, evaluate(fam, self.point), None)
+            g = fam - self.hopf.alg.scalar_element(evaluate(fam, self.point))
+            out = self._families[i] = (g, None)
         return out
 
     def ideal_truncation(self, d: int) -> TruncatedSubspace:
@@ -458,8 +450,7 @@ class CoorbitMap:
         alg = self.hopf.alg
         spanners = []
         for i in range(1, min(alg.n, d) + 1):
-            fam, value, _fixed = self._family(i)
-            g = fam - alg.scalar_element(value)
+            g = self._family(i)[0]
             for m in alg.monomial_basis(d - i):
                 me = alg.monomial_element(m)
                 prod = g * me if self.which == "beta" else me * g
@@ -492,8 +483,8 @@ class CoorbitMap:
         if ideal is None:
             ideal = twin.ideal_truncation(d)
         pivots = set(ideal.pivots)
-        free, images = twin._lifted_images(
-            d, [m for m in ideal.keys if m not in pivots])
+        free = [m for m in ideal.keys if m not in pivots]
+        images = twin._lifted_images(d, free)
         keys = dict.fromkeys(k for v in images for k in v)
         order = {k: i for i, k in enumerate(keys)}
         if xla.echelon(images, order)[2] < len(free):
@@ -558,7 +549,8 @@ class CoorbitMap:
     def image_data(self, d: int) -> TruncatedSubspace:
         """Image of the degree <= d truncation, over the numerator monomials
         of its elements at det^d."""
-        return _span(self._lifted_images(d)[1])
+        domain = self.hopf.alg.monomial_basis(d)
+        return _span(self._lifted_images(d, domain))
 
     # -- closed-form checks ------------------------------------------------------
 
@@ -600,8 +592,8 @@ class CoorbitMap:
         else:
             raise ValueError(f"no closed form of x21^n for the {self.which} "
                              f"map at {self.point}")
-        num, p = self.of_monomial(Monomial(2, (0, 0, power, 0)))
-        return GlqElement(hopf, num, p) == hopf.embed(rhs, power)
+        num = self.of_monomial(Monomial(2, (0, 0, power, 0)))
+        return GlqElement(hopf, num, power) == hopf.embed(rhs, power)
 
 
 def _is_regular(xi) -> bool:

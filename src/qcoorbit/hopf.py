@@ -122,41 +122,35 @@ class GlqElement(SparseTerms):
         return f"({self.num})*det^-{self.detpow}"
 
 
-_LEG_TAGS = ("mq", "glq")
-
-
 class TensorElement(SparseTerms):
     """An element of a tensor product of copies of the matrix algebra.
 
-    ``tags`` names each leg: "mq" legs hold monomial keys, "glq" legs hold
-    monomial numerators over a determinant power shared by the whole
-    element, kept in ``detpows``.  Terms map a key tuple (one monomial per
-    leg) to a coefficient.
+    Terms map a key tuple (one monomial per leg) to a coefficient.
+    ``detpows`` gives each leg's kind: None for a leg in O(M_q), whose keys
+    are monomials, and an int p for a leg in the localization, whose keys
+    are numerator monomials over det^p, a power shared by the whole element.
     """
 
-    __slots__ = ("hopf", "tags", "detpows", "terms")
+    __slots__ = ("hopf", "detpows", "terms")
 
-    def __init__(self, hopf: "HopfContext", tags, terms, detpows=None):
-        tags = tuple(tags)
-        for t in tags:
-            if t not in _LEG_TAGS:
-                raise ValueError(f"unknown tensor leg tag {t!r}")
-        if detpows is None:
-            detpows = tuple(0 if t == "glq" else None for t in tags)
-        detpows = tuple(detpows)
+    def __init__(self, hopf: "HopfContext", terms, detpows=(None, None)):
         object.__setattr__(self, "hopf", hopf)
-        object.__setattr__(self, "tags", tags)
-        object.__setattr__(self, "detpows", detpows)
+        object.__setattr__(self, "detpows", tuple(detpows))
         object.__setattr__(self, "terms", {k: c for k, c in terms.items() if c})
 
     def _like(self, terms) -> "TensorElement":
-        return TensorElement(self.hopf, self.tags, terms, self.detpows)
+        return TensorElement(self.hopf, terms, self.detpows)
+
+    def _same_shape(self, other) -> bool:
+        """The same context, and legs of the same kinds."""
+        kinds = [[p is None for p in t.detpows] for t in (self, other)]
+        return self.hopf is other.hopf and kinds[0] == kinds[1]
 
     def _coerce(self, other) -> "TensorElement":
         if not isinstance(other, TensorElement):
             raise TypeError("a tensor combines only with tensors and "
                             "multiplies by scalars")
-        if self.hopf is not other.hopf or self.tags != other.tags:
+        if not self._same_shape(other):
             raise ValueError("tensor shapes do not match")
         return other
 
@@ -164,8 +158,8 @@ class TensorElement(SparseTerms):
         return self.hopf.alg.coerce(c)
 
     def _lift_terms(self, detpows):
-        """Terms after raising each glq leg to the given determinant power,
-        one leg at a time."""
+        """Terms after raising each localized leg to the given determinant
+        power, one leg at a time."""
         terms = self.terms
         for i, (p, p0) in enumerate(zip(detpows, self.detpows)):
             if p == p0:
@@ -180,8 +174,8 @@ class TensorElement(SparseTerms):
         return dict(terms)
 
     def _common_detpows(self, other):
-        return tuple(max(a, b) if t == "glq" else None
-                     for t, a, b in zip(self.tags, self.detpows, other.detpows))
+        return tuple(None if a is None else max(a, b)
+                     for a, b in zip(self.detpows, other.detpows))
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -189,7 +183,7 @@ class TensorElement(SparseTerms):
         out = self._lift_terms(dps)
         for k, c in other._lift_terms(dps).items():
             accumulate(out, k, c)
-        return TensorElement(self.hopf, self.tags, out, dps)
+        return TensorElement(self.hopf, out, dps)
 
     def __mul__(self, other):
         """Legwise product (the algebra structure of the tensor product);
@@ -198,25 +192,25 @@ class TensorElement(SparseTerms):
             return self.scale(other)
         other = self._coerce(other)
         alg = self.hopf.alg
-        dps = tuple(a + b if t == "glq" else None
-                    for t, a, b in zip(self.tags, self.detpows, other.detpows))
+        dps = tuple(None if a is None else a + b
+                    for a, b in zip(self.detpows, other.detpows))
         out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 partial = [((), c1 * c2)]
-                for i in range(len(self.tags)):
+                for i in range(len(dps)):
                     factors = alg._mul_monos(k1[i], k2[i])
                     partial = [(key + (m,), c * cc)
                                for key, c in partial
                                for m, cc in factors.items()]
                 for key, c in partial:
                     accumulate(out, key, c)
-        return TensorElement(self.hopf, self.tags, out, dps)
+        return TensorElement(self.hopf, out, dps)
 
     def __eq__(self, other):
         if not isinstance(other, TensorElement):
             return NotImplemented
-        if self.hopf is not other.hopf or self.tags != other.tags:
+        if not self._same_shape(other):
             return False
         dps = self._common_detpows(other)
         return self._lift_terms(dps) == other._lift_terms(dps)
@@ -321,7 +315,7 @@ class HopfContext:
         for m, c in a.terms.items():
             for key, cc in self._delta_mono(m).items():
                 accumulate(out, key, c * cc)
-        return TensorElement(self, ("mq", "mq"), out)
+        return TensorElement(self, out)
 
     # -- counit ---------------------------------------------------------------------
 
@@ -420,7 +414,8 @@ class HopfContext:
 
     def coaction(self, a: MqElement, which: str) -> TensorElement:
         """The adjoint coaction: h_2 (x) S(h_1) h_3 for beta, h_2 (x) h_3 S(h_1)
-        for alpha.  Output legs are (mq) (x) (glq)."""
+        for alpha.  The first leg is in O(M_q), the second in the
+        localization."""
         if which not in ("beta", "alpha"):
             raise ValueError("coaction kind must be 'beta' or 'alpha'")
         if not isinstance(a, MqElement):
@@ -429,22 +424,16 @@ class HopfContext:
         parts = {}
         for m, c in a.terms.items():
             parts.setdefault(m.deg, []).append((m, c))
-        total = TensorElement(self, ("mq", "glq"), {}, (None, 0))
+        total = TensorElement(self, {}, (None, 0))
         for d in sorted(parts):
             total = total + TensorElement(
-                self, ("mq", "glq"), self._coaction_mono(parts[d], which),
-                (None, d))
+                self, self._coaction_mono(parts[d], which), (None, d))
         return total
-
-    def coaction_beta(self, a: MqElement) -> TensorElement:
-        return self.coaction(a, "beta")
 
     def _fixed(self, a: MqElement) -> TensorElement:
         """a (x) 1: the coaction of a coinvariant."""
-        return TensorElement(self, ("mq", "glq"),
-                             {(m, Monomial.one(self.n)): c
-                              for m, c in a.terms.items()},
-                             (None, 0))
+        return TensorElement(self, {(m, Monomial.one(self.n)): c
+                                    for m, c in a.terms.items()}, (None, 0))
 
     def is_coinvariant(self, a: MqElement, which: str) -> bool:
         """True when the adjoint coaction fixes a, i.e. equals a (x) 1."""
@@ -462,12 +451,6 @@ class HopfContext:
             out.append(tuple(holds and minors.is_fixed(which)
                              for which in ("beta", "alpha")))
         return out
-
-    # -- torus coinvariance ---------------------------------------------------------
-
-    def is_diag_coinvariant(self, a: GlqElement) -> bool:
-        """True when every numerator monomial has row degree (p, ..., p)."""
-        return all(m.is_diag_coinvariant(a.detpow) for m in a.terms)
 
 
 class Minors:
@@ -506,10 +489,6 @@ class Minors:
                 self.hopf.alg.quantum_minor(rows, cols)
         return out
 
-    def middle(self, I, J):
-        """The K of the Cauchy-Binet sum Delta([I|J]) = sum_K [I|K] (x) [K|J]."""
-        return self.sets
-
     def cofactor(self, I, K) -> MqElement:
         """det S([I|K]) = (-q)^(sum I - sum K) [K^c|I^c]."""
         full = range(1, self.hopf.n + 1)
@@ -532,12 +511,12 @@ class Minors:
         for I in self.sets:
             for J in self.sets:
                 binet = {}
-                for K in self.middle(I, J):
+                for K in self.sets:
                     for u, cu in self.minor(I, K).terms.items():
                         for w, cw in self.minor(K, J).terms.items():
                             accumulate(binet, (u, w), cu * cw)
                 if hopf.comultiply(self.minor(I, J)) != \
-                        TensorElement(hopf, ("mq", "mq"), binet):
+                        TensorElement(hopf, binet):
                     return False
                 inverse = hopf.alg.zero_element()
                 for K in self.sets:
@@ -553,9 +532,9 @@ class Minors:
         zero = self.hopf.alg.zero_element()
         legs = {}
         for I, w in weights.items():
-            for K in self.middle(I, I):
+            for K in self.sets:
                 s = self.cofactor(I, K).scale(w)
-                for L in self.middle(K, I):
+                for L in self.sets:
                     right = self.minor(L, I)
                     x = s * right if which == "beta" else right * s
                     legs[(K, L)] = legs.get((K, L), zero) + x
@@ -564,7 +543,7 @@ class Minors:
             for v, cv in self.minor(K, L).terms.items():
                 for m, cm in x.terms.items():
                     accumulate(out, (v, m), cv * cm)
-        return TensorElement(self.hopf, ("mq", "glq"), out, (None, 1))
+        return TensorElement(self.hopf, out, (None, 1))
 
     def is_fixed(self, which: str) -> bool:
         """Does the coaction ``which`` fix its family (tau_r for beta,

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcoorbit import coorbit, scalars, xla
+from qcoorbit.chars import Character, character_of
 from qcoorbit.cli import main
 from qcoorbit.coorbit import (CoorbitMap, Point, TruncatedSubspace,
                               diag_coinv_keys, evaluate, sphere_span,
@@ -190,8 +191,9 @@ def test_one_letter_step_matches_fold_then_conjugate(which, q1):
         for m in H.alg.monomial_basis(dmax):
             coaction = H._coaction_mono([(m, H.alg.one)], which)
             for cm, values in maps:
-                num, p = cm.of_monomial(m)
-                assert p == m.deg
+                num = cm.of_monomial(m)
+                assert cm(H.alg.monomial_element(m)) == \
+                    GlqElement(H, num, m.deg)
                 assert num == _evaluated_first_leg(H, coaction, cm.point,
                                                    values), (cm.point, m)
 
@@ -286,7 +288,8 @@ def test_kernel_basis_is_already_canonical(H2, generic):
 def _full_kernel(cm, d):
     """The kernel by eliminating every domain column of the matrix whose
     columns are the lifted images: the route that ignores the ideal."""
-    domain, lifted = cm._lifted_images(d)
+    domain = cm.hopf.alg.monomial_basis(d)
+    lifted = cm._lifted_images(d, domain)
     rows = {}
     for m, num in zip(domain, lifted):
         for k, c in num.items():
@@ -348,14 +351,14 @@ def test_certificate_needs_the_full_rank(monkeypatch):
     kernel_basis takes the exact route, which still finds the kernel."""
     real = CoorbitMap._lifted_images
 
-    def dependent(self, d, domain=None):
-        domain, lifted = real(self, d, domain)
+    def dependent(self, d, domain):
+        lifted = real(self, d, domain)
         if isinstance(self.hopf.alg.q, Fp):
             last = dict(lifted[0])
             for k, c in lifted[1].items():
                 accumulate(last, k, c)
             lifted[-1] = last
-        return domain, lifted
+        return lifted
 
     monkeypatch.setattr(CoorbitMap, "_lifted_images", dependent)
     H = HopfContext(MatrixAlgebra(2))
@@ -499,11 +502,10 @@ def test_twin_images_are_the_exact_images_mod_p():
                 assert q0 == scalars.FP_Q0 or q0 == 1 and _q_free(point)
                 twin_qs.add(q0)
                 for m in H.alg.monomial_basis(2):
-                    num, p = cm.of_monomial(m)
                     reduced = {k: Fp.of(c.specialize(q0))
-                               for k, c in num.items()}
-                    assert twin.of_monomial(m) == (
-                        {k: c for k, c in reduced.items() if c}, p), m
+                               for k, c in cm.of_monomial(m).items()}
+                    assert twin.of_monomial(m) == \
+                        {k: c for k, c in reduced.items() if c}, m
     assert twin_qs == {1, scalars.FP_Q0}
 
 
@@ -675,7 +677,7 @@ def test_image_letter_calls_stay_under_ceiling(monkeypatch):
         return real(alg, m, k)
 
     monkeypatch.setattr(MatrixAlgebra, "_mul_mono_letter", counting)
-    cm._lifted_images(2)
+    cm._lifted_images(2, cm.hopf.alg.monomial_basis(2))
     assert 0 < len(calls) <= LETTER_CALL_CEILING
 
 
@@ -714,9 +716,9 @@ def test_deep_monomial_image_is_one_call(monkeypatch, which):
 
     monkeypatch.setattr(CoorbitMap, "of_monomial", counting)
     started = time.monotonic()
-    num, p = cm.of_monomial(Monomial(2, (0, 0, 100, 0)))
+    num = cm.of_monomial(Monomial(2, (0, 0, 100, 0)))
     assert time.monotonic() - started < 5
-    assert p == 100 and num and len(calls) == 1
+    assert num and len(calls) == 1
     # the closed form at degree 1 and 2 still holds on the cached images
     assert all(cm.power_check(k) for k in (1, 2))
 
@@ -746,8 +748,14 @@ def test_resonant_point_kernel_grows(resonant):
 
 
 def _torus_weights(image, d):
-    """Torus weight of each image row: column degrees minus d at det^d."""
-    return image.row_weights(lambda m: tuple(c - d for c in m.coldeg()))
+    """Torus weight of each image row: column degrees minus d at det^d;
+    every row is pure in it."""
+    out = []
+    for row in image.rows:
+        ws = {tuple(c - d for c in m.coldeg()) for m in row}
+        assert len(ws) == 1, row
+        out.append(ws.pop())
+    return out
 
 
 def test_resonant_image_stabilizes(resonant):
@@ -769,9 +777,10 @@ def test_images_are_diag_coinvariant(H2, resonant, generic):
     A = H2.alg
     for cm in (resonant, generic):
         for m in A.monomial_basis(2):
-            num, p = cm.of_monomial(m)
-            g = H2.embed(H2.embed(MqElement(A, num), p).numerator_at(2), 2)
-            assert H2.is_diag_coinvariant(g)
+            num = cm.of_monomial(m)
+            g = H2.embed(H2.embed(MqElement(A, num), m.deg).numerator_at(2),
+                         2)
+            assert all(k.is_diag_coinvariant(g.detpow) for k in g.terms)
 
 
 def test_diag_coinv_keys_counts():
@@ -784,7 +793,7 @@ def test_diag_coinv_keys_counts():
 def test_image_lies_in_diag_coinv_truncation(generic):
     d = 2
     keys = diag_coinv_keys(2, d)
-    _domain, lifted = generic._lifted_images(d)
+    lifted = generic._lifted_images(d, generic.hopf.alg.monomial_basis(d))
     keyset = set(keys)
     for num in lifted:
         assert set(num) <= keyset
@@ -821,11 +830,9 @@ def test_power_check_validation(H2, H3, nilpotent):
 
 
 def test_resonant_kills_second_power(resonant):
-    num, _p = resonant.of_monomial(Monomial(2, (0, 0, 2, 0)))
-    assert not num
+    assert not resonant.of_monomial(Monomial(2, (0, 0, 2, 0)))
     # but the first power survives
-    num, _p = resonant.of_monomial(Monomial(2, (0, 0, 1, 0)))
-    assert num
+    assert resonant.of_monomial(Monomial(2, (0, 0, 1, 0)))
 
 
 # -- sphere -------------------------------------------------------------------------------
@@ -839,7 +846,7 @@ def test_sphere_span_dimensions(H2):
 def test_resonant_image_is_sphere_span(resonant, H2):
     # the degree-2 image truncation and the length-1 sphere span, both
     # lifted to det^2 and compared over one key list
-    _domain, image = resonant._lifted_images(2)
+    image = resonant._lifted_images(2, H2.alg.monomial_basis(2))
     sphere = sphere_span(H2, 1)
     spanners = [GlqElement(H2, row, 1).numerator_at(2).terms
                 for row in sphere.rows]
@@ -869,13 +876,18 @@ def test_truncated_subspace_plumbing(H2):
 
 
 def test_row_weights_purity(H2):
-    A = H2.alg
-    one = A.one
-    s = TruncatedSubspace((0, 1, 2), [{0: one, 2: one}])
+    """character_of reads one torus weight per basis row and refuses a row
+    that mixes weights: x11 x22 has weight (0, 0) over det, x11 x21 has
+    (1, -1), and x12 x21 has (0, 0) again."""
+    one = H2.alg.one
+    x11x22, x11x21, x12x21 = (Monomial(2, e) for e in
+                              ((1, 0, 0, 1), (1, 0, 1, 0), (0, 1, 1, 0)))
+    keys = (x11x22, x11x21, x12x21)
+    s = TruncatedSubspace(keys, [{x11x22: one, x11x21: one}])
     with pytest.raises(ValueError, match="mixes"):
-        s.row_weights(lambda k: k)
-    t = TruncatedSubspace((0, 1, 2), [{0: one, 2: one}])
-    assert t.row_weights(lambda k: k % 2) == [0]
+        character_of(s, "t")
+    t = TruncatedSubspace(keys, [{x11x22: one, x12x21: one}])
+    assert character_of(t, "t") == Character("t", {(0, 0): 1})
 
 
 diag_entries = st.integers(min_value=-3, max_value=3)
