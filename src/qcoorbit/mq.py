@@ -243,8 +243,14 @@ class SparseTerms(Frozen):
         return self.scale(other)
 
     def scale(self, c):
+        """The element times the coefficient c.  Nothing is multiplied by
+        the unit object, and a product equal to 1 becomes it (see
+        :meth:`MatrixAlgebra.coerce`)."""
         c = self._coeff(c)
-        return self._like({k: c * v for k, v in self.terms.items()} if c else {})
+        if c is self._coeff(1):
+            return self._like(self.terms)
+        return self._like({k: self._coeff(c * v) for k, v in self.terms.items()}
+                          if c else {})
 
     def __pow__(self, k: int):
         """The k-th power by repeated squaring; the 0-th is the unit."""
@@ -356,9 +362,10 @@ class MatrixAlgebra:
     # -- coefficients -----------------------------------------------------------
 
     def coerce(self, c):
-        """Coerce an int/Fraction/compatible coefficient into the field."""
+        """Coerce an int/Fraction/compatible coefficient into the field; a
+        coefficient equal to 1 becomes the unit object ``one``."""
         if isinstance(c, type(self.one)):
-            return c
+            return self.one if c == self.one else c
         if isinstance(c, (int, Fraction)):
             return self.one if c == 1 else self.one * c
         raise TypeError(f"cannot use {type(c).__name__} as a coefficient here")
@@ -500,7 +507,7 @@ class MatrixAlgebra:
             inv = sum(1 for a in range(t) for b in range(a + 1, t)
                       if perm[a] > perm[b])
             word = [(rows[a], cols[perm[a]]) for a in range(t)]
-            coeff = (-self.one) ** inv * self.q ** inv
+            coeff = (-self.q) ** inv
             total = total + self.normal_form(word, coeff)
         return total
 
