@@ -106,6 +106,8 @@ def load_point(spec: str, q=None) -> Point:
                                                 for r in entries):
         raise ValueError("point entries must be a list of rows")
     n = data.get("n", len(entries))
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f'point "n" must be an int, not {type(n).__name__}')
     if len(entries) != n or any(len(r) != n for r in entries):
         raise ValueError("point entries must form an n x n matrix")
     rows = []

@@ -289,6 +289,11 @@ def test_malformed_point_exits_2(capsys):
     for spec in ('{"entries": 5}', '{"entries": [1, 2]}'):
         code, _, err = run(capsys, "kernel", "--point", spec)
         assert code == 2 and "list of rows" in err
+    # True == 1 and 1.0 == 1, but neither is a size
+    for n in ("true", "1.0", '"1"'):
+        code, _, err = run(capsys, "eval", "x11", "--point",
+                           '{"entries": [["2"]], "n": %s}' % n)
+        assert code == 2 and '"n" must be an int' in err, n
 
 
 def test_bad_q1_exits_2(capsys):
