@@ -1,6 +1,7 @@
 """Tests for characters: arithmetic, decomposition, the difference identity,
 and the specialize-first consistency check."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -151,6 +152,69 @@ def test_torus_grading_checks_characters_read_off_keys(H2, H3, which, n, d,
     image = character_of(cm.image_data(d), "t")
     assert image + kernel == Character.from_weights(
         "t", [_domain_weight(m) for m in domain])
+
+
+def _koszul_character(alg, d):
+    """The image t character of the degree <= d truncation wherever the
+    kernel is the ideal of the shifted invariants tau_i - tau_i(xi): these
+    have weight 0 and degrees 1..n and form a regular sequence (Kostant,
+    Amer. J. Math. 85, 1963), so the quotient by them has the t character
+
+        sum_{k <= d} [s^k] (sum_k s^k char P_k) prod_{i <= n} (1 - s^i),
+
+    char P_k the weights coldeg - rowdeg of the monomials of degree k.
+    Returns it with the number of monomials of degree <= d, from one walk
+    over them."""
+    domain = alg.monomial_basis(d)
+    layers = [Counter() for _ in range(d + 1)]
+    for m in domain:
+        layers[m.deg][_domain_weight(m)] += 1
+    koszul = [1]   # prod_i (1 - s^i), low coefficients first
+    for i in range(1, alg.n + 1):
+        koszul = [a - (koszul[j - i] if j >= i else 0)
+                  for j, a in enumerate(koszul + [0] * i)]
+    char = Counter()
+    for k in range(d + 1):
+        for j, c in enumerate(koszul[:k + 1]):
+            for w, mult in layers[k - j].items():
+                char[w] += c * mult
+    return Character("t", char), len(domain)
+
+
+# diag(2, 3), diag(2, 3, 5) and the generic points of the `truncations`
+# benchmark workload at seeds 1-3 (perfbench/workloads.py), whose resonant
+# points are diag(c q^2, c) at c = -6, 3, 3; with the largest degree each
+KOSZUL_POINTS = [((2, 3), 4), ((2, 3, 5), 2),
+                 ((-7, -1), 4), ((7, 6, 9), 2),
+                 ((-7, 9), 4), ((5, 4, 3), 2),
+                 ((9, -5), 4), ((7, -1, -2), 2)]
+
+
+@pytest.mark.parametrize("which", ["beta", "alpha"])
+def test_images_match_the_koszul_closed_form(H2, H3, which):
+    """At generic diagonal points the image character is the closed form of
+    :func:`_koszul_character` at every degree, and the kernel dimension is
+    the monomial count less its total (rank-nullity), an oracle for the
+    certified reads and the eliminations.  At the resonant points
+    diag(c q^2, c) of the same seeds the beta image is strictly smaller."""
+    hopf = {2: H2, 3: H3}
+    for diag, dmax in KOSZUL_POINTS:
+        H = hopf[len(diag)]
+        cm = CoorbitMap(H, Point.diagonal(diag), which)
+        for d in range(1, dmax + 1):
+            want, size = _koszul_character(H.alg, d)
+            assert image_at(cm, d)[1] == want, (diag, d)
+            assert cm.kernel_basis(d).dim == size - sum(want.mults.values())
+    if which == "alpha":
+        return
+    q = H2.alg.q
+    for c in (-6, 3):
+        cm = CoorbitMap(H2, Point.diagonal([c * q ** 2, c]))
+        for d in (2, 3):
+            want, size = _koszul_character(H2.alg, d)
+            dim = image_at(cm, d)[0]
+            assert dim < sum(want.mults.values()), (c, d)
+            assert cm.kernel_basis(d).dim == size - dim
 
 
 def test_character_of_rejects_other_types():
