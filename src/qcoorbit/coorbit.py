@@ -18,23 +18,26 @@ algebra map and S anti-multiplicative, S(a_1 x_is) = S(x_is) S(a_1) gives
 
 so the image of an ordered monomial is one step from the image of the
 monomial without its last letter (beta) or its first (alpha), which is
-cached.  Only the nonzero point entries branch, which keeps sparse points
-(diagonal, single-entry) cheap.  The definition (ev (x) id) beta, the
-coaction with its first leg evaluated, survives in the tests as the
-oracle.
+cached.  The image of m is a numerator over det^deg(m), and only the
+numerator is stored.  Only the nonzero point entries branch, which keeps
+sparse points (diagonal, single-entry) cheap.  The definition
+(ev (x) id) beta, the coaction with its first leg evaluated, survives in
+the tests as the oracle.
 
 Truncations: kernels, ideal spans, and images of the co-orbit map restricted
 to monomials of bounded degree, as :class:`TruncatedSubspace` values over
 explicit key lists, computed by exact echelon reduction.  The kernel is
-reduced modulo the ideal spanned by the shifted coinvariants, which the map
-kills: only the monomials that are no pivot of the ideal's echelon basis are
-left, and where a rank mod p of their images proves them independent, the
-kernel is the ideal and no exact image is built (see
-:meth:`CoorbitMap.kernel_basis`).  At a diagonal point the image's dimension
-and weights are read off such monomials of the ideal taken mod p, with no
-exact ideal at all (:meth:`CoorbitMap.image_weights`).  Every vector, from a
-co-orbit image to a stored basis row, is a sparse ``{monomial: coeff}``
-dict; the kernel's matrix rows are the images read by codomain monomial.
+reduced modulo the ideal spanned by the shifted coinvariants, g_i = tau_i -
+tau_i(xi) for beta and sigma_i - sigma_i(xi) for alpha, which the map kills
+once it kills each g_i (stored once per map with that verdict): only the
+monomials that are no pivot of the ideal's echelon basis are left, and
+where a rank mod p of their images proves them independent, the kernel is
+the ideal and no exact image is built (see :meth:`CoorbitMap.kernel_basis`).
+At a diagonal point the image's dimension and weights are read off such
+monomials of the ideal taken mod p, with no exact ideal at all
+(:meth:`CoorbitMap.image_weights`).  Every vector, from a co-orbit image to
+a stored basis row, is a sparse ``{monomial: coeff}`` dict; the kernel's
+matrix rows are the images read by codomain monomial.
 
 The size-2 closed forms and quantum sphere spans, stated in quantum SL_2,
 are checked in the degree-0 part of the localization, where the quotient

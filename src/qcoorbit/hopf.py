@@ -27,6 +27,9 @@ letter at a time, from the antipode of that letter
 that are read again: the coproduct and the two-fold coproduct of each
 monomial (beta and alpha fold the same monomials), the antipode of each
 monomial and of each letter.  Build one context per algebra and reuse it.
+Coproducts and coactions are :class:`TensorElement` values, whose
+``detpows`` give each leg's kind: None for a leg in O(M_q), and the det
+power p for a leg in the localization.
 
 The coinvariant families are sums of principal quantum minors, and
 :class:`Minors` computes their coactions on minors instead of monomials,
