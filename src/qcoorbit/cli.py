@@ -98,7 +98,10 @@ def load_point(spec: str, q=None) -> Point:
     if not text.startswith("{"):
         with open(spec, encoding="utf-8") as fh:
             text = fh.read()
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError as e:
+        raise ValueError("point JSON nests too deeply") from e
     if not isinstance(data, dict) or "entries" not in data:
         raise ValueError('point JSON needs an "entries" matrix')
     entries = data["entries"]
@@ -336,9 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
         if point:
             p.add_argument("--point", required=True,
                            help="point as inline JSON or a JSON file path")
+        if degree:   # a truncation command runs the co-orbit map of a coaction
             p.add_argument("--coaction", choices=("beta", "alpha"),
                            default="beta", help="which adjoint coaction")
-        if degree:
             p.add_argument("--degree", type=int, default=None,
                            help="truncation degree (default: the ceiling)")
         if size:
@@ -390,17 +393,17 @@ def main(argv=None) -> int:
     try:
         with gcd_budget():   # one budget from reading the input to the report
             report, ok = args.func(args)
+        report["all_pass"] = ok
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, PoleError, ZeroDivisionError, OSError,
             json.JSONDecodeError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    report["all_pass"] = ok
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0 if ok else 1
 
 

@@ -457,8 +457,9 @@ class HopfContext:
 
 
 class Minors:
-    """The quantum r-minors [I|J] of one context, memoised for one check,
-    and the coactions of sums of principal r-minors computed on them.
+    """The coactions of sums of principal quantum r-minors of one context,
+    computed on the minors [I|J] that the algebra caches
+    (:meth:`MatrixAlgebra.quantum_minor`).
 
     Two classical identities (B. Parshall and J.-P. Wang, *Quantum linear
     groups*, Mem. AMS 89, 1991) give the coproduct and the antipode of a
@@ -483,21 +484,13 @@ class Minors:
         self.hopf = hopf
         self.r = r
         self.sets = list(combinations(range(1, hopf.n + 1), r))
-        self._memo = {}
-
-    def minor(self, rows, cols) -> MqElement:
-        out = self._memo.get((rows, cols))
-        if out is None:
-            out = self._memo[(rows, cols)] = \
-                self.hopf.alg.quantum_minor(rows, cols)
-        return out
 
     def cofactor(self, I, K) -> MqElement:
         """det S([I|K]) = (-q)^(sum I - sum K) [K^c|I^c]."""
         full = range(1, self.hopf.n + 1)
         rows = tuple(k for k in full if k not in K)
         cols = tuple(i for i in full if i not in I)
-        return self.minor(rows, cols).scale(
+        return self.hopf.alg.quantum_minor(rows, cols).scale(
             (-self.hopf.alg.q) ** (sum(I) - sum(K)))
 
     def identities_hold(self) -> bool:
@@ -510,20 +503,21 @@ class Minors:
         A' = A'(BA) = (A'B)A = A: the cofactors are the antipode, at any q.
         """
         hopf = self.hopf
+        minor = hopf.alg.quantum_minor
         det = hopf.alg.quantum_determinant()
         for I in self.sets:
             for J in self.sets:
                 binet = {}
                 for K in self.sets:
-                    for u, cu in self.minor(I, K).terms.items():
-                        for w, cw in self.minor(K, J).terms.items():
+                    for u, cu in minor(I, K).terms.items():
+                        for w, cw in minor(K, J).terms.items():
                             accumulate(binet, (u, w), cu * cw)
-                if hopf.comultiply(self.minor(I, J)) != \
+                if hopf.comultiply(minor(I, J)) != \
                         TensorElement(hopf, binet):
                     return False
                 inverse = hopf.alg.zero_element()
                 for K in self.sets:
-                    inverse = inverse + self.cofactor(I, K) * self.minor(K, J)
+                    inverse = inverse + self.cofactor(I, K) * minor(K, J)
                 if inverse != (det if I == J else 0):
                     return False
         return True
@@ -532,18 +526,19 @@ class Minors:
         """The coaction ``which`` of sum_I w_I [I|I], for ``weights`` =
         ``{I: w_I}``, as sum_{K,L} [K|L] (x) X_KL det^-1 with the second legs
         X_KL summed over I first."""
+        minor = self.hopf.alg.quantum_minor
         zero = self.hopf.alg.zero_element()
         legs = {}
         for I, w in weights.items():
             for K in self.sets:
                 s = self.cofactor(I, K).scale(w)
                 for L in self.sets:
-                    right = self.minor(L, I)
+                    right = minor(L, I)
                     x = s * right if which == "beta" else right * s
                     legs[(K, L)] = legs.get((K, L), zero) + x
         out = {}
         for (K, L), x in legs.items():
-            for v, cv in self.minor(K, L).terms.items():
+            for v, cv in minor(K, L).terms.items():
                 for m, cm in x.terms.items():
                     accumulate(out, (v, m), cv * cm)
         return TensorElement(self.hopf, out, (None, 1))

@@ -9,8 +9,8 @@ so rewriting terminates and the ordered monomials form a basis.
 A :class:`MatrixAlgebra` is a context object: it fixes the size N and the
 coefficient q (a symbolic Scalar by default, or a Fraction to run the whole
 engine with q specialized *before* any computation), and memoizes the
-straightening tables so repeated products are cheap.  Most rules carry the
-unit object ``one`` as coefficient; straightening, and
+straightening tables and the quantum minors so repeated products are cheap.
+Most rules carry the unit object ``one`` as coefficient; straightening, and
 :meth:`MatrixAlgebra._product`, the one product of two straightened sums,
 skip products by it.  At q = +-1 no rule has a second term, and at q = 1
 every rule carries ``one``, so there a product of two monomials is the one
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 from .scalars import (Frozen, Scalar, ScalarParser, check_power,
                       check_scalar_op, check_scalar_power, parse_int)
@@ -137,17 +137,6 @@ def accumulate(out: dict, key, c) -> None:
         out[key] = c
     elif v is not None:
         del out[key]
-
-
-def _times_letter(terms: dict, k: int, mul_letter, one) -> dict:
-    """``terms`` times the letter ``k``; ``mul_letter(key, k)`` straightens
-    one basis word times the letter.  A factor that is ``one`` (the
-    algebra's unit object) is not multiplied by."""
-    out = {}
-    for m, c in terms.items():
-        for mm, cc in mul_letter(m, k).items():
-            accumulate(out, mm, c if cc is one else cc if c is one else c * cc)
-    return out
 
 
 def _is_negative(c) -> bool:
@@ -356,7 +345,7 @@ class MatrixAlgebra:
         self._rule_cache = {}
         self._ml_cache = {}
         self._mm_cache = {}
-        self._det = None
+        self._minors = {}
         self._det_powers = None
 
     # -- coefficients -----------------------------------------------------------
@@ -448,9 +437,15 @@ class MatrixAlgebra:
         out = self._mm_cache.get((m1, m2))
         if out is not None:
             return out
-        acc = {m1: self.one}
+        one = self.one
+        acc = {m1: one}
         for k in m2.word():
-            acc = _times_letter(acc, k, self._mul_mono_letter, self.one)
+            step = {}
+            for m, c in acc.items():
+                for mm, cc in self._mul_mono_letter(m, k).items():
+                    accumulate(step, mm,
+                               c if cc is one else cc if c is one else c * cc)
+            acc = step
         self._mm_cache[(m1, m2)] = acc
         return acc
 
@@ -467,33 +462,32 @@ class MatrixAlgebra:
                                else c * mc)
         return out
 
-    def normal_form(self, word, prefactor=None) -> MqElement:
-        """Expand a word of (i, j) generator indices into the monomial basis.
-
-        ``word`` is any iterable of 1-based (row, column) pairs; the optional
-        prefactor scales the result.  The empty word gives 1.
-        """
-        c = self.one if prefactor is None else self.coerce(prefactor)
-        elem = MqElement(self, {Monomial.one(self.n): c})
-        for (i, j) in word:
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise ValueError(f"generator x{i}{j} out of range")
-            k = (i - 1) * self.n + (j - 1)
-            elem = MqElement(self, _times_letter(elem.terms, k,
-                                                 self._mul_mono_letter,
-                                                 self.one))
-        return elem
-
     # -- quantum minors and coinvariant families -----------------------------------
 
     def quantum_minor(self, rows, cols) -> MqElement:
-        """Sum over permutations with (-q)^inversions coefficients.
+        """The quantum minor [I|J] of the rows I = (i_1 < ... < i_t) and the
+        columns J = (j_1 < ... < j_t), equal-size subsets of 1..N:
 
-        Rows and cols are equal-size subsets of 1..N, taken in increasing
-        order.
+            [I|J] = sum over permutations s of 1..t of
+                    (-q)^inv(s) x_{i_1 j_s(1)} ... x_{i_t j_s(t)},
+
+        with inv(s) the number of inversions of s.  Grouping the sum by the
+        column s(t) = k of the last row, t - k of the other columns come
+        after it, so
+
+            [I|J] = sum_{k=1..t} (-q)^(t-k) [I - i_t | J - j_k] x_{i_t j_k}
+
+        (the quantum Laplace expansion along the last row).  Each minor is
+        built once per algebra by this expansion, one letter step per column
+        from the minors one size smaller, and cached; the empty minor is 1.
+        Every word has its rows in increasing order, so it is an ordered
+        monomial and the letter steps straighten nothing.
         """
         rows = tuple(sorted(rows))
         cols = tuple(sorted(cols))
+        out = self._minors.get((rows, cols))
+        if out is not None:
+            return out
         if len(rows) != len(cols):
             raise ValueError("row and column sets differ in size")
         if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
@@ -502,20 +496,17 @@ class MatrixAlgebra:
                          and 1 <= cols[0] and cols[-1] <= self.n):
             raise ValueError("index out of range")
         t = len(rows)
-        total = self.zero_element()
-        for perm in permutations(range(t)):
-            inv = sum(1 for a in range(t) for b in range(a + 1, t)
-                      if perm[a] > perm[b])
-            word = [(rows[a], cols[perm[a]]) for a in range(t)]
-            coeff = (-self.q) ** inv
-            total = total + self.normal_form(word, coeff)
-        return total
+        out = self.one_element() if t == 0 else self.zero_element()
+        for k in range(t):
+            smaller = self.quantum_minor(rows[:-1], cols[:k] + cols[k + 1:])
+            out = out + (smaller * self.generator(rows[-1], cols[k])).scale(
+                (-self.q) ** (t - 1 - k))
+        self._minors[(rows, cols)] = out
+        return out
 
     def quantum_determinant(self) -> MqElement:
-        if self._det is None:
-            full = range(1, self.n + 1)
-            self._det = self.quantum_minor(full, full)
-        return self._det
+        full = range(1, self.n + 1)
+        return self.quantum_minor(full, full)
 
     def det_power(self, k: int) -> MqElement:
         """det_q^k, cached."""

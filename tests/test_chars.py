@@ -28,6 +28,11 @@ def H3():
     return HopfContext(MatrixAlgebra(3))
 
 
+@pytest.fixture(scope="module")
+def H4():
+    return HopfContext(MatrixAlgebra(4))
+
+
 def test_character_arithmetic():
     a = Character("z", {2: 1, 0: 1})
     b = Character("z", {0: 1, -2: 1})
@@ -181,23 +186,25 @@ def _koszul_character(alg, d):
     return Character("t", char), len(domain)
 
 
-# diag(2, 3), diag(2, 3, 5) and the generic points of the `truncations`
-# benchmark workload at seeds 1-3 (perfbench/workloads.py), whose resonant
-# points are diag(c q^2, c) at c = -6, 3, 3; with the largest degree each
-KOSZUL_POINTS = [((2, 3), 4), ((2, 3, 5), 2),
+# diag(2, 3), diag(2, 3, 5), diag(2, 3, 5, 7) and the generic points of the
+# `truncations` benchmark workload at seeds 1-3 (perfbench/workloads.py),
+# whose resonant points are diag(c q^2, c) at c = -6, 3, 3; with the largest
+# degree each.  Library maps have no degree ceiling: diag(2, 3, 5) at d = 3
+# and diag(2, 3, 5, 7) at d = 2 are over the CLI's.
+KOSZUL_POINTS = [((2, 3), 4), ((2, 3, 5), 3), ((2, 3, 5, 7), 2),
                  ((-7, -1), 4), ((7, 6, 9), 2),
                  ((-7, 9), 4), ((5, 4, 3), 2),
                  ((9, -5), 4), ((7, -1, -2), 2)]
 
 
 @pytest.mark.parametrize("which", ["beta", "alpha"])
-def test_images_match_the_koszul_closed_form(H2, H3, which):
+def test_images_match_the_koszul_closed_form(H2, H3, H4, which):
     """At generic diagonal points the image character is the closed form of
     :func:`_koszul_character` at every degree, and the kernel dimension is
     the monomial count less its total (rank-nullity), an oracle for the
     certified reads and the eliminations.  At the resonant points
     diag(c q^2, c) of the same seeds the beta image is strictly smaller."""
-    hopf = {2: H2, 3: H3}
+    hopf = {2: H2, 3: H3, 4: H4}
     for diag, dmax in KOSZUL_POINTS:
         H = hopf[len(diag)]
         cm = CoorbitMap(H, Point.diagonal(diag), which)

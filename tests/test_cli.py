@@ -200,6 +200,25 @@ def test_option_prefixes_exit_2(capsys):
         assert "unrecognized arguments" in capsys.readouterr().err, argv
 
 
+def test_eval_takes_no_coaction(capsys):
+    """Only the truncation commands run a coaction: eval refuses the
+    option as a usage error."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["eval", "x11", "--point", GENERIC, "--coaction", "alpha"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --coaction" in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_2(capsys, tmp_path):
+    """A report that cannot be written is an input error (exit 2), not a
+    failed check (exit 1)."""
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = run(capsys, "verify-coinvariants", "--n", "2",
+                         "--out", str(target))
+    assert code == 2 and not out and not target.exists()
+    assert err.startswith("error: ") and "No such file" in err
+
+
 def _diagonal_point(n: int) -> str:
     return json.dumps({"n": n, "entries": [
         [str(i + 2) if i == j else "0" for j in range(n)] for i in range(n)]})
@@ -465,6 +484,13 @@ def test_deep_nesting_exits_2(capsys):
                  ["eval", "x11", "--point", point % nest(200, "2")]):
         code, out, err = run(capsys, *argv)
         assert code == 2 and not out and "nested too deeply" in err
+
+
+def test_deeply_nested_point_json_exits_2(capsys):
+    """Point JSON nested past the JSON reader's recursion exits 2."""
+    deep = '{"entries": ' + "[" * 50_000 + "]" * 50_000 + "}"
+    code, out, err = run(capsys, "eval", "x11", "--point", deep)
+    assert code == 2 and not out and "nests too deeply" in err
 
 
 # Length and sha256 of the stdout of ``main(argv)`` for each command, taken
